@@ -16,13 +16,16 @@ with the matching right-hand side
 
     l(v) = (f, phi v)_active - sigma * h^2 * (f, lap(phi v))_cut.
 
+Every term is assembled in batches: volume terms over chunks of
+triangles, boundary and ghost facet terms over all their facets in one
+pass each.  The public per-entity kernels are length-1 calls of the same
+batched code, so the hand-integral tests pin the only implementation.
 The penalty parts are assembled separately from the core so that their
 matrix is exactly symmetric and can be inspected on its own.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,7 +45,6 @@ __all__ = [
     "ghost_jump_kernel",
     "ghost_laplacian_kernel",
     "rhs_kernels",
-    "dump_matrix",
 ]
 
 _CHUNK = 4096
@@ -91,7 +93,7 @@ def _geometry(mesh: BackgroundMesh, tris: np.ndarray):
 def _phys_points(v0, jac, quad: QuadratureRule):
     """Physical quadrature points, shape (nT, Q, 2)."""
     ref = quad.points[:, 1:]                     # reference (x, y)
-    return v0[:, None, :] + np.einsum("ade,qe->aqd", jac, ref)
+    return v0[:, None, :] + ref @ jac.swapaxes(1, 2)
 
 
 def _phi_tables(field: LevelSetField, tris: np.ndarray, inv: np.ndarray,
@@ -99,14 +101,17 @@ def _phi_tables(field: LevelSetField, tris: np.ndarray, inv: np.ndarray,
     """Values, physical gradients and Laplacians of the interpolant."""
     tab_v, tab_g, tab_h = make_reference_element(field.degree).tabulate(
         quad.points)
+    Q, m = tab_v.shape
     coef = field.cell_coefficients(tris)                     # (nT, m)
     val = coef @ tab_v.T                                     # (nT, Q)
-    grad_ref = np.einsum("am,qmd->aqd", coef, tab_g)
-    grad = np.einsum("ade,aqd->aqe", inv, grad_ref)
+    grad_ref = coef @ tab_g.swapaxes(0, 1).reshape(m, 2 * Q)
+    grad = grad_ref.reshape(-1, Q, 2) @ inv
     lap = None
     if need_lap:
-        hess_ref = np.einsum("am,qmdc->aqdc", coef, tab_h)
-        lap = np.einsum("ade,aqdc,ace->aq", inv, hess_ref, inv)
+        # lap = sum_dc hess_ref[d, c] (inv inv.T)[d, c]
+        hess_ref = coef @ tab_h.swapaxes(0, 1).reshape(m, 4 * Q)
+        metric = (inv @ inv.swapaxes(1, 2)).reshape(-1, 4, 1)
+        lap = (hess_ref.reshape(-1, Q, 4) @ metric)[..., 0]
     return val, grad, lap
 
 
@@ -114,11 +119,18 @@ def _basis_tables(ref: ReferenceElement, inv: np.ndarray,
                   quad: QuadratureRule, need_lap: bool):
     """Basis values, physical gradients and Laplacians per triangle."""
     tab_v, tab_g, tab_h = ref.tabulate(quad.points)
-    grad = np.einsum("ade,qid->aqie", inv, tab_g)
+    shape = (len(inv),) + tab_v.shape                        # (nT, Q, n)
+    grad = (tab_g.reshape(-1, 2) @ inv).reshape(shape + (2,))
     lap = None
     if need_lap:
-        lap = np.einsum("ade,qidc,ace->aqi", inv, tab_h, inv)
+        metric = (inv @ inv.swapaxes(1, 2)).reshape(-1, 4)
+        lap = (metric @ tab_h.reshape(-1, 4).T).reshape(shape)
     return tab_v, grad, lap
+
+
+def _gram(w, a, b):
+    """Batched sum over q of w[..., q] a[..., q, i] b[..., q, j]."""
+    return (a * w[..., None]).swapaxes(-1, -2) @ b
 
 
 def _product_local(field, tris, ref, quad):
@@ -126,10 +138,14 @@ def _product_local(field, tris, ref, quad):
     _, _, det, inv = _geometry(field.mesh, tris)
     pv, pg, _ = _phi_tables(field, tris, inv, quad, need_lap=False)
     bv, bg, _ = _basis_tables(ref, inv, quad, need_lap=False)
-    grads = (bv[None, :, :, None] * pg[:, :, None, :]
-             + pv[:, :, None, None] * bg)               # (nT, Q, n, 2)
-    w = quad.weights[None, :] * det[:, None]
-    return np.einsum("aq,aqie,aqje->aij", w, grads, grads)
+    nT, Q, n, _ = bg.shape
+    # built as (nT, Q, 2, n) so that (q, e) stacks into one axis for free
+    # and the contraction becomes a matmul
+    grads = pg[:, :, :, None] * bv[None, :, None, :]
+    grads += pv[:, :, None, None] * bg.swapaxes(2, 3)
+    grads = grads.reshape(nT, 2 * Q, n)
+    w = np.repeat(quad.weights[None, :] * det[:, None], 2, axis=1)
+    return _gram(w, grads, grads)
 
 
 def _laplacian_local(field, tris, ref, quad):
@@ -142,6 +158,12 @@ def _laplacian_local(field, tris, ref, quad):
            + pv[:, :, None] * blap)                     # (nT, Q, n)
     w = quad.weights[None, :] * det[:, None]
     return lap, w
+
+
+def _laplacian_penalty_local(field, tris, ref, quad, sigma, h):
+    """Exactly symmetric sigma h^2 (lap(phi psi_j), lap(phi psi_i))."""
+    lap, w = _laplacian_local(field, tris, ref, quad)
+    return _symmetrize(sigma * h * h * _gram(w, lap, lap))
 
 
 def _load_local(field, tris, f: AnalyticField, ref, quad):
@@ -165,43 +187,67 @@ def _load_correction_local(field, tris, f, ref, quad, sigma, h):
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
-    """Copy the lower triangle onto the upper one, making symmetry exact."""
-    out = np.tril(m)
-    return out + np.tril(m, -1).T
+    """Copy each lower triangle onto the upper one, making symmetry exact."""
+    return np.tril(m) + np.tril(m, -1).swapaxes(-1, -2)
 
 
-def _facet_bary(mesh: BackgroundMesh, facet: int, tri: int,
-                s: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates in `tri` of facet points at parameters `s`.
+def _facet_traces(field, ref, facets, tris, normals, s):
+    """Traces phi psi_i and d/dn(phi psi_i) on one side of each facet.
 
-    The facet is parametrized from its lower to its higher vertex id, so
-    both incident triangles see the same physical points.
+    Facet f is seen from triangle tris[f] and parametrized at `s` from its
+    lower to its higher vertex id, so both incident triangles see the same
+    physical points.  Returns two (F, Q, n) arrays.
     """
-    va, vb = mesh.facets[facet]
-    tri_verts = mesh.triangles[tri]
-    bary = np.zeros((len(s), 3))
-    ia = int(np.nonzero(tri_verts == va)[0][0])
-    ib = int(np.nonzero(tri_verts == vb)[0][0])
-    bary[:, ia] = 1.0 - s
-    bary[:, ib] = s
-    return bary
+    mesh = field.mesh
+    ends = mesh.facets[facets]
+    verts = mesh.triangles[tris]
+    bary = ((1.0 - s)[:, None] * (verts == ends[:, :1])[:, None, :]
+            + s[:, None] * (verts == ends[:, 1:])[:, None, :])  # (F, Q, 3)
+    F, Q, _ = bary.shape
+    pts = bary.reshape(F * Q, 3)
+    n = ref.n_basis
+    bv, bg, _ = ref.tabulate(pts)
+    phi_v, phi_g, _ = make_reference_element(field.degree).tabulate(pts)
+    coef = field.cell_coefficients(tris)                  # (F, m)
+    m = coef.shape[1]
+    _, _, _, inv = _geometry(mesh, tris)
+    # grad(g) . n = g_ref . (inv n) for the physical gradient inv.T g_ref
+    dn_ref = np.einsum("fde,fe->fd", inv, normals)
+    pv = np.einsum("fqm,fm->fq", phi_v.reshape(F, Q, m), coef)
+    pdn = np.einsum("fqmd,fm,fd->fq", phi_g.reshape(F, Q, m, 2), coef,
+                    dn_ref, optimize=True)
+    bv = bv.reshape(F, Q, n)
+    bdn = np.einsum("fqid,fd->fqi", bg.reshape(F, Q, n, 2), dn_ref)
+    return pv[..., None] * bv, bv * pdn[..., None] + pv[..., None] * bdn
 
 
-def _facet_trace(field, ref, facet, tri, s):
-    """phi and basis traces on one side of a facet.
+def _boundary_local(field, ref, quad, facets, owners, normals):
+    """Local matrices of integral d/dn(phi psi_j) * (phi psi_i) ds."""
+    test, dn = _facet_traces(field, ref, facets, owners, normals,
+                             quad.points[:, 1])
+    w = quad.weights * field.mesh.facet_lengths(facets)[:, None]
+    return _gram(w, test, dn)
 
-    Returns (pv, pg, bv, bg) with physical gradients taken from `tri`.
+
+def _ghost_jump_local(field, ref, quad, facets, sigma, h):
+    """Incident triangle pairs and exactly symmetric jump penalty matrices.
+
+    The normal of each facet points from its lower-id towards its
+    higher-id triangle; the jump is invariant under flipping it.
     """
-    bary = _facet_bary(field.mesh, facet, tri, s)
-    tab_v, tab_g, _ = ref.tabulate(bary)
-    phi_v, phi_g, _ = make_reference_element(field.degree).tabulate(bary)
-    _, _, _, inv = _geometry(field.mesh, np.array([tri]))
-    inv = inv[0]
-    coef = field.cell_coefficients(np.array([tri]))[0]
-    pv = phi_v @ coef
-    pg = np.einsum("qmd,m->qd", phi_g, coef) @ inv
-    bg = np.einsum("qid,de->qie", tab_g, inv)
-    return pv, pg, tab_v, bg
+    mesh = field.mesh
+    tris = mesh.facet_triangles[facets]                   # (F, 2) ascending
+    single = tris[:, 1] < 0
+    if single.any():
+        raise ValueError(f"facet {facets[single][0]} has a single "
+                         "incident triangle")
+    normals = mesh.facet_normals(facets, tris[:, 0])
+    s = quad.points[:, 1]
+    _, dn_lo = _facet_traces(field, ref, facets, tris[:, 0], normals, s)
+    _, dn_hi = _facet_traces(field, ref, facets, tris[:, 1], normals, s)
+    jump = np.concatenate([dn_lo, -dn_hi], axis=-1)       # (F, Q, 2n)
+    w = sigma * h * quad.weights * mesh.facet_lengths(facets)[:, None]
+    return tris, _symmetrize(_gram(w, jump, jump))
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +269,9 @@ def boundary_term_kernel(facet: int, owner: int, normal: np.ndarray,
     facet; `normal` must point out of the active set.  The assembled
     system subtracts this matrix.
     """
-    s = quad.points[:, 1]
-    pv, pg, bv, bg = _facet_trace(field, ref, facet, owner, s)
-    length = float(field.mesh.facet_lengths(np.array([facet]))[0])
-    dn = bv * (pg @ normal)[:, None] + pv[:, None] * (bg @ normal)
-    test = pv[:, None] * bv
-    w = quad.weights * length
-    return np.einsum("q,qi,qj->ij", w, test, dn)
+    return _boundary_local(field, ref, quad, np.array([facet]),
+                           np.array([owner]),
+                           np.asarray(normal, dtype=float)[None])[0]
 
 
 def ghost_jump_kernel(facet: int, field: LevelSetField,
@@ -244,38 +286,17 @@ def ghost_jump_kernel(facet: int, field: LevelSetField,
     fixed from the lower-id towards the higher-id triangle, and the jump
     is invariant under flipping it.
     """
-    mesh = field.mesh
-    t_lo, t_hi = mesh.facet_triangles[facet]
-    if t_hi < 0:
-        raise ValueError(f"facet {facet} has a single incident triangle")
-    ends = mesh.facet_coords(np.array([facet]))[0]
-    tang = ends[1] - ends[0]
-    length = float(np.hypot(*tang))
-    normal = np.array([tang[1], -tang[0]]) / length
-    mid = 0.5 * (ends[0] + ends[1])
-    centroid = mesh.triangle_coords(np.array([t_lo]))[0].mean(axis=0)
-    if normal @ (mid - centroid) < 0.0:
-        normal = -normal
-
-    s = quad.points[:, 1]
-    n = ref.n_basis
-    jump = np.empty((len(s), 2 * n))
-    for col, (tri, sign) in enumerate(((t_lo, 1.0), (t_hi, -1.0))):
-        pv, pg, bv, bg = _facet_trace(field, ref, facet, int(tri), s)
-        dn = bv * (pg @ normal)[:, None] + pv[:, None] * (bg @ normal)
-        jump[:, col * n:(col + 1) * n] = sign * dn
-    w = sigma * h * quad.weights * length
-    local = np.einsum("q,qi,qj->ij", w, jump, jump)
-    return np.array([t_lo, t_hi]), _symmetrize(local)
+    tris, local = _ghost_jump_local(field, ref, quad, np.array([facet]),
+                                    sigma, h)
+    return tris[0], local[0]
 
 
 def ghost_laplacian_kernel(triangle: int, field: LevelSetField,
                            ref: ReferenceElement, quad: QuadratureRule,
                            sigma: float, h: float) -> np.ndarray:
     """Penalty matrix sigma h^2 * integral lap(phi psi_j) lap(phi psi_i) dx."""
-    lap, w = _laplacian_local(field, np.array([triangle]), ref, quad)
-    local = sigma * h * h * np.einsum("aq,aqi,aqj->aij", w, lap, lap)[0]
-    return _symmetrize(local)
+    return _laplacian_penalty_local(field, np.array([triangle]), ref, quad,
+                                    sigma, h)[0]
 
 
 def rhs_kernels(triangle: int, f: AnalyticField, field: LevelSetField,
@@ -327,36 +348,28 @@ def assemble_ghost_part(domain: ActiveDomain, field: LevelSetField,
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
 
-    for facet in domain.ghost_facets:
-        tris, local = ghost_jump_kernel(int(facet), field, ref, edge_rule,
-                                        sigma, h)
-        dofs = dofmap.cell_dofs[dofmap.rows_for(tris)].reshape(2 * n)
-        _accumulate(rows, cols, vals, dofs, dofs, local)
+    tris, local = _ghost_jump_local(field, ref, edge_rule,
+                                    domain.ghost_facets, sigma, h)
+    dofs = dofmap.cell_dofs[dofmap.rows_for(tris)].reshape(len(tris), 2 * n)
+    _accumulate(rows, cols, vals, dofs, dofs, local)
 
     b_corr = np.zeros(dofmap.n_dofs)
     cut = domain.cut_triangles
-    if cut.size:
-        cut_rows = dofmap.rows_for(cut)
-        for start in range(0, cut.size, _CHUNK):
-            sel = slice(start, start + _CHUNK)
-            lap, w = _laplacian_local(field, cut[sel], ref, vol_rule)
-            local = sigma * h * h * np.einsum("aq,aqi,aqj->aij", w, lap, lap)
-            local = np.tril(local) + np.tril(local, -1).transpose(0, 2, 1)
-            dofs = dofmap.cell_dofs[cut_rows[sel]]
-            _accumulate(rows, cols, vals, dofs, dofs, local)
-            corr = _load_correction_local(field, cut[sel], f, ref,
-                                          data_rule, sigma, h)
-            np.add.at(b_corr, dofs.ravel(), corr.ravel())
+    cut_rows = dofmap.rows_for(cut)
+    for start in range(0, cut.size, _CHUNK):
+        sel = slice(start, start + _CHUNK)
+        local = _laplacian_penalty_local(field, cut[sel], ref, vol_rule,
+                                         sigma, h)
+        dofs = dofmap.cell_dofs[cut_rows[sel]]
+        _accumulate(rows, cols, vals, dofs, dofs, local)
+        corr = _load_correction_local(field, cut[sel], f, ref,
+                                      data_rule, sigma, h)
+        np.add.at(b_corr, dofs.ravel(), corr.ravel())
 
-    shape = (dofmap.n_dofs, dofmap.n_dofs)
-    if rows:
-        mat = sp.coo_matrix((np.concatenate(vals),
-                             (np.concatenate(rows), np.concatenate(cols))),
-                            shape=shape).tocsr()
-        mat = ((mat + mat.T) * 0.5).tocsr()
-    else:
-        mat = sp.csr_matrix(shape)
-    return mat, b_corr
+    mat = sp.coo_matrix((np.concatenate(vals),
+                         (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(dofmap.n_dofs, dofmap.n_dofs)).tocsr()
+    return ((mat + mat.T) * 0.5).tocsr(), b_corr
 
 
 def _box_boundary_dofs(domain: ActiveDomain, dofmap: DofMap) -> np.ndarray:
@@ -366,18 +379,14 @@ def _box_boundary_dofs(domain: ActiveDomain, dofmap: DofMap) -> np.ndarray:
     mesh = domain.mesh
     on_box = mesh.facet_triangles[domain.boundary_facets, 1] < 0
     facets = domain.boundary_facets[on_box]
-    if facets.size == 0:
-        return np.empty(0, dtype=np.int64)
     k = dofmap.degree
-    keys = dofmap.node_keys
-    pinned = np.zeros(dofmap.n_dofs, dtype=bool)
-    for facet in facets:
-        a, b = mesh.vertex_lattice[mesh.facets[facet]] * k
-        d = b - a
-        rel = keys - a
-        cross = rel[:, 0] * d[1] - rel[:, 1] * d[0]
-        t = rel @ d
-        pinned |= (cross == 0) & (t >= 0) & (t <= d @ d)
+    ends = mesh.vertex_lattice[mesh.facets[facets]]       # (F, 2, 2)
+    step = ends[:, 1] - ends[:, 0]      # primitive: entries in {-1, 0, 1}
+    # the lattice points of a facet are its k + 1 nodes, ends included
+    on_facets = (k * ends[:, None, 0]
+                 + np.arange(k + 1)[None, :, None] * step[:, None, :])
+    code = np.array([k * mesh.n_cells[1] + 1, 1])
+    pinned = np.isin(dofmap.node_keys @ code, on_facets.reshape(-1, 2) @ code)
     return np.nonzero(pinned)[0]
 
 
@@ -433,13 +442,10 @@ def assemble_system(domain: ActiveDomain, field: LevelSetField,
         load = _load_local(field, tris, f, ref, data_rule)
         np.add.at(b, dofs.ravel(), load.ravel())
 
-    for facet, owner, normal in zip(domain.boundary_facets,
-                                    domain.boundary_owners,
-                                    domain.boundary_normals):
-        local = boundary_term_kernel(int(facet), int(owner), normal,
-                                     field, ref, bnd_rule)
-        dofs = dofmap.cell_dofs[dofmap.rows_for(np.array([owner]))][0]
-        _accumulate(rows, cols, vals, dofs, dofs, -local)
+    local = _boundary_local(field, ref, bnd_rule, domain.boundary_facets,
+                            domain.boundary_owners, domain.boundary_normals)
+    dofs = dofmap.cell_dofs[dofmap.rows_for(domain.boundary_owners)]
+    _accumulate(rows, cols, vals, dofs, dofs, -local)
 
     A = sp.coo_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
@@ -467,10 +473,3 @@ def assemble_system(domain: ActiveDomain, field: LevelSetField,
     A.sort_indices()
     return SparseSystem(A=A, b=b, sigma=float(sigma), h=h, dofmap=dofmap,
                         degree=k, levelset_degree=field.degree)
-
-
-def dump_matrix(system: SparseSystem, stream: IO[str]) -> None:
-    """Write the matrix in coordinate form, one `row col value` per line."""
-    coo = system.A.tocoo()
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        stream.write(f"{int(i)} {int(j)} {float(v)!r}\n")

@@ -250,9 +250,12 @@ def build_dof_map(mesh: BackgroundMesh, triangles: np.ndarray,
     # node key = sum_a multi[a] * degree-scaled vertex key, exact integers
     keys = np.einsum("la,tad->tld", multi, vkeys)   # (nT, n_local, 2)
 
-    flat = keys.reshape(-1, 2)
-    uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
+    # one int64 per key, ordered like the keys themselves (x index first)
+    stride = degree * mesh.n_cells[1] + 1
+    codes, inverse = np.unique(keys[..., 0] * stride + keys[..., 1],
+                               return_inverse=True)
     cell_dofs = inverse.reshape(keys.shape[:2]).astype(np.int64)
+    uniq = np.column_stack([codes // stride, codes % stride])
 
     xmin, ymin, _, _ = mesh.box
     dx, dy = mesh.cell_size

@@ -81,6 +81,20 @@ class BackgroundMesh:
         ends = self.facet_coords(facets)
         return np.linalg.norm(ends[..., 1, :] - ends[..., 0, :], axis=-1)
 
+    def facet_normals(self, facets: np.ndarray,
+                      owners: np.ndarray) -> np.ndarray:
+        """Unit normals of the given facets, pointing out of `owners`,
+        one incident triangle per facet; shape (F, 2)."""
+        ends = self.facet_coords(facets)
+        tang = ends[:, 1, :] - ends[:, 0, :]
+        normals = np.column_stack([tang[:, 1], -tang[:, 0]])
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        mid = 0.5 * (ends[:, 0, :] + ends[:, 1, :])
+        centroid = self.triangle_coords(owners).mean(axis=1)
+        flip = np.einsum("fd,fd->f", normals, mid - centroid) < 0.0
+        normals[flip] *= -1.0
+        return normals
+
     def interior_facets_mask(self) -> np.ndarray:
         """True for facets with two incident triangles."""
         return self.facet_triangles[:, 1] >= 0
@@ -242,16 +256,8 @@ def submesh_boundary_facets(mesh: BackgroundMesh,
     count = in0.astype(np.int64) + in1.astype(np.int64)
     ids = np.nonzero(count == 1)[0]
     owners = np.where(in0[ids], ft[ids, 0], ft[ids, 1])
-
-    ends = mesh.facet_coords(ids)
-    tang = ends[:, 1, :] - ends[:, 0, :]
-    normals = np.column_stack([tang[:, 1], -tang[:, 0]])
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    mid = 0.5 * (ends[:, 0, :] + ends[:, 1, :])
-    centroid = mesh.triangle_coords(owners).mean(axis=1)
-    flip = np.einsum("fd,fd->f", normals, mid - centroid) < 0.0
-    normals[flip] *= -1.0
-    return BoundaryFacets(facets=ids, owners=owners, normals=normals)
+    return BoundaryFacets(facets=ids, owners=owners,
+                          normals=mesh.facet_normals(ids, owners))
 
 
 def locate_points(mesh: BackgroundMesh, points: np.ndarray

@@ -6,14 +6,15 @@ enough to integrate the products on paper.  Global properties (symmetry,
 positivity, consistency of the planted polynomial) are checked on the
 built-in cases with seeded random vectors.
 """
-import io
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import phifem.assembly as assembly
 from phifem.assembly import (assemble_ghost_part, assemble_system,
-                             boundary_term_kernel, dump_matrix,
+                             boundary_term_kernel,
                              element_product_kernel, ghost_jump_kernel,
                              ghost_laplacian_kernel, rhs_kernels)
 from phifem.cases import get_case
@@ -131,6 +132,16 @@ def test_ghost_jump_kernel_hand_integral():
     np.testing.assert_allclose(local, 2.0 * np.outer(m, m), rtol=0,
                                atol=1e-13)
     np.testing.assert_array_equal(local, local.T)
+
+
+def test_ghost_jump_kernel_rejects_single_neighbour_facet():
+    mesh = build_background_mesh(UNIT_BOX, (1, 1))
+    field = _const_field(mesh, -1.0)
+    ref = make_reference_element(1)
+    quad = edge_quadrature(quadrature_degrees(1, 1)["ghost_facet"])
+    assert mesh.facet_triangles[0, 1] < 0
+    with pytest.raises(ValueError, match="single incident triangle"):
+        ghost_jump_kernel(0, field, ref, quad, 20.0, mesh.h)
 
 
 def test_ghost_jump_annihilates_global_polynomials():
@@ -298,17 +309,77 @@ def test_assemble_validation():
         assemble_system(domain, other, case.f, 1, 20.0)
 
 
-def test_dump_matrix_format():
-    case = get_case("planted")
-    mesh = build_background_mesh(case.box, (2, 2))
-    field = interpolate_levelset(case.phi, mesh, 1)
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(n=st.integers(4, 12), k=st.sampled_from([1, 2, 3]),
+       radius=st.floats(0.15, 0.4),
+       shift=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_assembly_matches_per_entity_kernels(n, k, radius, shift,
+                                                     seed):
+    # A shifted, scaled disk kept 0.05 clear of the unit box: the batched
+    # system must equal the dense sum of the public per-entity kernels,
+    # with the penalty parts (ghost facets and cut cells) included.
+    room = 0.45 - radius
+    cx, cy = 0.5 + room * shift[0], 0.5 + room * shift[1]
+    phi = AnalyticField(
+        value=lambda x, y: (x - cx) ** 2 + (y - cy) ** 2 - radius ** 2)
+    f = AnalyticField(value=lambda x, y: 1.0 + x - 2.0 * y * y)
+    sigma = 20.0
+    mesh = build_background_mesh(UNIT_BOX, (n, n))
+    field = interpolate_levelset(phi, mesh, k)
     domain = classify_domain(field, mesh)
-    system = assemble_system(domain, field, case.f, 1, 20.0,
-                             outer_data=case.outer_data)
-    out = io.StringIO()
-    dump_matrix(system, out)
-    lines = out.getvalue().splitlines()
-    assert len(lines) == system.A.nnz
-    first = lines[0].split()
-    assert len(first) == 3
-    int(first[0]), int(first[1]), float(first[2])
+    assert domain.ghost_facets.size > 0
+    system = assemble_system(domain, field, f, k, sigma)
+
+    ref = make_reference_element(k)
+    degrees = quadrature_degrees(k, k)
+    vol = triangle_quadrature(degrees["volume"])
+    data = triangle_quadrature(degrees["data"])
+    bnd = edge_quadrature(degrees["boundary_facet"])
+    edge = edge_quadrature(degrees["ghost_facet"])
+    dofmap = system.dofmap
+
+    def dofs_of(tris):
+        return dofmap.cell_dofs[dofmap.rows_for(np.atleast_1d(tris))].ravel()
+
+    a = np.zeros((dofmap.n_dofs, dofmap.n_dofs))
+    b = np.zeros(dofmap.n_dofs)
+    cut = set(domain.cut_triangles.tolist())
+    for tri in domain.active_triangles.tolist():
+        dofs = dofs_of(tri)
+        a[np.ix_(dofs, dofs)] += element_product_kernel(tri, field, ref, vol)
+        b[dofs] += rhs_kernels(tri, f, field, ref, data, sigma, mesh.h,
+                               cut=tri in cut)
+    for facet, owner, normal in zip(domain.boundary_facets.tolist(),
+                                    domain.boundary_owners.tolist(),
+                                    domain.boundary_normals):
+        dofs = dofs_of(owner)
+        a[np.ix_(dofs, dofs)] -= boundary_term_kernel(facet, owner, normal,
+                                                      field, ref, bnd)
+    ghost = np.zeros_like(a)
+    for facet in domain.ghost_facets.tolist():
+        tris, local = ghost_jump_kernel(facet, field, ref, edge, sigma,
+                                        mesh.h)
+        dofs = dofs_of(tris)
+        np.add.at(ghost, np.ix_(dofs, dofs), local)
+    for tri in cut:
+        dofs = dofs_of(tri)
+        ghost[np.ix_(dofs, dofs)] += ghost_laplacian_kernel(
+            tri, field, ref, vol, sigma, mesh.h)
+    a += ghost
+    scale = np.abs(a).max()
+    np.testing.assert_allclose(system.A.toarray(), a, rtol=0,
+                               atol=1e-12 * scale)
+    np.testing.assert_allclose(system.b, b, rtol=0,
+                               atol=1e-12 * np.abs(b).max())
+
+    part, _ = assemble_ghost_part(domain, field, f, k, sigma, dofmap)
+    assert (part != part.T).nnz == 0
+    # duplicate entries sum in another order, so equal up to rounding
+    order = np.random.default_rng(seed).permutation(domain.ghost_facets)
+    permuted, _ = assemble_ghost_part(
+        dataclasses.replace(domain, ghost_facets=order), field, f, k, sigma,
+        dofmap)
+    np.testing.assert_allclose(permuted.toarray(), part.toarray(), rtol=0,
+                               atol=1e-12 * np.abs(ghost).max())

@@ -189,6 +189,21 @@ def test_dof_coords_match_keys():
     assert len(np.unique(dm.node_keys, axis=0)) == dm.n_dofs
 
 
+def test_dof_numbering_is_x_first_key_order_on_non_square_grid():
+    mesh = build_background_mesh(UNIT, (2, 3))
+    for degree in (1, 2, 3):
+        dm = build_dof_map(mesh, np.arange(mesh.n_triangles), degree)
+        expected = [(x, y) for x in range(2 * degree + 1)
+                    for y in range(3 * degree + 1)]
+        np.testing.assert_array_equal(dm.node_keys, expected)
+        # every local node maps to the global node with its own key
+        multi = np.rint(make_reference_element(degree).nodes_bary
+                        * degree).astype(np.int64)
+        vkeys = mesh.vertex_lattice[mesh.triangles]
+        keys = np.einsum("la,tad->tld", multi, vkeys)
+        np.testing.assert_array_equal(dm.node_keys[dm.cell_dofs], keys)
+
+
 def test_nodal_interpolation_reproduces_polynomial():
     mesh = build_background_mesh(UNIT, (3, 3))
     tris = np.arange(mesh.n_triangles)
