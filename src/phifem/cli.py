@@ -33,8 +33,8 @@ from .assembly import assemble_system
 from .cases import CASES, get_case
 from .levelset import EmptyActiveSetError, classify_domain, \
     interpolate_levelset
-from .linalg import (NoConvergenceError, SingularMatrixError,
-                     estimate_condition_number, solve)
+from .linalg import (ConditionEstimate, NoConvergenceError,
+                     SingularMatrixError, estimate_condition_number, solve)
 from .mesh import build_background_mesh
 
 __all__ = ["RunConfig", "run_case", "sigma_sweep", "conditioning_study",
@@ -180,7 +180,10 @@ def _run_sigma(config: RunConfig, sigma: float) -> list[dict]:
             if case.u_exact is not None:
                 rep = compute_errors(solution, case.u_exact, domain)
             else:
-                ref_solution = levels[i + 2][3]
+                # the hidden reference level's failure is this row's too
+                ref_row, _, _, ref_solution = levels[i + 2]
+                if row["status"] == "ok":
+                    row["status"] = ref_row["status"]
                 if ref_solution is None:
                     rep = None
                 else:
@@ -194,7 +197,7 @@ def _run_sigma(config: RunConfig, sigma: float) -> list[dict]:
                 est = estimate_condition_number(system)
                 row["kappa"] = est.kappa
             except NoConvergenceError as err:
-                if err.best is not None:
+                if isinstance(err.best, ConditionEstimate):
                     row["kappa"] = err.best.kappa
                 row["status"] = "no-convergence"
             except SingularMatrixError:
@@ -209,7 +212,8 @@ def run_case(config: RunConfig) -> list[dict]:
 
     For cases without a closed-form solution, each level is compared with
     the same discretization two levels finer; the reference levels are
-    solved internally and not reported.
+    solved internally and not reported, but a failed reference solve
+    sets the status of the row it feeds.
     """
     config.validate()
     return _run_sigma(config, config.sigma)

@@ -1,25 +1,25 @@
 """Deterministic linear solvers and conditioning estimates.
 
-Small systems go through a dense LU factorization with iterative
-refinement; larger ones use ILU-preconditioned GMRES.  Condition numbers
-are estimated as the ratio of extreme singular values, each obtained by
-power iteration on the normal operator; the smallest one runs the
-iteration on its inverse through a pair of triangular solves.  Every run
-uses a fixed random seed, so repeated calls give identical results.
+Small systems go through a sparse LU (SuperLU) factorization with
+iterative refinement; larger ones use ILU-preconditioned GMRES.
+Condition numbers are estimated as the ratio of extreme singular values,
+each obtained by power iteration on the normal operator; the smallest
+one runs the iteration on its inverse through a pair of solves with one
+sparse LU factorization.  Every run uses a fixed random seed, so
+repeated calls give identical results.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import SparseSystem
 
 __all__ = [
-    "DENSE_LIMIT",
+    "DIRECT_LIMIT",
     "SolverReport",
     "ConditionEstimate",
     "SingularMatrixError",
@@ -28,8 +28,8 @@ __all__ = [
     "estimate_condition_number",
 ]
 
-#: Largest system handled with a dense factorization.
-DENSE_LIMIT = 5000
+#: Largest system solved with a direct factorization.
+DIRECT_LIMIT = 5000
 _SEED = 20240901
 
 
@@ -59,7 +59,7 @@ class SolverReport:
     """Solution of one linear system with solver metadata."""
 
     x: np.ndarray
-    method: str          # "dense-lu" or "ilu-gmres"
+    method: str          # "sparse-lu" or "ilu-gmres"
     iterations: int
     residual: float      # relative algebraic residual
 
@@ -76,50 +76,32 @@ class ConditionEstimate:
     tol: float
 
 
-class _DenseFactor:
-    """LU factorization of the dense matrix, with transposed solves."""
+class _SparseLU:
+    """SuperLU factorization of the sparse matrix, with transposed solves."""
 
     def __init__(self, a: sp.csr_matrix):
         try:
-            self._lu = sla.lu_factor(a.toarray())
-        except sla.LinAlgError as err:
+            self._lu = spla.splu(a.tocsc())
+        except RuntimeError as err:
             raise SingularMatrixError(str(err)) from err
-        if not np.isfinite(self._lu[0]).all():
-            raise SingularMatrixError("non-finite pivots in LU factorization")
 
     def solve(self, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
-        out = sla.lu_solve(self._lu, rhs, trans=1 if trans else 0)
+        out = self._lu.solve(rhs, "T" if trans else "N")
         if not np.isfinite(out).all():
-            raise SingularMatrixError("dense solve produced non-finite values")
+            raise SingularMatrixError("sparse LU solve produced non-finite "
+                                      "values")
         return out
 
 
-class _IluKrylovFactor:
-    """ILU-preconditioned GMRES solves for the matrix and its transpose."""
-
-    def __init__(self, a: sp.csr_matrix, tol: float):
-        self._a = a
-        self._at = a.T.tocsr()
-        self._tol = tol
-        try:
-            # fill-reducing ordering for the structurally symmetric pattern;
-            # the default column ordering is far slower on these systems
-            self._ilu = spla.spilu(a.tocsc(), drop_tol=1e-8, fill_factor=40.0,
-                                   permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as err:
-            raise SingularMatrixError(f"ILU factorization failed: {err}") from err
-
-    def solve(self, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
-        mat = self._at if trans else self._a
-        kind = "T" if trans else "N"
-        precond = spla.LinearOperator(
-            mat.shape, matvec=lambda v: self._ilu.solve(v, kind))
-        x, iters, res = _krylov_refine(mat, rhs, precond, self._tol)
-        if res > self._tol:
-            raise NoConvergenceError(
-                f"inner GMRES stalled at residual {res:.3e}",
-                best=x, residual=res, iterations=iters)
-        return x
+def _ilu(a: sp.csr_matrix):
+    """Incomplete LU factorization used to precondition GMRES."""
+    try:
+        # fill-reducing ordering for the structurally symmetric pattern;
+        # the default column ordering is far slower on these systems
+        return spla.spilu(a.tocsc(), drop_tol=1e-8, fill_factor=40.0,
+                          permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as err:
+        raise SingularMatrixError(f"ILU factorization failed: {err}") from err
 
 
 def _gmres(a, b, precond, tol, restart=200, max_cycles=3):
@@ -189,31 +171,23 @@ def solve(system: SparseSystem, tol: float = 1e-11) -> SolverReport:
         return SolverReport(x=np.zeros(n), method="trivial", iterations=0,
                             residual=0.0)
 
-    if n <= DENSE_LIMIT:
-        factor = _DenseFactor(a)
+    if n <= DIRECT_LIMIT:
+        factor = _SparseLU(a)
         x = factor.solve(b)
-        iters = 0
-        # iterative refinement against the sparse matrix
-        for _ in range(5):
+        # at most 5 steps of iterative refinement against the sparse matrix
+        for iters in range(6):
             r = b - a @ x
             res = np.linalg.norm(r) / norm_b
             if res <= tol:
-                return SolverReport(x=x, method="dense-lu", iterations=iters,
+                return SolverReport(x=x, method="sparse-lu", iterations=iters,
                                     residual=res)
-            x = x + factor.solve(r)
-            iters += 1
-        r = b - a @ x
-        res = np.linalg.norm(r) / norm_b
-        if res <= tol:
-            return SolverReport(x=x, method="dense-lu", iterations=iters,
-                                residual=res)
+            if iters < 5:
+                x = x + factor.solve(r)
         raise NoConvergenceError(
-            f"dense solve stalled at relative residual {res:.3e}",
+            f"sparse LU solve stalled at relative residual {res:.3e}",
             best=x, residual=res, iterations=iters)
 
-    factor = _IluKrylovFactor(a, tol)
-    precond = spla.LinearOperator(a.shape,
-                                  matvec=lambda v: factor._ilu.solve(v, "N"))
+    precond = spla.LinearOperator(a.shape, matvec=_ilu(a).solve)
     x, iters, res = _krylov_refine(a, b, precond, tol)
     if not np.isfinite(x).all():
         raise SingularMatrixError("iterative solve produced non-finite values")
@@ -250,11 +224,9 @@ def estimate_condition_number(system: SparseSystem, tol: float = 1e-8,
 
     The largest singular value comes from power iteration on A^T A; the
     smallest from the same iteration on its inverse, each step solving
-    with A^T and then A.  Systems up to DENSE_LIMIT unknowns reuse a dense
-    factorization for the inner solves, larger ones fall back to
-    ILU-preconditioned GMRES with a 100x tighter tolerance.  Raises
-    NoConvergenceError (with the partial estimate attached) if either
-    iteration fails to settle.
+    with A^T and then A through one sparse LU factorization, at every
+    system size.  Raises NoConvergenceError (with the partial estimate
+    attached) if either iteration fails to settle.
     """
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
@@ -270,10 +242,7 @@ def estimate_condition_number(system: SparseSystem, tol: float = 1e-8,
     theta_max, it_max, ach_max = _power_iterations(
         apply_normal, n, tol, max_iters, _SEED)
 
-    if n <= DENSE_LIMIT:
-        factor = _DenseFactor(a)
-    else:
-        factor = _IluKrylovFactor(a, tol / 100.0)
+    factor = _SparseLU(a)
 
     def apply_inverse_normal(v):
         y = factor.solve(v, trans=True)

@@ -92,6 +92,20 @@ def test_conditioning_study_returns_slope():
     assert slope < 0
 
 
+def test_conditioning_without_penalty_runs_every_level():
+    # the finest level (10,429 unknowns) lies above DIRECT_LIMIT, and the
+    # unpenalized system is the hardest one for the estimator's solves
+    rows, slope = conditioning_study(RunConfig(case="circle", k=1, n=10,
+                                               levels=5, sigma=0.0))
+    assert len(rows) == 5
+    for row in rows:
+        assert row["status"] == "ok"
+        assert row["kappa"] > 0
+    assert slope is not None
+    assert cli.main(["conditioning", "--case", "circle", "--n", "10",
+                     "--levels", "5", "--sigma", "0"]) == 0
+
+
 def test_write_csv_formats_blanks_and_floats(tmp_path):
     row = {key: None for key in CSV_HEADER.split(",")}
     row.update({"h": 0.1, "n_cells": 4, "dofs": 30, "k": 1, "l": 1,
@@ -191,3 +205,32 @@ def test_main_flags_failed_solves(tmp_path, capsys, monkeypatch):
     rows = _read_rows(out)
     assert rows[0]["status"] == "no-convergence"
     assert rows[0]["err_l2_rel"] == ""
+
+
+def test_main_flags_failed_hidden_reference(tmp_path, capsys, monkeypatch):
+    # the rectangle has no closed form, so its n=4 row is measured against
+    # hidden levels n=8 and n=16; a stall on the n=16 reference must show
+    real_solve = cli.solve
+    sizes = []
+
+    def stalled_reference(system, tol):
+        report = real_solve(system, tol)
+        sizes.append(system.n_dofs)
+        if len(sizes) == 3:
+            raise NoConvergenceError("stalled", best=report.x,
+                                     residual=2e-11, iterations=600)
+        return report
+
+    monkeypatch.setattr(cli, "solve", stalled_reference)
+    out = tmp_path / "reference.csv"
+    code = cli.main(["run", "--case", "rectangle", "--n", "4", "--levels",
+                     "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert sizes == sorted(sizes) and len(sizes) == 3
+    assert code == 3
+    assert "no-convergence" in captured.err
+    rows = _read_rows(out)
+    assert len(rows) == 1
+    assert rows[0]["status"] == "no-convergence"
+    # errors still come from the best iterate of the reference
+    assert float(rows[0]["err_l2_rel"]) > 0

@@ -1,9 +1,10 @@
 """Tests for the deterministic solver and conditioning estimator.
 
-Small hand-built systems pin down the dense path exactly; a tridiagonal
-system above the dense limit exercises the preconditioned Krylov path
-with a known solution.  Condition numbers are cross-checked against the
-dense SVD on an assembled system.
+Small hand-built systems pin down the sparse LU path exactly; a
+tridiagonal system above the direct limit exercises the preconditioned
+Krylov path with a known solution.  Condition numbers are cross-checked
+against the dense SVD on an assembled system and against a closed form
+above the direct limit.
 """
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import scipy.sparse as sp
 from phifem.assembly import SparseSystem, assemble_system
 from phifem.cases import get_case
 from phifem.levelset import classify_domain, interpolate_levelset
-from phifem.linalg import (DENSE_LIMIT, NoConvergenceError,
+from phifem.linalg import (DIRECT_LIMIT, NoConvergenceError,
                            SingularMatrixError, estimate_condition_number,
                            solve)
 from phifem.mesh import build_background_mesh
@@ -36,7 +37,7 @@ def _assembled(n, k=1, sigma=20.0):
 def test_solve_identity():
     report = solve(_system(np.eye(3), [1.0, 2.0, 3.0]))
     np.testing.assert_array_equal(report.x, [1.0, 2.0, 3.0])
-    assert report.method == "dense-lu"
+    assert report.method == "sparse-lu"
     assert report.residual <= 1e-15
 
 
@@ -72,11 +73,11 @@ def test_singular_matrix_raises():
         estimate_condition_number(bad)
 
 
-def test_krylov_path_above_dense_limit():
+def test_krylov_path_above_direct_limit():
     # 1D Laplacian large enough to take the ILU-GMRES branch; the exact
     # solution of A x = A 1 is all ones, recovered to far better than the
     # conditioning-degraded worst case.
-    n = DENSE_LIMIT + 1000
+    n = DIRECT_LIMIT + 1000
     main = np.full(n, 2.0)
     off = np.full(n - 1, -1.0)
     a = sp.diags([off, main, off], [-1, 0, 1], format="csr")
@@ -97,6 +98,18 @@ def test_condition_number_of_diagonal():
     est = estimate_condition_number(_system(np.diag([1.0, 10.0]),
                                             np.ones(2)))
     assert abs(est.kappa - 10.0) <= 1e-4
+
+
+def test_condition_number_above_direct_limit():
+    # diagonal with singular values 0.5 ... 1 ... 4, so kappa = 8 exactly,
+    # with more unknowns than `solve` factorizes directly
+    n = DIRECT_LIMIT + 1000
+    diag = np.ones(n)
+    diag[0], diag[-1] = 0.5, 4.0
+    est = estimate_condition_number(_system(sp.diags(diag), np.ones(n)))
+    assert abs(est.kappa - 8.0) <= 1e-6 * 8.0
+    assert abs(est.sigma_max - 4.0) <= 1e-6 * 4.0
+    assert abs(est.sigma_min - 0.5) <= 1e-6 * 0.5
 
 
 def test_condition_number_matches_dense_svd():
