@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import SparseSystem, _geometry, _phys_points, _phi_tables, \
-    _basis_tables
-from .fem_core import DofMap, make_reference_element, quadrature_degrees, \
-    triangle_quadrature
+from .assembly import SparseSystem
+from .fem_core import DofMap, element_maps, eval_lagrange, physical_points, \
+    quadrature_degrees, triangle_quadrature
 from .levelset import ActiveDomain, AnalyticField, LevelSetField
 from .mesh import locate_points
 
@@ -63,41 +62,59 @@ def make_solution(system: SparseSystem, field: LevelSetField,
     return ProductSolution(field=field, dofmap=system.dofmap, coefficients=x)
 
 
+def _product_field(sol: ProductSolution, tris: np.ndarray, inv: np.ndarray,
+                   bary: np.ndarray):
+    """Values and gradients of u = phi * w at barycentric points of the
+    given active triangles; `bary` is (Q, 3) or (nT, Q, 3)."""
+    field = sol.field
+    wcoef = sol.coefficients[sol.dofmap.cell_dofs[sol.dofmap.rows_for(tris)]]
+    wv, wg, _ = eval_lagrange(wcoef, sol.degree, inv, bary)
+    pv, pg, _ = eval_lagrange(field.cell_coefficients(tris), field.degree,
+                              inv, bary)
+    return pv * wv, wv[..., None] * pg + pv[..., None] * wg
+
+
 def eval_solution(sol: ProductSolution, triangle: int, bary: np.ndarray
                   ) -> tuple[float, np.ndarray]:
     """Value and gradient of u = phi * w at one point of an active triangle."""
-    from .levelset import eval_field
-
-    row = int(sol.dofmap.rows_for(np.array([triangle]))[0])
-    pts = np.asarray(bary, dtype=float).reshape(1, 3)
-    ref = make_reference_element(sol.degree)
-    values, grads, _ = ref.tabulate(pts)
-    coef = sol.coefficients[sol.dofmap.cell_dofs[row]]
-
-    verts = sol.field.mesh.triangle_coords(np.array([triangle]))[0]
-    jac = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
-    inv_jac = np.linalg.inv(jac)
-    w_val = float(values[0] @ coef)
-    w_grad = inv_jac.T @ (grads[0].T @ coef)
-
-    p_val, p_grad, _ = eval_field(sol.field, triangle, bary)
-    return p_val * w_val, w_val * p_grad + p_val * w_grad
+    tris = np.array([triangle])
+    _, _, _, inv = element_maps(sol.field.mesh, tris)
+    val, grad = _product_field(sol, tris, inv,
+                               np.asarray(bary, dtype=float).reshape(1, 3))
+    return float(val[0, 0]), grad[0, 0]
 
 
-def _solution_tables(sol: ProductSolution, tris: np.ndarray, quad):
-    """Values and gradients of u = phi * w on a batch of triangles."""
-    field = sol.field
-    rows = sol.dofmap.rows_for(tris)
-    _, _, det, inv = _geometry(field.mesh, tris)
-    ref = make_reference_element(sol.degree)
-    pv, pg, _ = _phi_tables(field, tris, inv, quad, need_lap=False)
-    bv, bg, _ = _basis_tables(ref, inv, quad, need_lap=False)
-    coef = sol.coefficients[sol.dofmap.cell_dofs[rows]]   # (nT, n)
-    wv = np.einsum("an,qn->aq", coef, bv)
-    wg = np.einsum("an,aqne->aqe", coef, bg)
-    val = pv * wv
-    grad = wv[..., None] * pg + pv[..., None] * wg
-    return val, grad, det
+def _relative_errors(sol: ProductSolution, tris: np.ndarray, target,
+                     vanishing: str) -> ErrorReport:
+    """Relative L2 and H1-seminorm errors of `sol` against a target.
+
+    `target(pts)` gives the target's values (nT, Q), gradients (nT, Q, 2)
+    and a (nT,) mask of the triangles to keep, at physical points
+    (nT, Q, 2).  Raises ValueError(`vanishing`) when the target has zero
+    norm on the kept triangles.
+    """
+    mesh = sol.field.mesh
+    quad = triangle_quadrature(
+        quadrature_degrees(sol.degree, sol.field.degree)["data"])
+
+    num_l2 = den_l2 = num_h1 = den_h1 = 0.0
+    chunk = 4096
+    for start in range(0, tris.size, chunk):
+        sel = tris[start:start + chunk]
+        v0, jac, det, inv = element_maps(mesh, sel)
+        val, grad = _product_field(sol, sel, inv, quad.points)
+        ex, ex_grad, keep = target(physical_points(v0, jac, quad.points))
+        w = quad.weights[None, :] * det[:, None] * keep[:, None]
+        num_l2 += float(np.sum(w * (ex - val) ** 2))
+        den_l2 += float(np.sum(w * ex ** 2))
+        num_h1 += float(np.sum(w * np.sum((ex_grad - grad) ** 2, axis=-1)))
+        den_h1 += float(np.sum(w * np.sum(ex_grad ** 2, axis=-1)))
+
+    if den_l2 <= 0.0 or den_h1 <= 0.0:
+        raise ValueError(vanishing)
+    return ErrorReport(h=mesh.h, n_dofs=sol.dofmap.n_dofs,
+                       rel_l2=float(np.sqrt(num_l2 / den_l2)),
+                       rel_h1_semi=float(np.sqrt(num_h1 / den_h1)))
 
 
 def compute_errors(sol: ProductSolution, exact: AnalyticField,
@@ -108,74 +125,15 @@ def compute_errors(sol: ProductSolution, exact: AnalyticField,
     """
     if exact.gradient is None:
         raise ValueError("exact solution must provide a gradient")
-    field = sol.field
-    quad = triangle_quadrature(
-        quadrature_degrees(sol.degree, field.degree)["data"])
-    tris = domain.active_triangles
 
-    num_l2 = den_l2 = num_h1 = den_h1 = 0.0
-    chunk = 4096
-    for start in range(0, tris.size, chunk):
-        sel = tris[start:start + chunk]
-        val, grad, det = _solution_tables(sol, sel, quad)
-        v0, jac, _, _ = _geometry(field.mesh, sel)
-        pts = _phys_points(v0, jac, quad)
-        ex = np.asarray(exact.value(pts[..., 0], pts[..., 1]), dtype=float)
-        gx, gy = exact.gradient(pts[..., 0], pts[..., 1])
-        w = quad.weights[None, :] * det[:, None]
-        num_l2 += float(np.sum(w * (ex - val) ** 2))
-        den_l2 += float(np.sum(w * ex ** 2))
-        diff = (gx - grad[..., 0]) ** 2 + (gy - grad[..., 1]) ** 2
-        num_h1 += float(np.sum(w * diff))
-        den_h1 += float(np.sum(w * (gx ** 2 + gy ** 2)))
+    def target(pts):
+        x, y = pts[..., 0], pts[..., 1]
+        return (np.asarray(exact.value(x, y), dtype=float),
+                np.stack(exact.gradient(x, y), axis=-1),
+                np.ones(len(pts), dtype=bool))
 
-    if den_l2 <= 0.0 or den_h1 <= 0.0:
-        raise ValueError("exact solution vanishes on the active submesh")
-    return ErrorReport(h=field.mesh.h, n_dofs=sol.dofmap.n_dofs,
-                       rel_l2=float(np.sqrt(num_l2 / den_l2)),
-                       rel_h1_semi=float(np.sqrt(num_h1 / den_h1)))
-
-
-def _eval_on_fine(ref_sol: ProductSolution, points: np.ndarray):
-    """Evaluate a solution at arbitrary points of its own (fine) mesh.
-
-    Returns (values, gradients, inside) where `inside` flags points whose
-    containing fine triangle is active; values at excluded points are 0.
-    """
-    mesh = ref_sol.field.mesh
-    flat = points.reshape(-1, 2)
-    tri, bary = locate_points(mesh, flat)
-
-    covered = ref_sol.dofmap.triangles
-    pos = np.searchsorted(covered, tri)
-    pos_c = np.minimum(pos, covered.size - 1)
-    inside = covered[pos_c] == tri
-    rows = pos_c[inside]
-    tri_in = tri[inside]
-
-    ref = make_reference_element(ref_sol.degree)
-    bv, bg, _ = ref.tabulate(bary[inside])
-    phi_ref = make_reference_element(ref_sol.field.degree)
-    pv_tab, pg_tab, _ = phi_ref.tabulate(bary[inside])
-
-    # all lower triangles share one Jacobian, all upper ones the other
-    _, _, _, inv_pair = _geometry(mesh, np.array([0, 1]))
-    inv = inv_pair[tri_in % 2]                            # (P, 2, 2)
-
-    wcoef = ref_sol.coefficients[ref_sol.dofmap.cell_dofs[rows]]
-    pcoef = ref_sol.field.cell_coefficients(tri_in)
-    wv = np.sum(wcoef * bv, axis=1)
-    pv = np.sum(pcoef * pv_tab, axis=1)
-    wg = np.einsum("pn,pnd,pde->pe", wcoef, bg, inv)
-    pg = np.einsum("pn,pnd,pde->pe", pcoef, pg_tab, inv)
-
-    values = np.zeros(flat.shape[0])
-    grads = np.zeros((flat.shape[0], 2))
-    values[inside] = pv * wv
-    grads[inside] = wv[:, None] * pg + pv[:, None] * wg
-    mask = inside.reshape(points.shape[:-1])
-    return (values.reshape(points.shape[:-1]),
-            grads.reshape(points.shape[:-1] + (2,)), mask)
+    return _relative_errors(sol, domain.active_triangles, target,
+                            "exact solution vanishes on the active submesh")
 
 
 def compute_errors_vs_reference(sol: ProductSolution,
@@ -192,31 +150,27 @@ def compute_errors_vs_reference(sol: ProductSolution,
     interior = np.setdiff1d(domain.active_triangles, domain.cut_triangles)
     if interior.size == 0:
         raise ValueError("no uncut active triangles to compare on")
-    field = sol.field
-    quad = triangle_quadrature(
-        quadrature_degrees(sol.degree, field.degree)["data"])
+    fine = ref_sol.field.mesh
+    covered = ref_sol.dofmap.triangles
 
-    num_l2 = den_l2 = num_h1 = den_h1 = 0.0
-    chunk = 4096
-    for start in range(0, interior.size, chunk):
-        sel = interior[start:start + chunk]
-        val, grad, det = _solution_tables(sol, sel, quad)
-        v0, jac, _, _ = _geometry(field.mesh, sel)
-        pts = _phys_points(v0, jac, quad)
-        ref_val, ref_grad, inside = _eval_on_fine(ref_sol, pts)
-        keep = inside.all(axis=1)                      # (nT,)
-        w = quad.weights[None, :] * det[:, None] * keep[:, None]
-        num_l2 += float(np.sum(w * (ref_val - val) ** 2))
-        den_l2 += float(np.sum(w * ref_val ** 2))
-        diff = np.sum((ref_grad - grad) ** 2, axis=-1)
-        num_h1 += float(np.sum(w * diff))
-        den_h1 += float(np.sum(w * np.sum(ref_grad ** 2, axis=-1)))
+    def target(pts):
+        flat = pts.reshape(-1, 2)
+        tri, bary = locate_points(fine, flat)
+        pos = np.minimum(np.searchsorted(covered, tri), covered.size - 1)
+        inside = covered[pos] == tri
+        tri_in = tri[inside]
+        _, _, _, inv = element_maps(fine, tri_in)
+        val, grad = _product_field(ref_sol, tri_in, inv, bary[inside, None])
+        values = np.zeros(flat.shape[0])
+        grads = np.zeros((flat.shape[0], 2))
+        values[inside] = val[:, 0]
+        grads[inside] = grad[:, 0]
+        return (values.reshape(pts.shape[:-1]), grads.reshape(pts.shape),
+                inside.reshape(pts.shape[:-1]).all(axis=1))
 
-    if den_l2 <= 0.0 or den_h1 <= 0.0:
-        raise ValueError("reference solution vanishes on the comparison set")
-    return ErrorReport(h=field.mesh.h, n_dofs=sol.dofmap.n_dofs,
-                       rel_l2=float(np.sqrt(num_l2 / den_l2)),
-                       rel_h1_semi=float(np.sqrt(num_h1 / den_h1)))
+    return _relative_errors(
+        sol, interior, target,
+        "reference solution vanishes on the comparison set")
 
 
 def estimated_orders(reports: list[ErrorReport]

@@ -17,9 +17,13 @@ with the matching right-hand side
     l(v) = (f, phi v)_active - sigma * h^2 * (f, lap(phi v))_cut.
 
 Every term is assembled in batches: volume terms over chunks of
-triangles, boundary and ghost facet terms over all their facets in one
-pass each.  The public per-entity kernels are length-1 calls of the same
-batched code, so the hand-integral tests pin the only implementation.
+triangles at shared quadrature points, boundary and ghost facet terms
+over all their facets in one pass each, at per-facet points.  Values and
+physical derivatives of phi and of the basis come from `fem_core`
+(`eval_lagrange`, `basis_tables`, `basis_values`), which takes both kinds
+of points; this module only forms the products.  The public per-entity
+kernels are length-1 calls of the same batched code, so the
+hand-integral tests pin the only implementation.
 The penalty parts are assembled separately from the core so that their
 matrix is exactly symmetric and can be inspected on its own.
 """
@@ -31,10 +35,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem_core import (QuadratureRule, ReferenceElement, DofMap,
-                       build_dof_map, edge_quadrature, make_reference_element,
+                       basis_tables, basis_values, build_dof_map,
+                       edge_quadrature, element_maps, eval_lagrange,
+                       make_reference_element, physical_points,
                        quadrature_degrees, triangle_quadrature)
 from .levelset import ActiveDomain, AnalyticField, LevelSetField
-from .mesh import BackgroundMesh
 
 __all__ = [
     "SparseSystem",
@@ -68,65 +73,7 @@ class SparseSystem:
 
 
 # ---------------------------------------------------------------------------
-# batched element geometry and tabulations
-
-def _geometry(mesh: BackgroundMesh, tris: np.ndarray):
-    """Affine maps of the given triangles.
-
-    Returns (v0, jac, det, inv) where jac columns are the edge vectors,
-    det = 2 * area > 0 and inv is the inverse Jacobian.  The physical
-    gradient of a reference function g is inv.T @ g_ref.
-    """
-    verts = mesh.triangle_coords(tris)
-    v0 = verts[:, 0, :]
-    jac = np.stack([verts[:, 1, :] - v0, verts[:, 2, :] - v0], axis=-1)
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    inv = np.empty_like(jac)
-    inv[:, 0, 0] = jac[:, 1, 1]
-    inv[:, 0, 1] = -jac[:, 0, 1]
-    inv[:, 1, 0] = -jac[:, 1, 0]
-    inv[:, 1, 1] = jac[:, 0, 0]
-    inv /= det[:, None, None]
-    return v0, jac, det, inv
-
-
-def _phys_points(v0, jac, quad: QuadratureRule):
-    """Physical quadrature points, shape (nT, Q, 2)."""
-    ref = quad.points[:, 1:]                     # reference (x, y)
-    return v0[:, None, :] + ref @ jac.swapaxes(1, 2)
-
-
-def _phi_tables(field: LevelSetField, tris: np.ndarray, inv: np.ndarray,
-                quad: QuadratureRule, need_lap: bool):
-    """Values, physical gradients and Laplacians of the interpolant."""
-    tab_v, tab_g, tab_h = make_reference_element(field.degree).tabulate(
-        quad.points)
-    Q, m = tab_v.shape
-    coef = field.cell_coefficients(tris)                     # (nT, m)
-    val = coef @ tab_v.T                                     # (nT, Q)
-    grad_ref = coef @ tab_g.swapaxes(0, 1).reshape(m, 2 * Q)
-    grad = grad_ref.reshape(-1, Q, 2) @ inv
-    lap = None
-    if need_lap:
-        # lap = sum_dc hess_ref[d, c] (inv inv.T)[d, c]
-        hess_ref = coef @ tab_h.swapaxes(0, 1).reshape(m, 4 * Q)
-        metric = (inv @ inv.swapaxes(1, 2)).reshape(-1, 4, 1)
-        lap = (hess_ref.reshape(-1, Q, 4) @ metric)[..., 0]
-    return val, grad, lap
-
-
-def _basis_tables(ref: ReferenceElement, inv: np.ndarray,
-                  quad: QuadratureRule, need_lap: bool):
-    """Basis values, physical gradients and Laplacians per triangle."""
-    tab_v, tab_g, tab_h = ref.tabulate(quad.points)
-    shape = (len(inv),) + tab_v.shape                        # (nT, Q, n)
-    grad = (tab_g.reshape(-1, 2) @ inv).reshape(shape + (2,))
-    lap = None
-    if need_lap:
-        metric = (inv @ inv.swapaxes(1, 2)).reshape(-1, 4)
-        lap = (metric @ tab_h.reshape(-1, 4).T).reshape(shape)
-    return tab_v, grad, lap
-
+# batched local forms: volume terms, then facet traces and facet terms
 
 def _gram(w, a, b):
     """Batched sum over q of w[..., q] a[..., q, i] b[..., q, j]."""
@@ -135,9 +82,10 @@ def _gram(w, a, b):
 
 def _product_local(field, tris, ref, quad):
     """Local matrices of (grad(phi psi_j), grad(phi psi_i)) over triangles."""
-    _, _, det, inv = _geometry(field.mesh, tris)
-    pv, pg, _ = _phi_tables(field, tris, inv, quad, need_lap=False)
-    bv, bg, _ = _basis_tables(ref, inv, quad, need_lap=False)
+    _, _, det, inv = element_maps(field.mesh, tris)
+    pv, pg, _ = eval_lagrange(field.cell_coefficients(tris), field.degree,
+                              inv, quad.points)
+    bv, bg, _ = basis_tables(ref, inv, quad.points)
     nT, Q, n, _ = bg.shape
     # built as (nT, Q, 2, n) so that (q, e) stacks into one axis for free
     # and the contraction becomes a matmul
@@ -150,9 +98,11 @@ def _product_local(field, tris, ref, quad):
 
 def _laplacian_local(field, tris, ref, quad):
     """Laplacians lap(phi psi_i) at quadrature points and the weights."""
-    _, _, det, inv = _geometry(field.mesh, tris)
-    pv, pg, plap = _phi_tables(field, tris, inv, quad, need_lap=True)
-    bv, bg, blap = _basis_tables(ref, inv, quad, need_lap=True)
+    _, _, det, inv = element_maps(field.mesh, tris)
+    pv, pg, ph = eval_lagrange(field.cell_coefficients(tris), field.degree,
+                               inv, quad.points, need_hess=True)
+    bv, bg, blap = basis_tables(ref, inv, quad.points, need_lap=True)
+    plap = ph[..., 0, 0] + ph[..., 1, 1]
     lap = (bv[None, :, :] * plap[:, :, None]
            + 2.0 * np.einsum("aqe,aqie->aqi", pg, bg)
            + pv[:, :, None] * blap)                     # (nT, Q, n)
@@ -168,19 +118,20 @@ def _laplacian_penalty_local(field, tris, ref, quad, sigma, h):
 
 def _load_local(field, tris, f: AnalyticField, ref, quad):
     """Element load vectors (f, phi psi_i) over the given triangles."""
-    v0, jac, det, inv = _geometry(field.mesh, tris)
-    pts = _phys_points(v0, jac, quad)
+    v0, jac, det, inv = element_maps(field.mesh, tris)
+    pts = physical_points(v0, jac, quad.points)
     fv = np.asarray(f.value(pts[..., 0], pts[..., 1]), dtype=float)
-    pv, _, _ = _phi_tables(field, tris, inv, quad, need_lap=False)
-    tab_v, _, _ = ref.tabulate(quad.points)
+    pv, _, _ = eval_lagrange(field.cell_coefficients(tris), field.degree,
+                             inv, quad.points)
     w = quad.weights[None, :] * det[:, None]
-    return np.einsum("aq,qi->ai", w * fv * pv, tab_v)
+    return np.einsum("aq,qi->ai", w * fv * pv,
+                     basis_values(ref, quad.points))
 
 
 def _load_correction_local(field, tris, f, ref, quad, sigma, h):
     """Stabilization corrections -sigma h^2 (f, lap(phi psi_i)) on cut cells."""
-    v0, jac, det, _ = _geometry(field.mesh, tris)
-    pts = _phys_points(v0, jac, quad)
+    v0, jac, _, _ = element_maps(field.mesh, tris)
+    pts = physical_points(v0, jac, quad.points)
     fv = np.asarray(f.value(pts[..., 0], pts[..., 1]), dtype=float)
     lap, w = _laplacian_local(field, tris, ref, quad)
     return -sigma * h * h * np.einsum("aq,aqi->ai", w * fv, lap)
@@ -203,21 +154,12 @@ def _facet_traces(field, ref, facets, tris, normals, s):
     verts = mesh.triangles[tris]
     bary = ((1.0 - s)[:, None] * (verts == ends[:, :1])[:, None, :]
             + s[:, None] * (verts == ends[:, 1:])[:, None, :])  # (F, Q, 3)
-    F, Q, _ = bary.shape
-    pts = bary.reshape(F * Q, 3)
-    n = ref.n_basis
-    bv, bg, _ = ref.tabulate(pts)
-    phi_v, phi_g, _ = make_reference_element(field.degree).tabulate(pts)
-    coef = field.cell_coefficients(tris)                  # (F, m)
-    m = coef.shape[1]
-    _, _, _, inv = _geometry(mesh, tris)
-    # grad(g) . n = g_ref . (inv n) for the physical gradient inv.T g_ref
-    dn_ref = np.einsum("fde,fe->fd", inv, normals)
-    pv = np.einsum("fqm,fm->fq", phi_v.reshape(F, Q, m), coef)
-    pdn = np.einsum("fqmd,fm,fd->fq", phi_g.reshape(F, Q, m, 2), coef,
-                    dn_ref, optimize=True)
-    bv = bv.reshape(F, Q, n)
-    bdn = np.einsum("fqid,fd->fqi", bg.reshape(F, Q, n, 2), dn_ref)
+    _, _, _, inv = element_maps(mesh, tris)
+    pv, pg, _ = eval_lagrange(field.cell_coefficients(tris), field.degree,
+                              inv, bary)
+    bv, bg, _ = basis_tables(ref, inv, bary)
+    pdn = np.einsum("fqd,fd->fq", pg, normals)
+    bdn = np.einsum("fqid,fd->fqi", bg, normals)
     return pv[..., None] * bv, bv * pdn[..., None] + pv[..., None] * bdn
 
 

@@ -1,10 +1,18 @@
-"""Reference Lagrange elements, quadrature rules and dof maps.
+"""Reference Lagrange elements, quadrature rules, dof maps and the maps
+that turn reference tabulations into physical values.
 
 Reference triangle: vertices (0,0), (1,0), (0,1); barycentric coordinates
 (1 - x - y, x, y).  Lagrange nodes of degree p sit on the barycentric
 lattice {(a, b, c)/p : a + b + c = p}, enumerated bottom row first.  Basis
 coefficients come from inverting the monomial Vandermonde matrix at the
 nodes, which is exact to rounding for p <= 3.
+
+Every physical value in the package comes from here: `basis_values` and
+`basis_tables` give the basis functions themselves, and `eval_lagrange`
+gives a per-triangle Lagrange field (the level set, the factor w)
+contracted with its nodal coefficients.  All take barycentric points
+either shared by every triangle, shape (Q, 3), or one set per triangle,
+shape (nT, Q, 3).
 """
 from __future__ import annotations
 
@@ -26,6 +34,11 @@ __all__ = [
     "edge_quadrature",
     "quadrature_degrees",
     "build_dof_map",
+    "element_maps",
+    "physical_points",
+    "basis_values",
+    "basis_tables",
+    "eval_lagrange",
 ]
 
 #: Hard ceiling on requested polynomial exactness of any quadrature rule.
@@ -268,3 +281,105 @@ def build_dof_map(mesh: BackgroundMesh, triangles: np.ndarray,
     return DofMap(mesh=mesh, degree=degree, triangles=tris,
                   cell_dofs=cell_dofs, node_coords=node_coords,
                   node_keys=uniq)
+
+
+# ---------------------------------------------------------------------------
+# element maps and physical tabulations
+
+def element_maps(mesh: BackgroundMesh, tris: np.ndarray):
+    """Affine maps of the given triangles.
+
+    Returns (v0, jac, det, inv) where jac columns are the edge vectors,
+    det = 2 * area > 0 and inv is the inverse Jacobian.  The physical
+    gradient of a reference function g is inv.T @ g_ref.
+    """
+    verts = mesh.triangle_coords(tris)
+    v0 = verts[:, 0, :]
+    jac = np.stack([verts[:, 1, :] - v0, verts[:, 2, :] - v0], axis=-1)
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    inv = np.empty_like(jac)
+    inv[:, 0, 0] = jac[:, 1, 1]
+    inv[:, 0, 1] = -jac[:, 0, 1]
+    inv[:, 1, 0] = -jac[:, 1, 0]
+    inv[:, 1, 1] = jac[:, 0, 0]
+    inv /= det[:, None, None]
+    return v0, jac, det, inv
+
+
+def physical_points(v0: np.ndarray, jac: np.ndarray,
+                    bary: np.ndarray) -> np.ndarray:
+    """Physical coordinates of barycentric points, shape (nT, Q, 2)."""
+    return v0[:, None, :] + bary[..., 1:] @ jac.swapaxes(1, 2)
+
+
+def basis_values(ref: ReferenceElement, bary: np.ndarray) -> np.ndarray:
+    """Basis values at barycentric points (Q, 3) or (nT, Q, 3); the
+    result keeps the shape of the points, (Q, n) or (nT, Q, n)."""
+    bary = np.asarray(bary, dtype=float)
+    values, _, _ = ref.tabulate(bary.reshape(-1, 3))
+    return values.reshape(bary.shape[:-1] + (ref.n_basis,))
+
+
+def basis_tables(ref: ReferenceElement, inv: np.ndarray, bary: np.ndarray,
+                 need_lap: bool = False):
+    """Basis values, physical gradients and physical Laplacians.
+
+    `bary` is (Q, 3), shared by every triangle, or (nT, Q, 3).  Values
+    keep the shape of the points, (Q, n) or (nT, Q, n); gradients are
+    (nT, Q, n, 2) and Laplacians (nT, Q, n), or None unless `need_lap`.
+    """
+    bary = np.asarray(bary, dtype=float)
+    tab_v, tab_g, tab_h = ref.tabulate(bary.reshape(-1, 3))
+    lead = bary.shape[:-2]                          # () or (nT,)
+    Q, n = bary.shape[-2], ref.n_basis
+    shape = (len(inv), Q, n)
+    grad = (tab_g.reshape(lead + (Q * n, 2)) @ inv).reshape(shape + (2,))
+    lap = None
+    if need_lap:
+        # the trace of inv.T H_ref inv: sum_dc H_ref[d, c] (inv inv.T)[d, c]
+        metric = (inv @ inv.swapaxes(1, 2)).reshape(-1, 4, 1)
+        lap = (tab_h.reshape(lead + (Q * n, 4)) @ metric).reshape(shape)
+    return tab_v.reshape(bary.shape[:-1] + (n,)), grad, lap
+
+
+def eval_lagrange(coef: np.ndarray, degree: int, inv: np.ndarray,
+                  bary: np.ndarray, need_hess: bool = False):
+    """Values and physical derivatives of per-triangle Lagrange fields.
+
+    Parameters
+    ----------
+    coef : (nT, m) nodal values of a degree-`degree` field per triangle.
+    inv : (nT, 2, 2) inverse Jacobians from `element_maps`.
+    bary : (Q, 3) points shared by every triangle, or (nT, Q, 3).
+
+    Returns
+    -------
+    values (nT, Q), gradients (nT, Q, 2) and, when `need_hess`, Hessians
+    inv.T H_ref inv of shape (nT, Q, 2, 2), else None.
+
+    The coefficients are contracted in reference coordinates first, so
+    the inverse Jacobian acts on one gradient per point, not one per
+    basis function.
+    """
+    bary = np.asarray(bary, dtype=float)
+    tab_v, tab_g, tab_h = make_reference_element(degree).tabulate(
+        bary.reshape(-1, 3))
+    P, m = tab_v.shape
+    parts = [tab_v[..., None], tab_g]
+    if need_hess:
+        parts.append(tab_h.reshape(P, m, 4))
+    tab = np.concatenate(parts, axis=-1)            # (P, m, c)
+    nT, Q, c = len(coef), bary.shape[-2], tab.shape[-1]
+    if bary.ndim == 2:
+        # shared points: one GEMM over every triangle
+        ref = (coef @ tab.swapaxes(0, 1).reshape(m, Q * c)).reshape(nT, Q, c)
+    else:
+        ref = np.einsum("tm,tqmc->tqc", coef, tab.reshape(nT, Q, m, c))
+    val = ref[..., 0]
+    grad = ref[..., 1:3] @ inv
+    hess = None
+    if need_hess:
+        # (inv.T H inv)[a, b] = sum_dc inv[d, a] H[d, c] inv[c, b]
+        outer = np.einsum("tda,tcb->tdcab", inv, inv).reshape(nT, 4, 4)
+        hess = (ref[..., 3:] @ outer).reshape(nT, Q, 2, 2)
+    return val, grad, hess

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import IO, Callable
+from typing import Callable
 
 import numpy as np
 
-from .fem_core import DofMap, build_dof_map, make_reference_element
-from .mesh import BackgroundMesh, BoundaryFacets, submesh_boundary_facets
+from .fem_core import (DofMap, build_dof_map, element_maps, eval_lagrange,
+                       make_reference_element)
+from .mesh import BackgroundMesh, submesh_boundary_facets
 
 __all__ = [
     "AnalyticField",
@@ -25,7 +26,6 @@ __all__ = [
     "interpolate_levelset",
     "eval_field",
     "classify_domain",
-    "dump_classification",
 ]
 
 
@@ -84,21 +84,12 @@ def eval_field(field: LevelSetField, triangle: int, bary: np.ndarray
     The point is given in barycentric coordinates of `triangle`; returned
     derivatives are in physical coordinates.
     """
-    ref = make_reference_element(field.degree)
-    pts = np.asarray(bary, dtype=float).reshape(1, 3)
-    values, grads, hess = ref.tabulate(pts)
-    coef = field.coefficients[field.dofmap.cell_dofs[triangle]]
-
-    verts = field.mesh.triangle_coords(np.array([triangle]))[0]
-    jac = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
-    inv_jac = np.linalg.inv(jac)
-
-    val = float(values[0] @ coef)
-    grad_ref = grads[0].T @ coef                      # (2,)
-    hess_ref = np.einsum("ndc,n->dc", hess[0], coef)  # (2, 2)
-    grad = inv_jac.T @ grad_ref
-    hessian = inv_jac.T @ hess_ref @ inv_jac
-    return val, grad, hessian
+    tris = np.array([triangle])
+    _, _, _, inv = element_maps(field.mesh, tris)
+    val, grad, hess = eval_lagrange(
+        field.cell_coefficients(tris), field.degree, inv,
+        np.asarray(bary, dtype=float).reshape(1, 3), need_hess=True)
+    return float(val[0, 0]), grad[0, 0], hess[0, 0]
 
 
 @dataclass(frozen=True)
@@ -119,11 +110,6 @@ class ActiveDomain:
     boundary_facets: np.ndarray
     boundary_owners: np.ndarray
     boundary_normals: np.ndarray
-
-    @property
-    def boundary(self) -> BoundaryFacets:
-        return BoundaryFacets(self.boundary_facets, self.boundary_owners,
-                              self.boundary_normals)
 
 
 @lru_cache(maxsize=None)
@@ -183,13 +169,3 @@ def classify_domain(field: LevelSetField, mesh: BackgroundMesh
         boundary_owners=boundary.owners,
         boundary_normals=boundary.normals,
     )
-
-
-def dump_classification(domain: ActiveDomain, stream: IO[str]) -> None:
-    """CSV dump with one `triangle_id,status` row per mesh triangle."""
-    status = np.full(domain.mesh.n_triangles, "outside", dtype=object)
-    status[domain.active_triangles] = "active"
-    status[domain.cut_triangles] = "cut"
-    stream.write("triangle_id,status\n")
-    for t, s in enumerate(status):
-        stream.write(f"{t},{s}\n")

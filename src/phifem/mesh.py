@@ -9,7 +9,7 @@ horizontal edges, then all vertical edges, then all diagonals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "build_background_mesh",
     "submesh_boundary_facets",
     "locate_points",
-    "dump_mesh",
 ]
 
 
@@ -287,12 +286,3 @@ def locate_points(mesh: BackgroundMesh, points: np.ndarray
     bary[..., 1] = np.where(lower, s - t, s)
     bary[..., 2] = np.where(lower, t, t - s)
     return tri, bary
-
-
-def dump_mesh(mesh: BackgroundMesh, stream: IO[str]) -> None:
-    """Write a plain-text dump: one `v x y` line per vertex, then one
-    `t a b c` line per triangle."""
-    for x, y in mesh.vertices:
-        stream.write(f"v {float(x)!r} {float(y)!r}\n")
-    for a, b, c in mesh.triangles:
-        stream.write(f"t {int(a)} {int(b)} {int(c)}\n")

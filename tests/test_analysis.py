@@ -6,6 +6,7 @@ must return errors at roundoff level for it.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phifem.analysis import (ErrorReport, compute_errors,
                              compute_errors_vs_reference, estimated_orders,
@@ -36,6 +37,40 @@ def test_polynomial_solution_has_roundoff_errors():
     assert err.rel_h1_semi <= 1e-9
     assert err.h == system.h
     assert err.n_dofs == system.n_dofs
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(theta=st.floats(0.0, 2.0 * np.pi),
+       point=st.tuples(st.floats(0.3, 0.7), st.floats(0.3, 0.7)),
+       n=st.integers(4, 12), k=st.integers(1, 3))
+def test_random_affine_planted_case_is_exact(theta, point, n, k):
+    # phi = cos(theta) x + sin(theta) y - c through a point of [0.3, 0.7]^2
+    # and w = 1 + x + y: u = phi w lies in every trial space, wherever the
+    # line slices the grid, so the errors stay at roundoff.
+    cos, sin = np.cos(theta), np.sin(theta)
+    c = cos * point[0] + sin * point[1]
+
+    def phi(x, y):
+        return cos * x + sin * y - c
+
+    def w(x, y):
+        return 1.0 + x + y
+
+    u_exact = AnalyticField(
+        value=lambda x, y: phi(x, y) * w(x, y),
+        gradient=lambda x, y: (cos * w(x, y) + phi(x, y),
+                               sin * w(x, y) + phi(x, y)))
+    f = AnalyticField(
+        value=lambda x, y: np.full_like(x, -2.0 * (cos + sin)))
+    mesh = build_background_mesh((0.0, 0.0, 1.0, 1.0), (n, n))
+    field = interpolate_levelset(AnalyticField(value=phi), mesh, k)
+    domain = classify_domain(field, mesh)
+    system = assemble_system(domain, field, f, k, 20.0,
+                             outer_data=AnalyticField(value=w))
+    sol = make_solution(system, field, solve(system).x)
+    err = compute_errors(sol, u_exact, domain)
+    assert err.rel_l2 <= 1e-9
+    assert err.rel_h1_semi <= 1e-8
 
 
 def test_eval_solution_matches_exact():

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from phifem.fem_core import (QUAD_DEGREE_CAP, build_dof_map, edge_quadrature,
-                             make_reference_element, quadrature_degrees,
-                             triangle_quadrature)
+from phifem.fem_core import (QUAD_DEGREE_CAP, basis_tables, basis_values,
+                             build_dof_map, edge_quadrature, element_maps,
+                             eval_lagrange, make_reference_element,
+                             quadrature_degrees, triangle_quadrature)
 from phifem.mesh import build_background_mesh
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
@@ -232,3 +234,57 @@ def test_rows_for_rejects_uncovered_triangle():
     dm = build_dof_map(mesh, np.array([0, 1]), 1)
     with pytest.raises(ValueError):
         dm.rows_for(np.array([5]))
+
+
+def _assert_close(got, want, rel):
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=rel * np.abs(want).max())
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(k=st.integers(1, 3), l=st.integers(1, 3), n_points=st.integers(1, 7),
+       seed=st.integers(0, 2**32 - 1))
+def test_evaluator_point_shapes_agree(k, l, n_points, seed):
+    # Shared points (Q, 3) take the GEMM branch and per-triangle points
+    # (nT, Q, 3) the einsum branch; both must give the same fields.  The
+    # cells are not square, so the two triangle shapes have different
+    # inverse Jacobians.
+    rng = np.random.default_rng(seed)
+    mesh = build_background_mesh((-0.3, 0.2, 1.1, 0.9), (3, 2))
+    tris = np.arange(mesh.n_triangles)
+    _, _, _, inv = element_maps(mesh, tris)
+    coef = rng.standard_normal((tris.size, make_reference_element(l).n_basis))
+    bary = random_bary(rng, n_points)
+    per_tri = np.broadcast_to(bary, (tris.size,) + bary.shape)
+
+    shared = eval_lagrange(coef, l, inv, bary, need_hess=True)
+    for got, want in zip(eval_lagrange(coef, l, inv, per_tri,
+                                       need_hess=True), shared):
+        _assert_close(got, want, 1e-13)
+    ref = make_reference_element(k)
+    tables = basis_tables(ref, inv, bary, need_lap=True)
+    for got, want in zip(basis_tables(ref, inv, per_tri, need_lap=True),
+                         tables):
+        _assert_close(got, np.broadcast_to(want, got.shape), 1e-13)
+    np.testing.assert_array_equal(basis_values(ref, bary), tables[0])
+    _assert_close(basis_values(ref, per_tri),
+                  np.broadcast_to(tables[0], (tris.size,) + tables[0].shape),
+                  1e-13)
+
+    # distinct points per triangle match one shared call per triangle
+    own = rng.dirichlet([2.0, 2.0, 2.0], size=(tris.size, n_points))
+    each = eval_lagrange(coef, l, inv, own, need_hess=True)
+    for t in tris:
+        one = eval_lagrange(coef[t:t + 1], l, inv[t:t + 1], own[t],
+                            need_hess=True)
+        for got, want in zip(each, one):
+            _assert_close(got[t:t + 1], want, 1e-13)
+
+    # the trace of the Hessian is the Laplacian assembly builds from the
+    # basis tables
+    _, _, basis_lap = basis_tables(make_reference_element(l), inv, bary,
+                                   need_lap=True)
+    hess = shared[2]
+    _assert_close(hess[..., 0, 0] + hess[..., 1, 1],
+                  np.einsum("tqm,tm->tq", basis_lap, coef), 1e-13)
+    _assert_close(hess, hess.swapaxes(-1, -2), 1e-15)

@@ -4,14 +4,12 @@ The 2x2 hand oracle is worked out on paper: unit box, phi = x - 0.51,
 vertex ids row-major so v4 = (0.5, 0.5), triangles cell-by-cell with the
 lower triangle first.
 """
-import io
-
 import numpy as np
 import pytest
 
 from phifem.levelset import (AnalyticField, EmptyActiveSetError,
-                             classify_domain, dump_classification,
-                             eval_field, interpolate_levelset)
+                             classify_domain, eval_field,
+                             interpolate_levelset)
 from phifem.mesh import build_background_mesh, locate_points
 
 UNIT_BOX = (0.0, 0.0, 1.0, 1.0)
@@ -164,17 +162,3 @@ def test_classification_deterministic():
     np.testing.assert_array_equal(a.cut_triangles, b.cut_triangles)
     np.testing.assert_array_equal(a.ghost_facets, b.ghost_facets)
     np.testing.assert_array_equal(a.boundary_facets, b.boundary_facets)
-
-
-def test_dump_classification_format():
-    mesh = build_background_mesh(UNIT_BOX, (2, 2))
-    field = interpolate_levelset(AnalyticField(value=lambda x, y: x - 0.51),
-                                 mesh, 1)
-    domain = classify_domain(field, mesh)
-    out = io.StringIO()
-    dump_classification(domain, out)
-    lines = out.getvalue().splitlines()
-    assert lines[0] == "triangle_id,status"
-    assert len(lines) == 1 + mesh.n_triangles
-    assert lines[1] == "0,active"
-    assert lines[3] == "2,cut"

@@ -1,10 +1,8 @@
 """Tests for the structured background mesh and its facet topology."""
-import io
-
 import numpy as np
 import pytest
 
-from phifem.mesh import (build_background_mesh, dump_mesh, locate_points,
+from phifem.mesh import (build_background_mesh, locate_points,
                          submesh_boundary_facets)
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
@@ -200,16 +198,3 @@ def test_mesh_arrays_read_only():
         mesh.vertices[0, 0] = 3.0
     with pytest.raises(ValueError):
         mesh.triangles[0, 0] = 5
-
-
-def test_dump_mesh_format():
-    mesh = build_background_mesh(UNIT, (1, 1))
-    buf = io.StringIO()
-    dump_mesh(mesh, buf)
-    lines = buf.getvalue().splitlines()
-    assert len(lines) == mesh.n_vertices + mesh.n_triangles
-    assert lines[0] == "v 0.0 0.0"
-    assert all(line.startswith(("v ", "t ")) for line in lines)
-    tri_line = lines[mesh.n_vertices].split()
-    assert tri_line[0] == "t"
-    assert [int(v) for v in tri_line[1:]] == list(mesh.triangles[0])
