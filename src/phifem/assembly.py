@@ -24,8 +24,12 @@ physical derivatives of phi and of the basis come from `fem_core`
 of points; this module only forms the products.  The public per-entity
 kernels are length-1 calls of the same batched code, so the
 hand-integral tests pin the only implementation.
-The penalty parts are assembled separately from the core so that their
-matrix is exactly symmetric and can be inspected on its own.
+Both penalty terms and the load correction are linear in sigma, so
+`assemble_parts` builds the core A0, b0 and the penalty part G, g at
+sigma = 1 once per level, and `SystemParts.system` forms
+A = A0 + sigma G, b = b0 + sigma g for each strength.  The penalty part
+is assembled separately from the core so that its matrix is exactly
+symmetric and can be inspected on its own.
 """
 from __future__ import annotations
 
@@ -43,6 +47,8 @@ from .levelset import ActiveDomain, AnalyticField, LevelSetField
 
 __all__ = [
     "SparseSystem",
+    "SystemParts",
+    "assemble_parts",
     "assemble_system",
     "assemble_ghost_part",
     "element_product_kernel",
@@ -332,10 +338,65 @@ def _box_boundary_dofs(domain: ActiveDomain, dofmap: DofMap) -> np.ndarray:
     return np.nonzero(pinned)[0]
 
 
-def assemble_system(domain: ActiveDomain, field: LevelSetField,
-                    f: AnalyticField, k: int, sigma: float,
-                    outer_data: AnalyticField | None = None) -> SparseSystem:
-    """Assemble the full linear system over the active submesh.
+def _check_sigma(sigma: float) -> None:
+    if not np.isfinite(sigma) or sigma < 0.0:
+        raise ValueError(
+            f"penalty strength must be finite and >= 0, got {sigma}")
+
+
+@dataclass(frozen=True)
+class SystemParts:
+    """The sigma-free parts of one level's system.
+
+    The system for penalty strength sigma is A = A0 + sigma G and
+    b = b0 + sigma g, with Dirichlet rows on the pinned dofs; `system`
+    forms it.  G and g are the penalty part at sigma = 1 and are None
+    when the parts were built for sigma = 0 only.
+    """
+
+    A0: sp.csr_matrix
+    b0: np.ndarray
+    G: sp.csr_matrix | None
+    g: np.ndarray | None
+    pinned: np.ndarray          # dofs with Dirichlet rows
+    pinned_values: np.ndarray   # their right-hand side values
+    h: float
+    dofmap: DofMap
+    degree: int
+    levelset_degree: int
+
+    def system(self, sigma: float) -> SparseSystem:
+        """The assembled system for one penalty strength."""
+        _check_sigma(sigma)
+        if sigma == 0.0:
+            A = self.A0.copy()
+            b = self.b0.copy()
+        elif self.G is None:
+            raise ValueError(f"penalty part not assembled; sigma = {sigma} "
+                             "was not among the strengths asked for")
+        else:
+            A = (self.A0 + sigma * self.G).tocsr()
+            b = self.b0 + sigma * self.g
+        if self.pinned.size:
+            # zero the pinned rows in place, then put 1 on their diagonal
+            pinned_row = np.zeros(A.shape[0], dtype=bool)
+            pinned_row[self.pinned] = True
+            A.data[np.repeat(pinned_row, np.diff(A.indptr))] = 0.0
+            A = (A + sp.csr_matrix((np.ones(self.pinned.size),
+                                    (self.pinned, self.pinned)),
+                                   shape=A.shape)).tocsr()
+            b[self.pinned] = self.pinned_values
+        A.eliminate_zeros()
+        A.sort_indices()
+        return SparseSystem(A=A, b=b, sigma=float(sigma), h=self.h,
+                            dofmap=self.dofmap, degree=self.degree,
+                            levelset_degree=self.levelset_degree)
+
+
+def assemble_parts(domain: ActiveDomain, field: LevelSetField,
+                   f: AnalyticField, k: int, sigmas: list[float],
+                   outer_data: AnalyticField | None = None) -> SystemParts:
+    """Assemble everything that does not depend on the penalty strength.
 
     Parameters
     ----------
@@ -343,8 +404,9 @@ def assemble_system(domain: ActiveDomain, field: LevelSetField,
     field : level-set interpolant, degree l.
     f : source term of the strong problem -lap(u) = f.
     k : polynomial degree of the unknown factor, 1..3.
-    sigma : penalty strength, >= 0.  With sigma = 0 the penalty terms are
-        skipped entirely and only the plain product form remains.
+    sigmas : the penalty strengths, each >= 0, that the parts will be
+        asked for.  The penalty part is assembled only when one of them
+        is nonzero; with sigma = 0 only the plain product form remains.
     outer_data : values of the factor w where the active region reaches
         the background-box boundary.  The weak form carries no condition
         there (the zero set is meant to stay inside the box), so problems
@@ -355,8 +417,8 @@ def assemble_system(domain: ActiveDomain, field: LevelSetField,
     """
     if k not in (1, 2, 3):
         raise ValueError(f"unsupported polynomial degree {k}")
-    if not np.isfinite(sigma) or sigma < 0.0:
-        raise ValueError(f"penalty strength must be finite and >= 0, got {sigma}")
+    for sigma in sigmas:
+        _check_sigma(sigma)
     mesh = domain.mesh
     if field.mesh is not mesh:
         raise ValueError("level set and domain live on different meshes")
@@ -367,12 +429,11 @@ def assemble_system(domain: ActiveDomain, field: LevelSetField,
     vol_rule = triangle_quadrature(degrees["volume"])
     data_rule = triangle_quadrature(degrees["data"])
     bnd_rule = edge_quadrature(degrees["boundary_facet"])
-    h = mesh.h
 
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
-    b = np.zeros(dofmap.n_dofs)
+    b0 = np.zeros(dofmap.n_dofs)
 
     active = domain.active_triangles
     for start in range(0, active.size, _CHUNK):
@@ -382,36 +443,43 @@ def assemble_system(domain: ActiveDomain, field: LevelSetField,
         dofs = dofmap.cell_dofs[dofmap.rows_for(tris)]
         _accumulate(rows, cols, vals, dofs, dofs, local)
         load = _load_local(field, tris, f, ref, data_rule)
-        np.add.at(b, dofs.ravel(), load.ravel())
+        np.add.at(b0, dofs.ravel(), load.ravel())
 
     local = _boundary_local(field, ref, bnd_rule, domain.boundary_facets,
                             domain.boundary_owners, domain.boundary_normals)
     dofs = dofmap.cell_dofs[dofmap.rows_for(domain.boundary_owners)]
     _accumulate(rows, cols, vals, dofs, dofs, -local)
 
-    A = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(dofmap.n_dofs, dofmap.n_dofs)).tocsr()
+    A0 = sp.coo_matrix((np.concatenate(vals),
+                        (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(dofmap.n_dofs, dofmap.n_dofs)).tocsr()
 
-    if sigma != 0.0:
-        ghost, b_corr = assemble_ghost_part(domain, field, f, k, sigma,
-                                            dofmap)
-        A = (A + ghost).tocsr()
-        b += b_corr
+    G = g = None
+    if any(sigmas):
+        G, g = assemble_ghost_part(domain, field, f, k, 1.0, dofmap)
 
+    pinned = np.zeros(0, dtype=np.int64)
+    pinned_values = np.zeros(0)
     if outer_data is not None:
         pinned = _box_boundary_dofs(domain, dofmap)
-        if pinned.size:
-            A = A.tolil()
-            A[pinned, :] = 0.0
-            A[pinned, pinned] = 1.0
-            A = A.tocsr()
-            nodes = dofmap.node_coords[pinned]
-            b[pinned] = np.asarray(outer_data.value(nodes[:, 0],
-                                                    nodes[:, 1]),
+    if pinned.size:
+        nodes = dofmap.node_coords[pinned]
+        pinned_values = np.asarray(outer_data.value(nodes[:, 0], nodes[:, 1]),
                                    dtype=np.float64)
 
-    A.eliminate_zeros()
-    A.sort_indices()
-    return SparseSystem(A=A, b=b, sigma=float(sigma), h=h, dofmap=dofmap,
-                        degree=k, levelset_degree=field.degree)
+    return SystemParts(A0=A0, b0=b0, G=G, g=g, pinned=pinned,
+                       pinned_values=pinned_values, h=mesh.h, dofmap=dofmap,
+                       degree=k, levelset_degree=field.degree)
+
+
+def assemble_system(domain: ActiveDomain, field: LevelSetField,
+                    f: AnalyticField, k: int, sigma: float,
+                    outer_data: AnalyticField | None = None) -> SparseSystem:
+    """Assemble the full linear system over the active submesh for one
+    penalty strength: `assemble_parts` for [sigma], then its `system`.
+
+    See `assemble_parts` for the parameters.  With sigma = 0 the penalty
+    terms are skipped entirely.
+    """
+    return assemble_parts(domain, field, f, k, [sigma],
+                          outer_data).system(sigma)

@@ -6,7 +6,9 @@ run
     Convergence study on refined meshes, errors and optionally condition
     numbers per level.
 sigma-sweep
-    The same study repeated for several penalty strengths.
+    The same study repeated for several penalty strengths.  Each level's
+    mesh, level set, classification and sigma-free system parts are
+    built once and shared by every strength: A = A0 + sigma G.
 conditioning
     Condition number per level plus a least-squares slope of
     log(kappa) against log(h).
@@ -29,7 +31,9 @@ import numpy as np
 from .analysis import (ErrorReport, compute_errors,
                        compute_errors_vs_reference, estimated_orders,
                        make_solution)
-from .assembly import assemble_system
+# assemble_system is not called here, but perfbench/spans.py wraps it
+# under this module's name, so the name stays importable from it
+from .assembly import assemble_parts, assemble_system  # noqa: F401
 from .cases import CASES, get_case
 from .levelset import EmptyActiveSetError, classify_domain, \
     interpolate_levelset
@@ -120,29 +124,73 @@ def _blank_row(config: RunConfig, sigma: float) -> dict:
     }
 
 
-def _solve_level(config: RunConfig, n: int, sigma: float):
-    """One mesh, classify, assemble, solve; returns (row, system, solution)."""
-    case = get_case(config.case)
-    row = _blank_row(config, sigma)
-    row["n_cells"] = n
-    mesh = build_background_mesh(config.resolved_box(), (n, n))
-    row["h"] = mesh.h
-    field = interpolate_levelset(case.phi, mesh, config.levelset_degree)
-    domain = classify_domain(field, mesh)
-    system = assemble_system(domain, field, case.f, config.k, sigma,
-                             outer_data=case.outer_data)
-    row["dofs"] = system.n_dofs
-    solution = None
+def _set_errors(row: dict, report: ErrorReport) -> None:
+    row["err_l2_rel"] = report.rel_l2
+    row["err_h1_rel"] = report.rel_h1_semi
+
+
+def _condition(system, row: dict) -> None:
+    """Fill the row's kappa; a failed estimate sets its status."""
     try:
-        report = solve(system, _SOLVE_TOL)
-        solution = make_solution(system, field, report.x)
+        row["kappa"] = estimate_condition_number(system).kappa
+    except NoConvergenceError as err:
+        if isinstance(err.best, ConditionEstimate):
+            row["kappa"] = err.best.kappa
+        row["status"] = "no-convergence"
+    except SingularMatrixError:
+        row["status"] = "singular"
+
+
+def _solve(system, field, row: dict):
+    """Solve one system; a failed solve sets the row's status and keeps
+    its best iterate, if any."""
+    try:
+        return make_solution(system, field, solve(system, _SOLVE_TOL).x)
     except NoConvergenceError as err:
         row["status"] = "no-convergence"
         if err.best is not None:
-            solution = make_solution(system, field, err.best)
+            return make_solution(system, field, err.best)
     except SingularMatrixError:
         row["status"] = "singular"
-    return row, domain, system, solution
+    return None
+
+
+def _solve_level(config: RunConfig, n: int, sigmas: list[float],
+                 reported: bool):
+    """One level for every penalty strength.
+
+    The mesh, level set, classification and sigma-free parts are built
+    once; then each strength gets its system, its solve and, on a
+    reported level, its kappa and closed-form errors, so no system
+    outlives its own solve.  Returns the domain and one (row, solution)
+    per strength; the solution is kept only when a finer level must be
+    compared with it.
+    """
+    case = get_case(config.case)
+    want_errors = "errors" in config.tasks
+    keep = want_errors and case.u_exact is None
+    mesh = build_background_mesh(config.resolved_box(), (n, n))
+    field = interpolate_levelset(case.phi, mesh, config.levelset_degree)
+    domain = classify_domain(field, mesh)
+    parts = assemble_parts(domain, field, case.f, config.k, sigmas,
+                           outer_data=case.outer_data)
+    results = []
+    for j, sigma in enumerate(sigmas):
+        row = _blank_row(config, sigma)
+        row["n_cells"] = n
+        row["h"] = mesh.h
+        system = parts.system(sigma)
+        if j == len(sigmas) - 1:
+            del parts   # free A0 and G before the last solve
+        row["dofs"] = system.n_dofs
+        solution = _solve(system, field, row)
+        if reported and "conditioning" in config.tasks:
+            _condition(system, row)
+        del system      # the error norms need only the solution
+        if reported and want_errors and not keep and solution is not None:
+            _set_errors(row, compute_errors(solution, case.u_exact, domain))
+        results.append((row, solution if keep else None))
+    return domain, results
 
 
 def _fill_orders(rows: list[dict]) -> None:
@@ -161,50 +209,51 @@ def _fill_orders(rows: list[dict]) -> None:
         cur["eoc_h1"] = eoc_h1
 
 
-def _run_sigma(config: RunConfig, sigma: float) -> list[dict]:
-    """All refinement levels for one penalty strength."""
+def _compare(row: dict, solution, domain, ref_row: dict,
+             ref_solution) -> None:
+    """Errors of one row against the same strength two levels finer."""
+    if solution is None:
+        return
+    # the hidden reference level's failure is this row's too
+    if row["status"] == "ok":
+        row["status"] = ref_row["status"]
+    if ref_solution is not None:
+        _set_errors(row, compute_errors_vs_reference(solution, ref_solution,
+                                                     domain))
+
+
+def _run_study(config: RunConfig, sigmas: list[float]) -> list[dict]:
+    """All refinement levels for each penalty strength; rows grouped by
+    sigma, in the order of `sigmas`.
+
+    Without a closed-form solution, a level is compared with the level
+    two finer as soon as that one is solved, so at most three levels of
+    solutions are held at a time.
+    """
     case = get_case(config.case)
-    want_errors = "errors" in config.tasks
-    want_kappa = "conditioning" in config.tasks
-    extra = 2 if (want_errors and case.u_exact is None) else 0
-
-    levels = []
+    compare = "errors" in config.tasks and case.u_exact is None
+    extra = 2 if compare else 0
+    rows: list[list[dict]] = [[] for _ in sigmas]
+    waiting = []    # (domain, results) of levels awaiting their reference
     for i in range(config.levels + extra):
-        n = config.n * 2 ** i
-        levels.append(_solve_level(config, n, sigma))
-
-    rows = []
-    for i in range(config.levels):
-        row, domain, system, solution = levels[i]
-        if want_errors and solution is not None:
-            if case.u_exact is not None:
-                rep = compute_errors(solution, case.u_exact, domain)
-            else:
-                # the hidden reference level's failure is this row's too
-                ref_row, _, _, ref_solution = levels[i + 2]
-                if row["status"] == "ok":
-                    row["status"] = ref_row["status"]
-                if ref_solution is None:
-                    rep = None
-                else:
-                    rep = compute_errors_vs_reference(solution, ref_solution,
-                                                      domain)
-            if rep is not None:
-                row["err_l2_rel"] = rep.rel_l2
-                row["err_h1_rel"] = rep.rel_h1_semi
-        if want_kappa:
-            try:
-                est = estimate_condition_number(system)
-                row["kappa"] = est.kappa
-            except NoConvergenceError as err:
-                if isinstance(err.best, ConditionEstimate):
-                    row["kappa"] = err.best.kappa
-                row["status"] = "no-convergence"
-            except SingularMatrixError:
-                row["status"] = "singular"
-        rows.append(row)
-    _fill_orders(rows)
-    return rows
+        reported = i < config.levels
+        domain, results = _solve_level(config, config.n * 2 ** i, sigmas,
+                                       reported)
+        if reported:
+            for by_sigma, (row, _) in zip(rows, results):
+                by_sigma.append(row)
+        if not compare:
+            continue
+        if i >= 2:
+            coarse_domain, coarse = waiting.pop(0)
+            for (row, solution), (ref_row, ref_solution) in zip(coarse,
+                                                                results):
+                _compare(row, solution, coarse_domain, ref_row, ref_solution)
+        if reported:
+            waiting.append((domain, results))
+    for by_sigma in rows:
+        _fill_orders(by_sigma)
+    return [row for by_sigma in rows for row in by_sigma]
 
 
 def run_case(config: RunConfig) -> list[dict]:
@@ -216,20 +265,21 @@ def run_case(config: RunConfig) -> list[dict]:
     sets the status of the row it feeds.
     """
     config.validate()
-    return _run_sigma(config, config.sigma)
+    return _run_study(config, [config.sigma])
 
 
 def sigma_sweep(config: RunConfig, sigmas: list[float]) -> list[dict]:
-    """Repeat the study for each penalty strength; rows grouped by sigma."""
+    """Repeat the study for each penalty strength; rows grouped by sigma.
+
+    Every level is built once and solved for all strengths.
+    """
     config.validate()
     if not sigmas:
         raise ValueError("sigma sweep needs at least one value")
-    rows = []
     for sigma in sigmas:
         if not np.isfinite(sigma) or sigma < 0.0:
             raise ValueError(f"sigma values must be >= 0, got {sigma}")
-        rows.extend(_run_sigma(config, float(sigma)))
-    return rows
+    return _run_study(config, [float(sigma) for sigma in sigmas])
 
 
 def conditioning_study(config: RunConfig) -> tuple[list[dict], float | None]:
@@ -240,7 +290,7 @@ def conditioning_study(config: RunConfig) -> tuple[list[dict], float | None]:
     """
     config.validate()
     cfg = dataclasses.replace(config, tasks=("conditioning",))
-    rows = _run_sigma(cfg, cfg.sigma)
+    rows = _run_study(cfg, [cfg.sigma])
     pts = [(row["h"], row["kappa"]) for row in rows
            if row["kappa"] is not None and row["status"] == "ok"]
     slope = None

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import phifem.assembly as assembly
-from phifem.assembly import (assemble_ghost_part, assemble_system,
-                             boundary_term_kernel,
+from phifem.assembly import (assemble_ghost_part, assemble_parts,
+                             assemble_system, boundary_term_kernel,
                              element_product_kernel, ghost_jump_kernel,
                              ghost_laplacian_kernel, rhs_kernels)
 from phifem.cases import get_case
@@ -292,6 +292,43 @@ def test_outer_pinning_rows_are_identity():
     np.testing.assert_allclose(system.b[pinned],
                                1.0 + nodes[:, 0] + nodes[:, 1],
                                rtol=0, atol=1e-15)
+
+
+def test_parts_form_each_penalty_system():
+    # The planted zero set cuts the box, so every system has pinned rows.  For
+    # each sigma the system is A0 + sigma G with those rows replaced by
+    # identity rows, exactly as a LIL row assignment would leave them, and
+    # it is the one assemble_system returns for that sigma alone.
+    case = get_case("planted")
+    mesh = build_background_mesh(case.box, (6, 6))
+    field = interpolate_levelset(case.phi, mesh, 2)
+    domain = classify_domain(field, mesh)
+    sigmas = [0.0, 0.5, 20.0]
+    parts = assemble_parts(domain, field, case.f, 2, sigmas,
+                           outer_data=case.outer_data)
+    assert parts.pinned.size > 0
+    for sigma in sigmas + [0.0]:
+        system = parts.system(sigma)
+        expected = (parts.A0 + sigma * parts.G).tolil()
+        expected[parts.pinned, :] = 0.0
+        expected[parts.pinned, parts.pinned] = 1.0
+        assert (system.A != expected.tocsr()).nnz == 0
+        b = parts.b0 + sigma * parts.g
+        b[parts.pinned] = parts.pinned_values
+        np.testing.assert_array_equal(system.b, b)
+        alone = assemble_system(domain, field, case.f, 2, sigma,
+                                outer_data=case.outer_data)
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(system.A, name),
+                                          getattr(alone.A, name))
+        np.testing.assert_array_equal(system.b, alone.b)
+
+    plain = assemble_parts(domain, field, case.f, 2, [0.0])
+    assert plain.G is None and plain.pinned.size == 0
+    with pytest.raises(ValueError):
+        plain.system(1.0)
+    with pytest.raises(ValueError):
+        parts.system(-1.0)
 
 
 def test_assemble_validation():

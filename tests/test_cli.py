@@ -4,12 +4,14 @@ The polynomial case is cheap and exact, so whole studies run in well
 under a second while still exercising assembly, solve and the error
 pipeline end to end.
 """
+import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from phifem import cli
+from phifem import assembly, cli
 from phifem.cli import (CSV_HEADER, RunConfig, conditioning_study, run_case,
                         sigma_sweep, write_csv)
 from phifem.linalg import NoConvergenceError
@@ -80,6 +82,55 @@ def test_sigma_sweep_groups_rows_by_penalty():
         assert row["err_l2_rel"] <= 1e-9
     with pytest.raises(ValueError):
         sigma_sweep(cfg, [])
+
+
+def _csv(rows):
+    out = io.StringIO()
+    write_csv(rows, out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(case="circle", k=1, n=8, levels=2),
+    # no closed form: each row is measured against hidden levels
+    RunConfig(case="rectangle", k=1, n=4, levels=1)],
+    ids=["circle", "rectangle"])
+def test_sigma_sweep_writes_the_bytes_of_separate_runs(cfg):
+    # a sweep shares each level's geometry and sigma-free parts; sigma = 0
+    # inside a mixed sweep must still solve the unpenalized system
+    sigmas = [0.0, 0.1, 20.0]
+    separate = "".join(_csv(run_case(replace(cfg, sigma=s)))
+                       .split("\n", 1)[1] for s in sigmas)
+    assert _csv(sigma_sweep(cfg, sigmas)) == CSV_HEADER + "\n" + separate
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sigma_sweep_builds_each_level_once(monkeypatch):
+    classified = _count_calls(monkeypatch, cli, "classify_domain")
+    penalized = _count_calls(monkeypatch, assembly, "assemble_ghost_part")
+    cfg = RunConfig(case="circle", k=1, n=8, levels=2)
+    rows = sigma_sweep(cfg, [0.1, 1.0, 20.0])
+    assert len(rows) == 6
+    assert len(classified) == 2
+    assert len(penalized) == 2
+
+    classified.clear()
+    penalized.clear()
+    rows = sigma_sweep(cfg, [0.0, 0.0])
+    assert len(rows) == 4
+    assert len(classified) == 2
+    assert penalized == []
 
 
 def test_conditioning_study_returns_slope():
