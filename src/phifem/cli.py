@@ -8,7 +8,8 @@ run
 sigma-sweep
     The same study repeated for several penalty strengths.  Each level's
     mesh, level set, classification and sigma-free system parts are
-    built once and shared by every strength: A = A0 + sigma G.
+    built once and shared by every strength: A = A0 + sigma G.  Its
+    closed-form errors are taken once for every strength.
 conditioning
     Condition number per level plus a least-squares slope of
     log(kappa) against log(h).
@@ -161,10 +162,11 @@ def _solve_level(config: RunConfig, n: int, sigmas: list[float],
 
     The mesh, level set, classification and sigma-free parts are built
     once; then each strength gets its system, its solve and, on a
-    reported level, its kappa and closed-form errors, so no system
-    outlives its own solve.  Returns the domain and one (row, solution)
-    per strength; the solution is kept only when a finer level must be
-    compared with it.
+    reported level, its kappa, so no system outlives its own solve.  The
+    closed-form errors of a reported level are taken after the loop, in
+    one pass over every strength's solution.  Returns the domain and one
+    (row, solution) per strength; the solution is kept only when a finer
+    level must be compared with it.
     """
     case = get_case(config.case)
     want_errors = "errors" in config.tasks
@@ -174,7 +176,7 @@ def _solve_level(config: RunConfig, n: int, sigmas: list[float],
     domain = classify_domain(field, mesh)
     parts = assemble_parts(domain, field, case.f, config.k, sigmas,
                            outer_data=case.outer_data)
-    results = []
+    rows, solutions = [], []
     for j, sigma in enumerate(sigmas):
         row = _blank_row(config, sigma)
         row["n_cells"] = n
@@ -183,14 +185,21 @@ def _solve_level(config: RunConfig, n: int, sigmas: list[float],
         if j == len(sigmas) - 1:
             del parts   # free A0 and G before the last solve
         row["dofs"] = system.n_dofs
-        solution = _solve(system, field, row)
+        solutions.append(_solve(system, field, row))
         if reported and "conditioning" in config.tasks:
             _condition(system, row)
         del system      # the error norms need only the solution
-        if reported and want_errors and not keep and solution is not None:
-            _set_errors(row, compute_errors(solution, case.u_exact, domain))
-        results.append((row, solution if keep else None))
-    return domain, results
+        rows.append(row)
+    if reported and want_errors and not keep:
+        solved = [(row, sol) for row, sol in zip(rows, solutions)
+                  if sol is not None]
+        if solved:
+            reports = compute_errors([sol for _, sol in solved],
+                                     case.u_exact, domain)
+            for (row, _), report in zip(solved, reports):
+                _set_errors(row, report)
+    return domain, [(row, sol if keep else None)
+                    for row, sol in zip(rows, solutions)]
 
 
 def _fill_orders(rows: list[dict]) -> None:

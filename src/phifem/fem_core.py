@@ -69,19 +69,21 @@ class ReferenceElement:
     def n_basis(self) -> int:
         return self.nodes_bary.shape[0]
 
-    def tabulate(self, points_bary: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def tabulate(self, points_bary: np.ndarray, need_hess: bool = True
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Values, reference gradients and reference Hessians at given points.
 
         Parameters
         ----------
         points_bary : (Q, 3) barycentric coordinates.
+        need_hess : build the Hessians; without them the result has None
+            in their place.
 
         Returns
         -------
         values : (Q, n_basis)
         grads : (Q, n_basis, 2), derivatives in reference coordinates.
-        hessians : (Q, n_basis, 2, 2)
+        hessians : (Q, n_basis, 2, 2), or None unless `need_hess`.
         """
         pts = np.asarray(points_bary, dtype=float)
         x = pts[:, 1]
@@ -107,6 +109,8 @@ class ReferenceElement:
         C = self._coeffs
         values = mono(0, 0) @ C
         grads = np.stack([mono(1, 0) @ C, mono(0, 1) @ C], axis=-1)
+        if not need_hess:
+            return values, grads, None
         hess = np.empty((len(x), self.n_basis, 2, 2))
         hess[:, :, 0, 0] = mono(2, 0) @ C
         hess[:, :, 0, 1] = hess[:, :, 1, 0] = mono(1, 1) @ C
@@ -316,7 +320,7 @@ def basis_values(ref: ReferenceElement, bary: np.ndarray) -> np.ndarray:
     """Basis values at barycentric points (Q, 3) or (nT, Q, 3); the
     result keeps the shape of the points, (Q, n) or (nT, Q, n)."""
     bary = np.asarray(bary, dtype=float)
-    values, _, _ = ref.tabulate(bary.reshape(-1, 3))
+    values, _, _ = ref.tabulate(bary.reshape(-1, 3), need_hess=False)
     return values.reshape(bary.shape[:-1] + (ref.n_basis,))
 
 
@@ -329,7 +333,7 @@ def basis_tables(ref: ReferenceElement, inv: np.ndarray, bary: np.ndarray,
     (nT, Q, n, 2) and Laplacians (nT, Q, n), or None unless `need_lap`.
     """
     bary = np.asarray(bary, dtype=float)
-    tab_v, tab_g, tab_h = ref.tabulate(bary.reshape(-1, 3))
+    tab_v, tab_g, tab_h = ref.tabulate(bary.reshape(-1, 3), need_lap)
     lead = bary.shape[:-2]                          # () or (nT,)
     Q, n = bary.shape[-2], ref.n_basis
     shape = (len(inv), Q, n)
@@ -363,7 +367,7 @@ def eval_lagrange(coef: np.ndarray, degree: int, inv: np.ndarray,
     """
     bary = np.asarray(bary, dtype=float)
     tab_v, tab_g, tab_h = make_reference_element(degree).tabulate(
-        bary.reshape(-1, 3))
+        bary.reshape(-1, 3), need_hess)
     P, m = tab_v.shape
     parts = [tab_v[..., None], tab_g]
     if need_hess:

@@ -119,7 +119,8 @@ def _sign_lattice(degree: int) -> np.ndarray:
     pts = np.array([(order - i - j, i, j)
                     for j in range(order + 1) for i in range(order + 1 - j)],
                    dtype=float) / order
-    values, _, _ = make_reference_element(degree).tabulate(pts)
+    values, _, _ = make_reference_element(degree).tabulate(pts,
+                                                           need_hess=False)
     values.setflags(write=False)
     return values
 

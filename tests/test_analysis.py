@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phifem.analysis import (ErrorReport, compute_errors,
+from phifem.analysis import (ErrorReport, ProductSolution, compute_errors,
                              compute_errors_vs_reference, estimated_orders,
                              eval_solution, make_solution)
 from phifem.assembly import assemble_system
 from phifem.cases import get_case
+from phifem.fem_core import build_dof_map
 from phifem.levelset import AnalyticField, classify_domain, \
     interpolate_levelset
 from phifem.linalg import solve
@@ -32,7 +33,7 @@ def _solve_case(name, n, k, sigma=20.0):
 
 def test_polynomial_solution_has_roundoff_errors():
     case, domain, system, sol = _solve_case("planted", 8, 1)
-    err = compute_errors(sol, case.u_exact, domain)
+    err = compute_errors([sol], case.u_exact, domain)[0]
     assert err.rel_l2 <= 1e-10
     assert err.rel_h1_semi <= 1e-9
     assert err.h == system.h
@@ -68,9 +69,36 @@ def test_random_affine_planted_case_is_exact(theta, point, n, k):
     system = assemble_system(domain, field, f, k, 20.0,
                              outer_data=AnalyticField(value=w))
     sol = make_solution(system, field, solve(system).x)
-    err = compute_errors(sol, u_exact, domain)
+    err = compute_errors([sol], u_exact, domain)[0]
     assert err.rel_l2 <= 1e-9
     assert err.rel_h1_semi <= 1e-8
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(k=st.integers(1, 3), count=st.integers(2, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_errors_equal_single_calls(k, count, seed):
+    # one pass over several solutions on one dof map must give each the
+    # report a call of its own gives, to the bit
+    case = get_case("circle")
+    mesh = build_background_mesh(case.box, (8, 8))
+    field = interpolate_levelset(case.phi, mesh, k)
+    domain = classify_domain(field, mesh)
+    dofmap = build_dof_map(mesh, domain.active_triangles, k)
+    rng = np.random.default_rng(seed)
+    sols = [ProductSolution(field, dofmap, rng.standard_normal(dofmap.n_dofs))
+            for _ in range(count)]
+    batched = compute_errors(sols, case.u_exact, domain)
+    assert batched == [compute_errors([s], case.u_exact, domain)[0]
+                       for s in sols]
+
+    other = build_dof_map(mesh, domain.active_triangles, k % 3 + 1)
+    mixed = [sols[0], ProductSolution(field, other,
+                                      rng.standard_normal(other.n_dofs))]
+    with pytest.raises(ValueError):
+        compute_errors(mixed, case.u_exact, domain)
+    with pytest.raises(ValueError):
+        compute_errors([], case.u_exact, domain)
 
 
 def test_eval_solution_matches_exact():
@@ -94,7 +122,7 @@ def test_compute_errors_requires_gradient():
     case, domain, _, sol = _solve_case("planted", 4, 1)
     no_grad = AnalyticField(value=case.u_exact.value)
     with pytest.raises(ValueError):
-        compute_errors(sol, no_grad, domain)
+        compute_errors([sol], no_grad, domain)
 
 
 def test_compute_errors_rejects_vanishing_exact():
@@ -103,7 +131,7 @@ def test_compute_errors_rejects_vanishing_exact():
         value=lambda x, y: np.zeros_like(x),
         gradient=lambda x, y: (np.zeros_like(x), np.zeros_like(x)))
     with pytest.raises(ValueError):
-        compute_errors(sol, zero, domain)
+        compute_errors([sol], zero, domain)
 
 
 def test_reference_comparison_against_self_is_zero():

@@ -119,11 +119,14 @@ def _count_calls(monkeypatch, module, name):
 def test_sigma_sweep_builds_each_level_once(monkeypatch):
     classified = _count_calls(monkeypatch, cli, "classify_domain")
     penalized = _count_calls(monkeypatch, assembly, "assemble_ghost_part")
+    measured = _count_calls(monkeypatch, cli, "compute_errors")
     cfg = RunConfig(case="circle", k=1, n=8, levels=2)
     rows = sigma_sweep(cfg, [0.1, 1.0, 20.0])
     assert len(rows) == 6
     assert len(classified) == 2
     assert len(penalized) == 2
+    assert len(measured) == 2
+    assert all(row["err_l2_rel"] is not None for row in rows)
 
     classified.clear()
     penalized.clear()
@@ -131,6 +134,13 @@ def test_sigma_sweep_builds_each_level_once(monkeypatch):
     assert len(rows) == 4
     assert len(classified) == 2
     assert penalized == []
+
+    # without a closed form every row is measured against a finer level
+    measured.clear()
+    rows = sigma_sweep(RunConfig(case="rectangle", k=1, n=4, levels=1),
+                       [0.1, 1.0, 20.0])
+    assert len(rows) == 3
+    assert measured == []
 
 
 def test_conditioning_study_returns_slope():
