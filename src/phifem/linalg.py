@@ -1,7 +1,10 @@
-"""Deterministic linear solvers and conditioning estimates.
+"""Deterministic linear solver and conditioning estimates.
 
-Small systems go through a sparse LU (SuperLU) factorization with
-iterative refinement; larger ones use ILU-preconditioned GMRES.
+`solve` is one refinement loop on the true residual for every system
+size; only the correction step depends on the size: a sparse LU
+(SuperLU) solve up to DIRECT_LIMIT unknowns, ILU-preconditioned GMRES
+above.  A solve whose residual stops falling above its tolerance is
+accepted when its normwise backward error is a few units of rounding.
 Condition numbers are estimated as the ratio of extreme singular values,
 each obtained by power iteration on the normal operator; the smallest
 one runs the iteration on its inverse through a pair of solves with one
@@ -20,6 +23,7 @@ from .assembly import SparseSystem
 
 __all__ = [
     "DIRECT_LIMIT",
+    "BACKWARD_ERROR_BOUND",
     "SolverReport",
     "ConditionEstimate",
     "SingularMatrixError",
@@ -30,6 +34,10 @@ __all__ = [
 
 #: Largest system solved with a direct factorization.
 DIRECT_LIMIT = 5000
+#: Largest normwise backward error accepted from a solve whose residual
+#: stops falling above its tolerance: a few units of rounding.
+BACKWARD_ERROR_BOUND = 4 * np.finfo(float).eps
+_MAX_PASSES = 8
 _SEED = 20240901
 
 
@@ -56,12 +64,21 @@ class NoConvergenceError(Exception):
 
 @dataclass(frozen=True)
 class SolverReport:
-    """Solution of one linear system with solver metadata."""
+    """Solution of one linear system with solver metadata.
+
+    `iterations` counts the solves with the sparse LU factors for
+    "sparse-lu" and the GMRES iterations of every pass for "ilu-gmres";
+    it is 0 for "trivial", a zero right-hand side.  `residual` is the
+    true relative residual ||b - A x||_2 / ||b||_2, and `backward_error`
+    the normwise backward error ||b - A x||_inf / (||A||_inf ||x||_inf +
+    ||b||_inf) (Rigal and Gaches).
+    """
 
     x: np.ndarray
-    method: str          # "sparse-lu" or "ilu-gmres"
+    method: str
     iterations: int
-    residual: float      # relative algebraic residual
+    residual: float
+    backward_error: float
 
 
 @dataclass(frozen=True)
@@ -76,127 +93,94 @@ class ConditionEstimate:
     tol: float
 
 
-class _SparseLU:
-    """SuperLU factorization of the sparse matrix, with transposed solves."""
-
-    def __init__(self, a: sp.csr_matrix):
-        try:
-            self._lu = spla.splu(a.tocsc())
-        except RuntimeError as err:
-            raise SingularMatrixError(str(err)) from err
-
-    def solve(self, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
-        out = self._lu.solve(rhs, "T" if trans else "N")
-        if not np.isfinite(out).all():
-            raise SingularMatrixError("sparse LU solve produced non-finite "
-                                      "values")
-        return out
-
-
-def _ilu(a: sp.csr_matrix):
-    """Incomplete LU factorization used to precondition GMRES."""
+def _factor(factorize, a: sp.csr_matrix, **options):
+    """SuperLU factors of `a` by `factorize` (`splu` or `spilu`)."""
     try:
-        # fill-reducing ordering for the structurally symmetric pattern;
-        # the default column ordering is far slower on these systems
-        return spla.spilu(a.tocsc(), drop_tol=1e-8, fill_factor=40.0,
-                          permc_spec="MMD_AT_PLUS_A")
+        return factorize(a.tocsc(), **options)
     except RuntimeError as err:
-        raise SingularMatrixError(f"ILU factorization failed: {err}") from err
+        raise SingularMatrixError(f"{factorize.__name__}: {err}") from err
 
 
-def _gmres(a, b, precond, tol, restart=200, max_cycles=3):
-    """GMRES with restart; returns (x, iterations, relative residual)."""
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
-        return np.zeros_like(b), 0, 0.0
-    count = [0]
+def _corrector(a: sp.csr_matrix, tol: float):
+    """The method name and the solve of the residual equation A dx = r
+    that `solve` refines with, as (dx, iterations spent).
 
-    def cb(_):
-        count[0] += 1
-
-    x, _ = spla.gmres(a, b, M=precond, rtol=tol, atol=0.0, restart=restart,
-                      maxiter=max_cycles * restart, callback=cb,
-                      callback_type="pr_norm")
-    res = np.linalg.norm(b - a @ x) / norm_b
-    return x, count[0], res
-
-
-def _krylov_refine(a, b, precond, tol, max_passes=8):
-    """Drive the true relative residual below `tol` by repeated GMRES
-    passes on the residual equation.
-
-    Each pass asks GMRES only for a moderate preconditioned-residual
-    reduction; the outer loop measures the true residual, so an accurate
-    answer is reached without stalling inside GMRES near roundoff level.
-    Returns (x, total iterations, final relative residual).
+    Up to DIRECT_LIMIT unknowns the correction is exact to rounding: one
+    solve with sparse LU factors.  Above it, GMRES preconditioned by an
+    incomplete LU is asked only for a moderate reduction, so it never
+    stalls inside near rounding level; the true residual is measured by
+    the caller.
     """
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
-        return np.zeros_like(b), 0, 0.0
-    inner_tol = max(tol, 1e-8)
-    x = np.zeros_like(b)
-    res = np.inf
-    iters = 0
-    for _ in range(max_passes):
-        r = b - a @ x
-        new_res = np.linalg.norm(r) / norm_b
-        if new_res <= tol:
-            return x, iters, new_res
-        if new_res > 0.5 * res:
-            break                       # stalled; stop wasting iterations
-        res = new_res
-        dx, extra, _ = _gmres(a, r, precond, inner_tol)
-        if not np.isfinite(dx).all():
-            break
-        x = x + dx
-        iters += extra
-    res = np.linalg.norm(b - a @ x) / norm_b
-    return x, iters, res
+    if a.shape[0] <= DIRECT_LIMIT:
+        lu = _factor(spla.splu, a)
+        return "sparse-lu", lambda r: (lu.solve(r), 1)
+    # fill-reducing ordering for the structurally symmetric pattern; the
+    # default column ordering is far slower on these systems
+    ilu = _factor(spla.spilu, a, drop_tol=1e-8, fill_factor=40.0,
+                  permc_spec="MMD_AT_PLUS_A")
+    precond = spla.LinearOperator(a.shape, matvec=ilu.solve)
+    rtol = max(tol, 1e-8)
+
+    def gmres(r):
+        norms = []
+        dx, _ = spla.gmres(a, r, M=precond, rtol=rtol, atol=0.0, restart=200,
+                           maxiter=600, callback=norms.append,
+                           callback_type="pr_norm")
+        return dx, len(norms)
+
+    return "ilu-gmres", gmres
 
 
 def solve(system: SparseSystem, tol: float = 1e-11) -> SolverReport:
     """Solve A x = b to relative residual `tol`.
 
+    One loop for every size: factor once, then correct x by a solve of
+    the residual equation A dx = b - A x until the true relative residual
+    is at most `tol`, for at most _MAX_PASSES passes.  A pass that does
+    not halve the residual ends the loop.  If it ends above `tol`, x is
+    still accepted when its normwise backward error is at most
+    BACKWARD_ERROR_BOUND: the residual then sits at the rounding floor of
+    double precision, which no solver can go below.
+
     `tol` must lie in (0, 1e-6]; looser tolerances are rejected because
     downstream error norms would be dominated by algebraic error.  Raises
-    SingularMatrixError or NoConvergenceError when the system cannot be
-    solved to tolerance; NoConvergenceError carries the best iterate.
+    SingularMatrixError when a factorization fails or a pass produces
+    non-finite values, and NoConvergenceError, which carries the last
+    iterate, when x is not accepted.
     """
     if not (0.0 < tol <= 1e-6):
         raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
     a, b = system.A, system.b
-    n = b.shape[0]
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
-        return SolverReport(x=np.zeros(n), method="trivial", iterations=0,
-                            residual=0.0)
+        return SolverReport(x=np.zeros_like(b), method="trivial",
+                            iterations=0, residual=0.0, backward_error=0.0)
 
-    if n <= DIRECT_LIMIT:
-        factor = _SparseLU(a)
-        x = factor.solve(b)
-        # at most 5 steps of iterative refinement against the sparse matrix
-        for iters in range(6):
-            r = b - a @ x
-            res = np.linalg.norm(r) / norm_b
-            if res <= tol:
-                return SolverReport(x=x, method="sparse-lu", iterations=iters,
-                                    residual=res)
-            if iters < 5:
-                x = x + factor.solve(r)
+    method, correct = _corrector(a, tol)
+    x, r = np.zeros_like(b), b
+    last = 1.0                      # the relative residual of x = 0
+    iters = 0
+    for _ in range(_MAX_PASSES):
+        dx, spent = correct(r)
+        x = x + dx
+        iters += spent
+        r = b - a @ x
+        res = np.linalg.norm(r) / norm_b
+        if not np.isfinite(res):
+            raise SingularMatrixError(f"{method} solve produced non-finite "
+                                      "values")
+        if res <= tol or res > 0.5 * last:
+            break
+        last = res
+    eta = np.abs(r).max() / (spla.norm(a, np.inf) * np.abs(x).max()
+                             + np.abs(b).max())
+    if res > tol and eta > BACKWARD_ERROR_BOUND:
         raise NoConvergenceError(
-            f"sparse LU solve stalled at relative residual {res:.3e}",
-            best=x, residual=res, iterations=iters)
-
-    precond = spla.LinearOperator(a.shape, matvec=_ilu(a).solve)
-    x, iters, res = _krylov_refine(a, b, precond, tol)
-    if not np.isfinite(x).all():
-        raise SingularMatrixError("iterative solve produced non-finite values")
-    if res > tol:
-        raise NoConvergenceError(
-            f"GMRES stalled at relative residual {res:.3e}",
-            best=x, residual=res, iterations=iters)
-    return SolverReport(x=x, method="ilu-gmres", iterations=iters,
-                        residual=res)
+            f"{method} solve stalled at relative residual {res:.3e}, "
+            f"backward error {eta:.3e}", best=x, residual=res,
+            iterations=iters)
+    return SolverReport(x=x, method=method, iterations=iters, residual=res,
+                        backward_error=eta)
 
 
 def _power_iterations(apply_op, n, tol, max_iters, seed):
@@ -242,10 +226,10 @@ def estimate_condition_number(system: SparseSystem, tol: float = 1e-8,
     theta_max, it_max, ach_max = _power_iterations(
         apply_normal, n, tol, max_iters, _SEED)
 
-    factor = _SparseLU(a)
+    factor = _factor(spla.splu, a)
 
     def apply_inverse_normal(v):
-        y = factor.solve(v, trans=True)
+        y = factor.solve(v, "T")
         z = factor.solve(y)
         return z, v @ z
 

@@ -1,8 +1,13 @@
 """Tests for the deterministic solver and conditioning estimator.
 
-Small hand-built systems pin down the sparse LU path exactly; a
-tridiagonal system above the direct limit exercises the preconditioned
-Krylov path with a known solution.  Condition numbers are cross-checked
+`solve` is one refinement loop whose correction is a sparse LU solve up
+to the direct limit and ILU-preconditioned GMRES above it.  Small
+hand-built systems pin down the sparse LU corrector exactly; a
+tridiagonal system above the direct limit exercises the Krylov corrector
+with a known solution.  The backward-error certificate is checked on
+both sides of the limit: a 1D Laplacian whose residual floor lies above
+the tolerance is accepted, and a weakened corrector that stalls far
+above rounding level still raises.  Condition numbers are cross-checked
 against the dense SVD on an assembled system and against a closed form
 above the direct limit.
 """
@@ -13,9 +18,10 @@ import scipy.sparse as sp
 from phifem.assembly import SparseSystem, assemble_system
 from phifem.cases import get_case
 from phifem.levelset import classify_domain, interpolate_levelset
-from phifem.linalg import (DIRECT_LIMIT, NoConvergenceError,
-                           SingularMatrixError, estimate_condition_number,
-                           solve)
+from phifem import linalg
+from phifem.linalg import (BACKWARD_ERROR_BOUND, DIRECT_LIMIT,
+                           NoConvergenceError, SingularMatrixError,
+                           estimate_condition_number, solve)
 from phifem.mesh import build_background_mesh
 
 
@@ -34,11 +40,20 @@ def _assembled(n, k=1, sigma=20.0):
     return assemble_system(domain, field, case.f, k, sigma)
 
 
+def _laplacian_1d(n):
+    """The 1D Laplacian stencil and the values of sin(pi i / (n + 1))."""
+    off = np.full(n - 1, -1.0)
+    a = sp.diags([off, np.full(n, 2.0), off], [-1, 0, 1], format="csr")
+    return a, np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+
+
 def test_solve_identity():
     report = solve(_system(np.eye(3), [1.0, 2.0, 3.0]))
     np.testing.assert_array_equal(report.x, [1.0, 2.0, 3.0])
     assert report.method == "sparse-lu"
+    assert report.iterations == 1
     assert report.residual <= 1e-15
+    assert report.backward_error == 0.0
 
 
 def test_solve_small_spd():
@@ -51,6 +66,7 @@ def test_solve_zero_rhs_is_trivial():
     np.testing.assert_array_equal(report.x, np.zeros(4))
     assert report.method == "trivial"
     assert report.iterations == 0
+    assert report.backward_error == 0.0
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, 1e-5, 1.0])
@@ -86,6 +102,46 @@ def test_krylov_path_above_direct_limit():
     assert report.method == "ilu-gmres"
     assert report.residual <= 1e-11
     assert np.abs(report.x - 1.0).max() <= 1e-6
+
+
+@pytest.mark.parametrize("n, method", [(3000, "sparse-lu"),
+                                       (6000, "ilu-gmres")])
+def test_residual_floor_above_tol_is_accepted(n, method):
+    # A x = A u with smooth u: the relative residual of the computed x
+    # cannot fall below about 1e-10 in double precision, yet x is a
+    # backward-stable answer, a quarter of eps away in the normwise sense
+    a, u = _laplacian_1d(n)
+    report = solve(_system(a, a @ u), 1e-11)
+    assert report.method == method
+    assert report.residual > 1e-11
+    assert report.backward_error <= BACKWARD_ERROR_BOUND
+    assert np.abs(report.x - u).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n, method", [(3000, "sparse-lu"),
+                                       (6000, "ilu-gmres")])
+def test_stall_above_rounding_level_raises(n, method, monkeypatch):
+    # a corrector that removes only 30% of the residual stalls on its
+    # first pass, with a backward error far above the bound
+    real = linalg._corrector
+
+    def weakened(a, tol):
+        name, correct = real(a, tol)
+
+        def correct_part(r):
+            dx, spent = correct(r)
+            return 0.3 * dx, spent
+
+        return name, correct_part
+
+    monkeypatch.setattr(linalg, "_corrector", weakened)
+    a, u = _laplacian_1d(n)
+    b = a @ u
+    with pytest.raises(NoConvergenceError) as info:
+        solve(_system(a, b))
+    assert info.value.residual > 0.5
+    assert info.value.iterations >= 1
+    np.testing.assert_allclose(info.value.best, 0.3 * u, rtol=0, atol=1e-9)
 
 
 def test_condition_number_of_identity():
