@@ -6,9 +6,9 @@ size; only the correction step depends on the size: a sparse LU
 above.  A solve whose residual stops falling above its tolerance is
 accepted when its normwise backward error is a few units of rounding.
 Condition numbers are estimated as the ratio of extreme singular values,
-each obtained by power iteration on the normal operator; the smallest
-one runs the iteration on its inverse through a pair of solves with one
-sparse LU factorization.  Every run uses a fixed random seed, so
+each obtained by Lanczos (ARPACK) on the normal operator; the smallest
+one runs it on the inverse through a pair of solves with one sparse LU
+factorization.  Every run starts from a fixed random vector, so
 repeated calls give identical results.
 """
 from __future__ import annotations
@@ -51,7 +51,8 @@ class NoConvergenceError(Exception):
     Attributes
     ----------
     best : the last iterate (solution vector or ConditionEstimate).
-    residual : achieved relative residual or Rayleigh change.
+    residual : achieved relative residual of a solve; None for the
+        condition estimator.
     iterations : iterations spent.
     """
 
@@ -88,8 +89,7 @@ class ConditionEstimate:
     sigma_max: float
     sigma_min: float
     kappa: float
-    iterations: tuple[int, int]     # power iterations spent (max, min)
-    achieved: tuple[float, float]   # final relative Rayleigh changes
+    iterations: tuple[int, int]     # operator applications (max, min)
     tol: float
 
 
@@ -183,68 +183,65 @@ def solve(system: SparseSystem, tol: float = 1e-11) -> SolverReport:
                         backward_error=eta)
 
 
-def _power_iterations(apply_op, n, tol, max_iters, seed):
-    """Largest Rayleigh quotient of a symmetric positive operator."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    theta_old = 0.0
-    for it in range(1, max_iters + 1):
-        w, theta = apply_op(v)
-        change = abs(theta - theta_old) / theta if theta > 0.0 else np.inf
-        if change <= tol:
-            return theta, it, change
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0 or not np.isfinite(norm_w):
-            raise SingularMatrixError("power iteration collapsed to zero")
-        v = w / norm_w
-        theta_old = theta
-    return theta, max_iters, change
+def _largest_eigenvalue(apply_op, n, tol, max_iters):
+    """Largest eigenvalue of a symmetric positive definite operator by
+    ARPACK's Lanczos, whether it converged, and the operator applications
+    spent.
+
+    Without convergence the value is ARPACK's converged Ritz value if it
+    returned one, and otherwise the Rayleigh quotient of the start vector.
+    """
+    spent = 0
+
+    def counted(v):
+        nonlocal spent
+        spent += 1
+        return apply_op(v)
+
+    op = spla.LinearOperator((n, n), matvec=counted, dtype=float)
+    v0 = np.random.default_rng(_SEED).standard_normal(n)
+    try:
+        theta = spla.eigsh(op, k=1, which="LA", v0=v0, tol=tol,
+                           maxiter=max_iters, return_eigenvectors=False)[0]
+        converged = True
+    except spla.ArpackNoConvergence as err:
+        converged = False
+        theta = (err.eigenvalues[0] if err.eigenvalues.size
+                 else v0 @ counted(v0) / (v0 @ v0))
+    if not (np.isfinite(theta) and theta > 0.0):
+        raise SingularMatrixError(f"Lanczos gave the eigenvalue {theta}")
+    return float(theta), converged, spent
 
 
 def estimate_condition_number(system: SparseSystem, tol: float = 1e-8,
                               max_iters: int = 10000) -> ConditionEstimate:
     """Estimate the 2-norm condition number of the system matrix.
 
-    The largest singular value comes from power iteration on A^T A; the
-    smallest from the same iteration on its inverse, each step solving
+    The largest singular value comes from Lanczos (ARPACK's `eigsh`) on
+    A^T A; the smallest from Lanczos on its inverse, each step solving
     with A^T and then A through one sparse LU factorization, at every
-    system size.  Raises NoConvergenceError (with the partial estimate
-    attached) if either iteration fails to settle.
+    system size.  `tol` is eigsh's relative accuracy of each eigenvalue
+    and `max_iters` its cap on Lanczos restarts; the system needs at least
+    two unknowns.  Raises NoConvergenceError (with the partial estimate
+    attached) if either side fails to converge.
     """
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     a = system.A
     n = a.shape[0]
-    at = a.T.tocsr()
-
-    def apply_normal(v):
-        u = a @ v
-        theta = u @ u
-        return at @ u, theta
-
-    theta_max, it_max, ach_max = _power_iterations(
-        apply_normal, n, tol, max_iters, _SEED)
-
     factor = _factor(spla.splu, a)
-
-    def apply_inverse_normal(v):
-        y = factor.solve(v, "T")
-        z = factor.solve(y)
-        return z, v @ z
-
-    theta_inv, it_min, ach_min = _power_iterations(
-        apply_inverse_normal, n, tol, max_iters, _SEED + 1)
+    theta_max, ok_max, it_max = _largest_eigenvalue(
+        lambda v: a.T @ (a @ v), n, tol, max_iters)
+    theta_inv, ok_min, it_min = _largest_eigenvalue(
+        lambda v: factor.solve(factor.solve(v, "T")), n, tol, max_iters)
 
     sigma_max = float(np.sqrt(theta_max))
     sigma_min = float(1.0 / np.sqrt(theta_inv))
     estimate = ConditionEstimate(
         sigma_max=sigma_max, sigma_min=sigma_min,
-        kappa=sigma_max / sigma_min,
-        iterations=(it_max, it_min), achieved=(ach_max, ach_min), tol=tol)
-    if ach_max > tol or ach_min > tol:
+        kappa=sigma_max / sigma_min, iterations=(it_max, it_min), tol=tol)
+    if not (ok_max and ok_min):
         raise NoConvergenceError(
-            "power iteration did not settle within the iteration cap",
-            best=estimate, residual=max(ach_max, ach_min),
-            iterations=max(it_max, it_min))
+            "Lanczos did not converge within the iteration cap",
+            best=estimate, iterations=it_max + it_min)
     return estimate

@@ -121,6 +121,18 @@ def test_04_conditioning_growth():
         bad.append(f"sigma=0 slope magnitude {abs(slope0):.2f} below 3")
     detail = (f"sigma=20 kappas {['%.4g' % k for k in kappas]} "
               f"slope={slope20:.3f}; sigma=0 slope={slope0:.3f}")
+
+    # the same sigma=20 record two refinements further, with the local
+    # slope of each level against the one before it
+    fine, _ = conditioning_study(_disk_config(1, n=160, levels=2,
+                                              sigma=20.0))
+    chain = [rows20[-1]] + fine
+    notes = []
+    for a, b in zip(chain, chain[1:]):
+        local = math.log(b["kappa"] / a["kappa"]) / math.log(b["h"] / a["h"])
+        notes.append(f"n={b['n_cells']}: kappa {b['kappa']:.4g}, "
+                     f"local slope {local:.3f}")
+    print("acceptance 4 note: " + "; ".join(notes))
     _check(4, not bad, "; ".join([detail] + bad))
 
 

@@ -8,8 +8,9 @@ with a known solution.  The backward-error certificate is checked on
 both sides of the limit: a 1D Laplacian whose residual floor lies above
 the tolerance is accepted, and a weakened corrector that stalls far
 above rounding level still raises.  Condition numbers are cross-checked
-against the dense SVD on an assembled system and against a closed form
-above the direct limit.
+against the dense SVD on assembled systems, with and without the
+penalty, and against a closed form above the direct limit; the phi-FEM
+kappa is compared with that of a standard FEM on the same grid.
 """
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ import scipy.sparse as sp
 
 from phifem.assembly import SparseSystem, assemble_system
 from phifem.cases import get_case
-from phifem.levelset import classify_domain, interpolate_levelset
+from phifem.levelset import (AnalyticField, classify_domain,
+                             interpolate_levelset)
 from phifem import linalg
 from phifem.linalg import (BACKWARD_ERROR_BOUND, DIRECT_LIMIT,
                            NoConvergenceError, SingularMatrixError,
@@ -168,11 +170,45 @@ def test_condition_number_above_direct_limit():
     assert abs(est.sigma_min - 0.5) <= 1e-6 * 0.5
 
 
-def test_condition_number_matches_dense_svd():
-    system = _assembled(10)
+@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("sigma", [20.0, 0.0])
+def test_condition_number_matches_dense_svd(n, sigma):
+    system = _assembled(n, sigma=sigma)
     est = estimate_condition_number(system)
     dense = np.linalg.cond(system.A.toarray(), 2)
-    assert abs(est.kappa - dense) / dense <= 0.05
+    assert abs(est.kappa - dense) / dense <= 1e-10
+
+
+def _standard_fem(n, k):
+    """The circle case's box with phi = -1 and w pinned to 0 on the box:
+    the same assembly then gives the plain P_k stiffness matrix with
+    Dirichlet rows, a standard FEM on the conforming background mesh."""
+    case = get_case("circle")
+    mesh = build_background_mesh(case.box, (n, n))
+    field = interpolate_levelset(
+        AnalyticField(value=lambda x, y: -np.ones_like(x)), mesh, k)
+    domain = classify_domain(field, mesh)
+    assert domain.cut_triangles.size == 0
+    assert domain.ghost_facets.size == 0
+    zero = AnalyticField(value=lambda x, y: np.zeros_like(x))
+    return assemble_system(domain, field, case.f, k, 20.0, outer_data=zero)
+
+
+@pytest.mark.parametrize("k, sizes", [(1, (20, 40, 80, 160)),
+                                      (2, (20, 40, 80))])
+def test_condition_number_of_the_same_order_as_standard_fem(k, sizes):
+    # the paper's claim: kappa of phi-FEM is of the order of kappa of a
+    # standard FEM on a comparable conforming mesh.  The standard kappa
+    # grows like h^-2; the ratio is bounded from n=80 on (measured 1.85
+    # and 1.95 for k=1, 5.20 for k=2)
+    fem = [estimate_condition_number(_standard_fem(n, k)).kappa
+           for n in sizes]
+    for coarse, fine in zip(fem, fem[1:]):
+        assert abs(fine / coarse - 4.0) <= 0.04
+    for n, kappa in zip(sizes, fem):
+        if n >= 80:
+            phifem = estimate_condition_number(_assembled(n, k)).kappa
+            assert phifem / kappa <= 10.0
 
 
 def test_condition_number_deterministic():
@@ -190,8 +226,10 @@ def test_condition_number_rejects_bad_tolerance(tol):
 
 
 def test_condition_number_iteration_cap():
-    system = _assembled(8)
+    # at 205 unknowns one Lanczos restart cannot reach tol=1e-14 on the
+    # largest eigenvalue (the 41 unknowns of n=8 converge within one)
+    system = _assembled(20)
     with pytest.raises(NoConvergenceError) as info:
-        estimate_condition_number(system, tol=1e-14, max_iters=2)
+        estimate_condition_number(system, tol=1e-14, max_iters=1)
     assert info.value.best is not None
     assert info.value.best.kappa > 1.0
