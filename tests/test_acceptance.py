@@ -74,6 +74,13 @@ def test_01_disk_convergence_orders(disk_sweeps):
     parts.append(f"runtime={seconds:.1f}s")
     if seconds > 300.0:
         bad.append(f"runtime {seconds:.1f}s over 300s")
+
+    # the k=1 orders two and three refinements on, for the record: the
+    # L2 order falls from its pre-asymptotic peak toward 2
+    fine = run_case(_disk_config(1, n=160, levels=3))
+    print("acceptance 1 note: k=1 " + "; ".join(
+        f"n={row['n_cells']}: eoc_h1={row['eoc_h1']:.3f} "
+        f"eoc_l2={row['eoc_l2']:.3f}" for row in fine[1:]))
     _check(1, not bad, "; ".join(parts + bad))
 
 

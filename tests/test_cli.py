@@ -154,8 +154,9 @@ def test_conditioning_study_returns_slope():
 
 
 def test_conditioning_without_penalty_runs_every_level():
-    # the finest level (10,429 unknowns) lies above DIRECT_LIMIT, and the
-    # unpenalized system is the hardest one for the estimator's solves
+    # the unpenalized system is the hardest one for the estimator's
+    # solves, and its kappa is largest at the finest level (10,429
+    # unknowns)
     rows, slope = conditioning_study(RunConfig(case="circle", k=1, n=10,
                                                levels=5, sigma=0.0))
     assert len(rows) == 5

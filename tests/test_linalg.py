@@ -2,29 +2,56 @@
 
 `solve` is one refinement loop whose correction is a sparse LU solve up
 to the direct limit and ILU-preconditioned GMRES above it.  Small
-hand-built systems pin down the sparse LU corrector exactly; a
-tridiagonal system above the direct limit exercises the Krylov corrector
-with a known solution.  The backward-error certificate is checked on
-both sides of the limit: a 1D Laplacian whose residual floor lies above
-the tolerance is accepted, and a weakened corrector that stalls far
-above rounding level still raises.  Condition numbers are cross-checked
-against the dense SVD on assembled systems, with and without the
-penalty, and against a closed form above the direct limit; the phi-FEM
-kappa is compared with that of a standard FEM on the same grid.
+hand-built systems pin down the sparse LU corrector exactly, including
+its pivoting off tiny and zero diagonals in SuperLU's symmetric mode;
+the unpenalized and barely penalized disk systems, on the built-in disk
+and two of the benchmark's translations, must match SuperLU's default
+partial-pivoting factor.  The Krylov tests lower the direct limit to
+5000 so that a tridiagonal system of a few thousand unknowns exercises
+the Krylov corrector with a known solution.  The backward-error
+certificate is checked on both sides of the limit: a 1D Laplacian whose
+residual floor lies above the tolerance is accepted, and a weakened
+corrector that stalls far above rounding level still raises.  Condition
+numbers are cross-checked against the dense SVD on assembled systems,
+with and without the penalty, against a closed form, and on a
+zero-diagonal permutation; the phi-FEM kappa is compared with that of a
+standard FEM on the same grid.
 """
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from phifem.assembly import SparseSystem, assemble_system
 from phifem.cases import get_case
 from phifem.levelset import (AnalyticField, classify_domain,
                              interpolate_levelset)
 from phifem import linalg
-from phifem.linalg import (BACKWARD_ERROR_BOUND, DIRECT_LIMIT,
-                           NoConvergenceError, SingularMatrixError,
-                           estimate_condition_number, solve)
+from phifem.linalg import (BACKWARD_ERROR_BOUND, NoConvergenceError,
+                           SingularMatrixError, estimate_condition_number,
+                           solve)
 from phifem.mesh import build_background_mesh
+
+# The direct limit the ILU-GMRES tests lower `linalg.DIRECT_LIMIT` to, so
+# that their 1D Laplacians stay at a few thousand unknowns: |x - u| grows
+# with n (1.2e-12 at 55,000 unknowns, above the 1e-12 asserted), and an
+# ILU-GMRES solve just above the real limit takes minutes.
+_SMALL_LIMIT = 5000
+
+_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _bench_disk_offset(seed):
+    """The translation of the disk that the benchmark's disk-convergence
+    workload runs at `seed` (the file is loaded by path, never modified)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  _WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.disk_offset("disk-convergence", seed)
 
 
 def _system(a, b):
@@ -34,12 +61,18 @@ def _system(a, b):
                         levelset_degree=1)
 
 
-def _assembled(n, k=1, sigma=20.0):
+def _assembled(n, k=1, sigma=20.0, shift=(0.0, 0.0)):
+    """The circle case's system, with the disk translated by `shift`."""
     case = get_case("circle")
+
+    def moved(g):
+        return AnalyticField(
+            value=lambda x, y: g.value(x - shift[0], y - shift[1]))
+
     mesh = build_background_mesh(case.box, (n, n))
-    field = interpolate_levelset(case.phi, mesh, k)
+    field = interpolate_levelset(moved(case.phi), mesh, k)
     domain = classify_domain(field, mesh)
-    return assemble_system(domain, field, case.f, k, sigma)
+    return assemble_system(domain, field, moved(case.f), k, sigma)
 
 
 def _laplacian_1d(n):
@@ -91,11 +124,33 @@ def test_singular_matrix_raises():
         estimate_condition_number(bad)
 
 
-def test_krylov_path_above_direct_limit():
+_CYCLE = np.roll(np.eye(5), 1, axis=1)      # a permutation, zero diagonal
+
+
+@pytest.mark.parametrize("a, b, x", [
+    ([[1e-20, 1.0], [1.0, 1e-20]], [1.0, 2.0], [2.0, 1.0]),
+    (_CYCLE, np.arange(1.0, 6.0), _CYCLE.T @ np.arange(1.0, 6.0))])
+def test_symmetric_mode_pivots_off_tiny_diagonals(a, b, x):
+    # the factor keeps the diagonal as pivot only while it is not tiny
+    # against its column, so one solve is exact; a diagonal of 1e-20 kept
+    # as pivot gives (2, 0) and needs a second pass
+    report = solve(_system(a, b))
+    assert report.method == "sparse-lu"
+    assert report.iterations == 1
+    np.testing.assert_array_equal(report.x, x)
+
+
+def test_condition_number_of_zero_diagonal_permutation():
+    est = estimate_condition_number(_system(_CYCLE, np.ones(5)))
+    assert est.kappa == 1.0
+
+
+def test_krylov_path_above_direct_limit(monkeypatch):
     # 1D Laplacian large enough to take the ILU-GMRES branch; the exact
     # solution of A x = A 1 is all ones, recovered to far better than the
     # conditioning-degraded worst case.
-    n = DIRECT_LIMIT + 1000
+    monkeypatch.setattr(linalg, "DIRECT_LIMIT", _SMALL_LIMIT)
+    n = linalg.DIRECT_LIMIT + 1000
     main = np.full(n, 2.0)
     off = np.full(n - 1, -1.0)
     a = sp.diags([off, main, off], [-1, 0, 1], format="csr")
@@ -108,10 +163,11 @@ def test_krylov_path_above_direct_limit():
 
 @pytest.mark.parametrize("n, method", [(3000, "sparse-lu"),
                                        (6000, "ilu-gmres")])
-def test_residual_floor_above_tol_is_accepted(n, method):
+def test_residual_floor_above_tol_is_accepted(n, method, monkeypatch):
     # A x = A u with smooth u: the relative residual of the computed x
     # cannot fall below about 1e-10 in double precision, yet x is a
     # backward-stable answer, a quarter of eps away in the normwise sense
+    monkeypatch.setattr(linalg, "DIRECT_LIMIT", _SMALL_LIMIT)
     a, u = _laplacian_1d(n)
     report = solve(_system(a, a @ u), 1e-11)
     assert report.method == method
@@ -137,6 +193,7 @@ def test_stall_above_rounding_level_raises(n, method, monkeypatch):
         return name, correct_part
 
     monkeypatch.setattr(linalg, "_corrector", weakened)
+    monkeypatch.setattr(linalg, "DIRECT_LIMIT", _SMALL_LIMIT)
     a, u = _laplacian_1d(n)
     b = a @ u
     with pytest.raises(NoConvergenceError) as info:
@@ -144,6 +201,24 @@ def test_stall_above_rounding_level_raises(n, method, monkeypatch):
     assert info.value.residual > 0.5
     assert info.value.iterations >= 1
     np.testing.assert_allclose(info.value.best, 0.3 * u, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("k, n", [(1, 40), (2, 20), (3, 10)])
+def test_hardest_disk_systems_match_a_partial_pivoting_factor(k, n, seed):
+    # without the penalty, or with a tiny one, kappa reaches 1e5 on the
+    # built-in disk at these sizes (and up to 3e7 on the translated ones);
+    # the symmetric-mode factor still needs at most one refinement pass
+    # and agrees with SuperLU's default (COLAMD, partial pivoting) factor
+    shift = _bench_disk_offset(seed)
+    for sigma in (0.0, 1e-4, 20.0):
+        system = _assembled(n, k, sigma, shift)
+        report = solve(system)
+        assert report.method == "sparse-lu"
+        assert report.iterations <= 2
+        plain = spla.splu(system.A.tocsc()).solve(system.b)
+        assert (np.linalg.norm(report.x - plain)
+                <= 1e-10 * np.linalg.norm(plain))
 
 
 def test_condition_number_of_identity():
@@ -158,10 +233,11 @@ def test_condition_number_of_diagonal():
     assert abs(est.kappa - 10.0) <= 1e-4
 
 
-def test_condition_number_above_direct_limit():
+def test_condition_number_above_direct_limit(monkeypatch):
     # diagonal with singular values 0.5 ... 1 ... 4, so kappa = 8 exactly,
     # with more unknowns than `solve` factorizes directly
-    n = DIRECT_LIMIT + 1000
+    monkeypatch.setattr(linalg, "DIRECT_LIMIT", _SMALL_LIMIT)
+    n = linalg.DIRECT_LIMIT + 1000
     diag = np.ones(n)
     diag[0], diag[-1] = 0.5, 4.0
     est = estimate_condition_number(_system(sp.diags(diag), np.ones(n)))
