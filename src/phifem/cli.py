@@ -17,7 +17,8 @@ conditioning
 All commands emit one CSV with a fixed header; numbers are written with
 repr so that two runs of the same configuration produce byte-identical
 files.  Exit code 0 means success, 2 a configuration problem, 3 at least
-one failed solve (failed rows still appear, flagged in `status`).
+one failed solve (failed rows still appear, flagged in `status`: a
+singular matrix, no convergence, or factors that ran out of memory).
 """
 from __future__ import annotations
 
@@ -141,6 +142,8 @@ def _condition(system, row: dict) -> None:
         row["status"] = "no-convergence"
     except SingularMatrixError:
         row["status"] = "singular"
+    except MemoryError:
+        row["status"] = "out-of-memory"
 
 
 def _solve(system, field, row: dict):
@@ -154,6 +157,8 @@ def _solve(system, field, row: dict):
             return make_solution(system, field, err.best)
     except SingularMatrixError:
         row["status"] = "singular"
+    except MemoryError:
+        row["status"] = "out-of-memory"
     return None
 
 

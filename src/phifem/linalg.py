@@ -1,23 +1,24 @@
 """Deterministic linear solver and conditioning estimates.
 
 `solve` is one refinement loop on the true residual for every system
-size; only the correction step depends on the size: a sparse LU
-(SuperLU) solve up to DIRECT_LIMIT unknowns, ILU-preconditioned GMRES
-above.  A solve whose residual stops falling above its tolerance is
-accepted when its normwise backward error is a few units of rounding.
-Condition numbers are estimated as the ratio of extreme singular values,
-each obtained by Lanczos (ARPACK) on the normal operator; the smallest
-one runs it on the inverse through a pair of solves with one sparse LU
-factorization.  Every run starts from a fixed random vector, so
-repeated calls give identical results.
+size: one sparse LU (SuperLU) factorization, then solves of the residual
+equation with it.  A solve whose residual stops falling above its
+tolerance is accepted when its normwise backward error is a few units of
+rounding.  Condition numbers are estimated as the ratio of extreme
+singular values, each obtained by Lanczos (ARPACK) on the normal
+operator; the smallest one runs it on the inverse through a pair of
+solves with one sparse LU factorization, taken as in `solve`.  Every run starts from a
+fixed random vector, so repeated calls give identical results.
 
 Every sparse LU factor is taken in SuperLU's symmetric mode: the phi-FEM
 pattern is structurally symmetric (only the boundary term is not
 numerically symmetric), so the columns are ordered by minimum degree on
 A^T + A and each pivot is taken from the diagonal unless it is smaller
 than a tenth of the largest entry of its column, where partial pivoting
-takes over.  That ordering keeps the fill of the factors low enough to
-solve directly up to DIRECT_LIMIT = 250,000 unknowns.
+takes over.  The phi-FEM matrix is as well conditioned as a standard FEM
+matrix on a comparable mesh, so this one direct factor, refined on the
+true residual, serves every system size; that ordering keeps its fill
+low enough to fit in memory.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ import scipy.sparse.linalg as spla
 from .assembly import SparseSystem
 
 __all__ = [
-    "DIRECT_LIMIT",
     "BACKWARD_ERROR_BOUND",
     "SolverReport",
     "ConditionEstimate",
@@ -40,11 +40,6 @@ __all__ = [
     "estimate_condition_number",
 ]
 
-#: Largest system solved with a direct factorization.  The symmetric-mode
-#: factors of rectangle k=2 at n=320 (207,673 unknowns) hold 36.5M
-#: nonzeros, about 0.55 GB; its next refinement, n=640 (824,953
-#: unknowns), would need several GB, so it takes ILU-GMRES.
-DIRECT_LIMIT = 250_000
 #: Largest normwise backward error accepted from a solve whose residual
 #: stops falling above its tolerance: a few units of rounding.
 BACKWARD_ERROR_BOUND = 4 * np.finfo(float).eps
@@ -54,6 +49,10 @@ _SEED = 20240901
 # diagonal as pivot while it is at least 0.1 times its column's largest
 # entry.  With a threshold of 0 a diagonal of 1e-20 stays the pivot: on
 # [[1e-20, 1], [1, 1e-20]] x = (1, 2) the factor then returns (2, 0).
+# The ordering is also what keeps the largest factors within memory: those
+# of rectangle k=2 at n=640 (824,953 unknowns) hold about 183M nonzeros,
+# and a study that solves it peaks near 2.9 GB.  Factors that do not fit
+# raise MemoryError, which the caller reports.
 _LU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                    options=dict(SymmetricMode=True))
 
@@ -84,12 +83,12 @@ class NoConvergenceError(Exception):
 class SolverReport:
     """Solution of one linear system with solver metadata.
 
-    `iterations` counts the solves with the sparse LU factors for
-    "sparse-lu" and the GMRES iterations of every pass for "ilu-gmres";
-    it is 0 for "trivial", a zero right-hand side.  `residual` is the
-    true relative residual ||b - A x||_2 / ||b||_2, and `backward_error`
-    the normwise backward error ||b - A x||_inf / (||A||_inf ||x||_inf +
-    ||b||_inf) (Rigal and Gaches).
+    `iterations` counts the refinement passes of "sparse-lu", each one
+    solve with the sparse LU factors, the first included; it is 0 for
+    "trivial", a zero right-hand side.  `residual` is the true relative
+    residual ||b - A x||_2 / ||b||_2, and `backward_error` the normwise
+    backward error ||b - A x||_inf / (||A||_inf ||x||_inf + ||b||_inf)
+    (Rigal and Gaches).
     """
 
     x: np.ndarray
@@ -110,61 +109,31 @@ class ConditionEstimate:
     tol: float
 
 
-def _factor(factorize, a: sp.csr_matrix, **options):
-    """SuperLU factors of `a` by `factorize` (`splu` or `spilu`)."""
+def _lu(a: sp.csr_matrix):
+    """SuperLU factors of `a`, taken in symmetric mode (_LU_OPTIONS)."""
     try:
-        return factorize(a.tocsc(), **options)
+        return spla.splu(a.tocsc(), **_LU_OPTIONS)
     except RuntimeError as err:
-        raise SingularMatrixError(f"{factorize.__name__}: {err}") from err
-
-
-def _corrector(a: sp.csr_matrix, tol: float):
-    """The method name and the solve of the residual equation A dx = r
-    that `solve` refines with, as (dx, iterations spent).
-
-    Up to DIRECT_LIMIT unknowns the correction is exact to rounding: one
-    solve with sparse LU factors taken in SuperLU's symmetric mode
-    (_LU_OPTIONS), whose fill stays within memory up to that size.  Above
-    it, GMRES preconditioned by an incomplete LU is asked only for a
-    moderate reduction, so it never stalls inside near rounding level;
-    the true residual is measured by the caller.
-    """
-    if a.shape[0] <= DIRECT_LIMIT:
-        lu = _factor(spla.splu, a, **_LU_OPTIONS)
-        return "sparse-lu", lambda r: (lu.solve(r), 1)
-    # fill-reducing ordering for the structurally symmetric pattern; the
-    # default column ordering is far slower on these systems
-    ilu = _factor(spla.spilu, a, drop_tol=1e-8, fill_factor=40.0,
-                  permc_spec="MMD_AT_PLUS_A")
-    precond = spla.LinearOperator(a.shape, matvec=ilu.solve)
-    rtol = max(tol, 1e-8)
-
-    def gmres(r):
-        norms = []
-        dx, _ = spla.gmres(a, r, M=precond, rtol=rtol, atol=0.0, restart=200,
-                           maxiter=600, callback=norms.append,
-                           callback_type="pr_norm")
-        return dx, len(norms)
-
-    return "ilu-gmres", gmres
+        raise SingularMatrixError(f"splu: {err}") from err
 
 
 def solve(system: SparseSystem, tol: float = 1e-11) -> SolverReport:
     """Solve A x = b to relative residual `tol`.
 
     One loop for every size: factor once, then correct x by a solve of
-    the residual equation A dx = b - A x until the true relative residual
-    is at most `tol`, for at most _MAX_PASSES passes.  A pass that does
-    not halve the residual ends the loop.  If it ends above `tol`, x is
-    still accepted when its normwise backward error is at most
-    BACKWARD_ERROR_BOUND: the residual then sits at the rounding floor of
-    double precision, which no solver can go below.
+    the residual equation A dx = b - A x with the factors until the true
+    relative residual is at most `tol`, for at most _MAX_PASSES passes.
+    A pass that does not halve the residual ends the loop.  If it ends
+    above `tol`, x is still accepted when its normwise backward error is
+    at most BACKWARD_ERROR_BOUND: the residual then sits at the rounding
+    floor of double precision, which no solver can go below.
 
     `tol` must lie in (0, 1e-6]; looser tolerances are rejected because
     downstream error norms would be dominated by algebraic error.  Raises
-    SingularMatrixError when a factorization fails or a pass produces
-    non-finite values, and NoConvergenceError, which carries the last
-    iterate, when x is not accepted.
+    SingularMatrixError when the factorization fails or a pass produces
+    non-finite values, NoConvergenceError, which carries the last
+    iterate, when x is not accepted, and MemoryError when the factors do
+    not fit in memory.
     """
     if not (0.0 < tol <= 1e-6):
         raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
@@ -174,18 +143,15 @@ def solve(system: SparseSystem, tol: float = 1e-11) -> SolverReport:
         return SolverReport(x=np.zeros_like(b), method="trivial",
                             iterations=0, residual=0.0, backward_error=0.0)
 
-    method, correct = _corrector(a, tol)
+    lu = _lu(a)
     x, r = np.zeros_like(b), b
     last = 1.0                      # the relative residual of x = 0
-    iters = 0
-    for _ in range(_MAX_PASSES):
-        dx, spent = correct(r)
-        x = x + dx
-        iters += spent
+    for passes in range(1, _MAX_PASSES + 1):
+        x = x + lu.solve(r)
         r = b - a @ x
         res = np.linalg.norm(r) / norm_b
         if not np.isfinite(res):
-            raise SingularMatrixError(f"{method} solve produced non-finite "
+            raise SingularMatrixError("sparse-lu solve produced non-finite "
                                       "values")
         if res <= tol or res > 0.5 * last:
             break
@@ -194,11 +160,11 @@ def solve(system: SparseSystem, tol: float = 1e-11) -> SolverReport:
                              + np.abs(b).max())
     if res > tol and eta > BACKWARD_ERROR_BOUND:
         raise NoConvergenceError(
-            f"{method} solve stalled at relative residual {res:.3e}, "
+            f"sparse-lu solve stalled at relative residual {res:.3e}, "
             f"backward error {eta:.3e}", best=x, residual=res,
-            iterations=iters)
-    return SolverReport(x=x, method=method, iterations=iters, residual=res,
-                        backward_error=eta)
+            iterations=passes)
+    return SolverReport(x=x, method="sparse-lu", iterations=passes,
+                        residual=res, backward_error=eta)
 
 
 def _largest_eigenvalue(apply_op, n, tol, max_iters):
@@ -237,8 +203,8 @@ def estimate_condition_number(system: SparseSystem, tol: float = 1e-8,
 
     The largest singular value comes from Lanczos (ARPACK's `eigsh`) on
     A^T A; the smallest from Lanczos on its inverse, each step solving
-    with A^T and then A through one sparse LU factorization, at every
-    system size.  `tol` is eigsh's relative accuracy of each eigenvalue
+    with A^T and then A through one sparse LU factorization, taken as in
+    `solve`.  `tol` is eigsh's relative accuracy of each eigenvalue
     and `max_iters` its cap on Lanczos restarts; the system needs at least
     two unknowns.  Raises NoConvergenceError (with the partial estimate
     attached) if either side fails to converge.
@@ -247,7 +213,7 @@ def estimate_condition_number(system: SparseSystem, tol: float = 1e-8,
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     a = system.A
     n = a.shape[0]
-    factor = _factor(spla.splu, a, **_LU_OPTIONS)
+    factor = _lu(a)
     theta_max, ok_max, it_max = _largest_eigenvalue(
         lambda v: a.T @ (a @ v), n, tol, max_iters)
     theta_inv, ok_min, it_min = _largest_eigenvalue(

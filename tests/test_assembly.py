@@ -208,18 +208,26 @@ def test_ghost_part_scales_linearly_in_sigma():
     np.testing.assert_array_equal(b2, 2.0 * b1)
 
 
-def test_ghost_matrix_symmetric_and_psd():
-    case = get_case("circle")
-    mesh = build_background_mesh(case.box, (20, 20))
-    field = interpolate_levelset(case.phi, mesh, 1)
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(n=st.integers(8, 12), k=st.sampled_from([1, 2, 3]),
+       radius=st.floats(0.2, 0.4),
+       shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+def test_ghost_matrix_symmetric_and_psd(n, k, radius, shift):
+    # wherever the circle slices the cells: a disk centred up to half a
+    # cell off the middle of the unit box gives a penalty matrix that is
+    # symmetric entry for entry and positive semidefinite to rounding
+    cx, cy = 0.5 + shift[0] / n, 0.5 + shift[1] / n
+    phi = AnalyticField(
+        value=lambda x, y: (x - cx) ** 2 + (y - cy) ** 2 - radius ** 2)
+    f = AnalyticField(value=lambda x, y: np.ones_like(x))
+    mesh = build_background_mesh(UNIT_BOX, (n, n))
+    field = interpolate_levelset(phi, mesh, k)
     domain = classify_domain(field, mesh)
-    ghost, _ = assemble_ghost_part(domain, field, case.f, 1, 20.0)
+    assert domain.ghost_facets.size > 0
+    ghost, _ = assemble_ghost_part(domain, field, f, k, 20.0)
     assert (ghost != ghost.T).nnz == 0
-    rng = np.random.default_rng(20240910)
-    scale = np.abs(ghost).max()
-    for _ in range(1000):
-        v = rng.standard_normal(ghost.shape[0])
-        assert v @ (ghost @ v) >= -1e-10 * scale * (v @ v)
+    eigenvalues = np.linalg.eigvalsh(ghost.toarray())
+    assert eigenvalues[0] >= -1e-12 * eigenvalues[-1]
 
 
 def test_full_matrix_positive_on_random_vectors():

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from phifem import assembly, cli
+from phifem import assembly, cli, linalg
 from phifem.cli import (CSV_HEADER, RunConfig, conditioning_study, run_case,
                         sigma_sweep, write_csv)
 from phifem.linalg import NoConvergenceError
@@ -254,19 +254,27 @@ def test_main_sigma_sweep_requires_sigmas(capsys):
 
 
 def test_main_flags_failed_solves(tmp_path, capsys, monkeypatch):
-    def broken_solve(system, tol):
+    def stalled_solve(system, tol):
         raise NoConvergenceError("stalled", best=None)
 
-    monkeypatch.setattr(cli, "solve", broken_solve)
-    out = tmp_path / "failed.csv"
-    code = cli.main(["run", "--case", "planted", "--n", "4", "--levels", "1",
-                     "--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert "no-convergence" in captured.err
-    rows = _read_rows(out)
-    assert rows[0]["status"] == "no-convergence"
-    assert rows[0]["err_l2_rel"] == ""
+    def out_of_memory(a, **options):
+        # what SuperLU raises when its factors do not fit in memory
+        raise MemoryError
+
+    for target, name, broken, status in (
+            (cli, "solve", stalled_solve, "no-convergence"),
+            (linalg.spla, "splu", out_of_memory, "out-of-memory")):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, broken)
+            out = tmp_path / f"{status}.csv"
+            code = cli.main(["run", "--case", "planted", "--n", "4",
+                             "--levels", "1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert status in captured.err
+        rows = _read_rows(out)
+        assert rows[0]["status"] == status
+        assert rows[0]["err_l2_rel"] == ""
 
 
 def test_main_flags_failed_hidden_reference(tmp_path, capsys, monkeypatch):

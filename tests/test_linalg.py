@@ -1,24 +1,22 @@
 """Tests for the deterministic solver and conditioning estimator.
 
-`solve` is one refinement loop whose correction is a sparse LU solve up
-to the direct limit and ILU-preconditioned GMRES above it.  Small
-hand-built systems pin down the sparse LU corrector exactly, including
-its pivoting off tiny and zero diagonals in SuperLU's symmetric mode;
-the unpenalized and barely penalized disk systems, on the built-in disk
-and two of the benchmark's translations, must match SuperLU's default
-partial-pivoting factor.  The Krylov tests lower the direct limit to
-5000 so that a tridiagonal system of a few thousand unknowns exercises
-the Krylov corrector with a known solution.  The backward-error
-certificate is checked on both sides of the limit: a 1D Laplacian whose
-residual floor lies above the tolerance is accepted, and a weakened
-corrector that stalls far above rounding level still raises.  Condition
-numbers are cross-checked against the dense SVD on assembled systems,
-with and without the penalty, against a closed form, and on a
-zero-diagonal permutation; the phi-FEM kappa is compared with that of a
-standard FEM on the same grid.
+`solve` is one refinement loop whose correction is a solve with one
+sparse LU factor, at every system size.  Small hand-built systems pin
+down that corrector exactly, including its pivoting off tiny and zero
+diagonals in SuperLU's symmetric mode; the unpenalized and barely
+penalized disk systems, on the built-in disk and two of the benchmark's
+translations, must match SuperLU's default partial-pivoting factor.  The
+backward-error certificate is checked on a 1D Laplacian of a few
+thousand unknowns: one whose residual floor lies above the tolerance is
+accepted, and one solved with a weakened factor that stalls far above
+rounding level still raises.  Condition numbers are cross-checked
+against the dense SVD on assembled systems, with and without the
+penalty, against closed forms, and on a zero-diagonal permutation; the
+phi-FEM kappa is compared with that of a standard FEM on the same grid.
 """
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,12 +32,6 @@ from phifem.linalg import (BACKWARD_ERROR_BOUND, NoConvergenceError,
                            SingularMatrixError, estimate_condition_number,
                            solve)
 from phifem.mesh import build_background_mesh
-
-# The direct limit the ILU-GMRES tests lower `linalg.DIRECT_LIMIT` to, so
-# that their 1D Laplacians stay at a few thousand unknowns: |x - u| grows
-# with n (1.2e-12 at 55,000 unknowns, above the 1e-12 asserted), and an
-# ILU-GMRES solve just above the real limit takes minutes.
-_SMALL_LIMIT = 5000
 
 _WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -145,29 +137,11 @@ def test_condition_number_of_zero_diagonal_permutation():
     assert est.kappa == 1.0
 
 
-def test_krylov_path_above_direct_limit(monkeypatch):
-    # 1D Laplacian large enough to take the ILU-GMRES branch; the exact
-    # solution of A x = A 1 is all ones, recovered to far better than the
-    # conditioning-degraded worst case.
-    monkeypatch.setattr(linalg, "DIRECT_LIMIT", _SMALL_LIMIT)
-    n = linalg.DIRECT_LIMIT + 1000
-    main = np.full(n, 2.0)
-    off = np.full(n - 1, -1.0)
-    a = sp.diags([off, main, off], [-1, 0, 1], format="csr")
-    b = a @ np.ones(n)
-    report = solve(_system(a, b))
-    assert report.method == "ilu-gmres"
-    assert report.residual <= 1e-11
-    assert np.abs(report.x - 1.0).max() <= 1e-6
-
-
-@pytest.mark.parametrize("n, method", [(3000, "sparse-lu"),
-                                       (6000, "ilu-gmres")])
-def test_residual_floor_above_tol_is_accepted(n, method, monkeypatch):
+@pytest.mark.parametrize("n, method", [(3000, "sparse-lu")])
+def test_residual_floor_above_tol_is_accepted(n, method):
     # A x = A u with smooth u: the relative residual of the computed x
     # cannot fall below about 1e-10 in double precision, yet x is a
     # backward-stable answer, a quarter of eps away in the normwise sense
-    monkeypatch.setattr(linalg, "DIRECT_LIMIT", _SMALL_LIMIT)
     a, u = _laplacian_1d(n)
     report = solve(_system(a, a @ u), 1e-11)
     assert report.method == method
@@ -176,24 +150,17 @@ def test_residual_floor_above_tol_is_accepted(n, method, monkeypatch):
     assert np.abs(report.x - u).max() <= 1e-12
 
 
-@pytest.mark.parametrize("n, method", [(3000, "sparse-lu"),
-                                       (6000, "ilu-gmres")])
+@pytest.mark.parametrize("n, method", [(3000, "sparse-lu")])
 def test_stall_above_rounding_level_raises(n, method, monkeypatch):
-    # a corrector that removes only 30% of the residual stalls on its
+    # a factor whose solve removes only 30% of the residual stalls on its
     # first pass, with a backward error far above the bound
-    real = linalg._corrector
+    real = linalg._lu
 
-    def weakened(a, tol):
-        name, correct = real(a, tol)
+    def weakened(a):
+        lu = real(a)
+        return SimpleNamespace(solve=lambda r: 0.3 * lu.solve(r))
 
-        def correct_part(r):
-            dx, spent = correct(r)
-            return 0.3 * dx, spent
-
-        return name, correct_part
-
-    monkeypatch.setattr(linalg, "_corrector", weakened)
-    monkeypatch.setattr(linalg, "DIRECT_LIMIT", _SMALL_LIMIT)
+    monkeypatch.setattr(linalg, "_lu", weakened)
     a, u = _laplacian_1d(n)
     b = a @ u
     with pytest.raises(NoConvergenceError) as info:
@@ -233,11 +200,9 @@ def test_condition_number_of_diagonal():
     assert abs(est.kappa - 10.0) <= 1e-4
 
 
-def test_condition_number_above_direct_limit(monkeypatch):
-    # diagonal with singular values 0.5 ... 1 ... 4, so kappa = 8 exactly,
-    # with more unknowns than `solve` factorizes directly
-    monkeypatch.setattr(linalg, "DIRECT_LIMIT", _SMALL_LIMIT)
-    n = linalg.DIRECT_LIMIT + 1000
+def test_condition_number_of_large_diagonal():
+    # diagonal with singular values 0.5 ... 1 ... 4, so kappa = 8 exactly
+    n = 6000
     diag = np.ones(n)
     diag[0], diag[-1] = 0.5, 4.0
     est = estimate_condition_number(_system(sp.diags(diag), np.ones(n)))
