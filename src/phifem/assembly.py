@@ -16,14 +16,15 @@ with the matching right-hand side
 
     l(v) = (f, phi v)_active - sigma * h^2 * (f, lap(phi v))_cut.
 
-Every term is assembled in batches: volume terms over chunks of
-triangles at shared quadrature points, boundary and ghost facet terms
-over all their facets in one pass each, at per-facet points.  Values and
+Each term has one public batched kernel, and assembly calls it: the
+product and Laplacian penalty matrices and the load and its correction
+over chunks of triangles at shared quadrature points, the boundary and
+ghost facet terms over all their facets in one call each, at per-facet
+points.  A single triangle or facet is a length-1 call, so the
+hand-integral tests pin the code that assembly runs.  Values and
 physical derivatives of phi and of the basis come from `fem_core`
 (`eval_lagrange`, `basis_tables`, `basis_values`), which takes both kinds
-of points; this module only forms the products.  The public per-entity
-kernels are length-1 calls of the same batched code, so the
-hand-integral tests pin the only implementation.
+of points; this module only forms the products.
 Both penalty terms and the load correction are linear in sigma, so
 `assemble_parts` builds the core A0, b0 and the penalty part G, g at
 sigma = 1 once per level, and `SystemParts.system` forms
@@ -52,10 +53,11 @@ __all__ = [
     "assemble_system",
     "assemble_ghost_part",
     "element_product_kernel",
+    "ghost_laplacian_kernel",
+    "load_kernel",
+    "load_correction_kernel",
     "boundary_term_kernel",
     "ghost_jump_kernel",
-    "ghost_laplacian_kernel",
-    "rhs_kernels",
 ]
 
 _CHUNK = 4096
@@ -70,8 +72,6 @@ class SparseSystem:
     sigma: float
     h: float
     dofmap: DofMap
-    degree: int            # polynomial degree k of the unknown
-    levelset_degree: int   # polynomial degree l of the level set
 
     @property
     def n_dofs(self) -> int:
@@ -79,27 +79,16 @@ class SparseSystem:
 
 
 # ---------------------------------------------------------------------------
-# batched local forms: volume terms, then facet traces and facet terms
+# kernels: one batched function per term; a single entity is a length-1 call
 
 def _gram(w, a, b):
     """Batched sum over q of w[..., q] a[..., q, i] b[..., q, j]."""
     return (a * w[..., None]).swapaxes(-1, -2) @ b
 
 
-def _product_local(field, tris, ref, quad):
-    """Local matrices of (grad(phi psi_j), grad(phi psi_i)) over triangles."""
-    _, _, det, inv = element_maps(field.mesh, tris)
-    pv, pg, _ = eval_lagrange(field.cell_coefficients(tris), field.degree,
-                              inv, quad.points)
-    bv, bg, _ = basis_tables(ref, inv, quad.points)
-    nT, Q, n, _ = bg.shape
-    # built as (nT, Q, 2, n) so that (q, e) stacks into one axis for free
-    # and the contraction becomes a matmul
-    grads = pg[:, :, :, None] * bv[None, :, None, :]
-    grads += pv[:, :, None, None] * bg.swapaxes(2, 3)
-    grads = grads.reshape(nT, 2 * Q, n)
-    w = np.repeat(quad.weights[None, :] * det[:, None], 2, axis=1)
-    return _gram(w, grads, grads)
+def _symmetrize(m: np.ndarray) -> np.ndarray:
+    """Copy each lower triangle onto the upper one, making symmetry exact."""
+    return np.tril(m) + np.tril(m, -1).swapaxes(-1, -2)
 
 
 def _laplacian_local(field, tris, ref, quad):
@@ -114,38 +103,6 @@ def _laplacian_local(field, tris, ref, quad):
            + pv[:, :, None] * blap)                     # (nT, Q, n)
     w = quad.weights[None, :] * det[:, None]
     return lap, w
-
-
-def _laplacian_penalty_local(field, tris, ref, quad, sigma, h):
-    """Exactly symmetric sigma h^2 (lap(phi psi_j), lap(phi psi_i))."""
-    lap, w = _laplacian_local(field, tris, ref, quad)
-    return _symmetrize(sigma * h * h * _gram(w, lap, lap))
-
-
-def _load_local(field, tris, f: AnalyticField, ref, quad):
-    """Element load vectors (f, phi psi_i) over the given triangles."""
-    v0, jac, det, inv = element_maps(field.mesh, tris)
-    pts = physical_points(v0, jac, quad.points)
-    fv = np.asarray(f.value(pts[..., 0], pts[..., 1]), dtype=float)
-    pv, _, _ = eval_lagrange(field.cell_coefficients(tris), field.degree,
-                             inv, quad.points)
-    w = quad.weights[None, :] * det[:, None]
-    return np.einsum("aq,qi->ai", w * fv * pv,
-                     basis_values(ref, quad.points))
-
-
-def _load_correction_local(field, tris, f, ref, quad, sigma, h):
-    """Stabilization corrections -sigma h^2 (f, lap(phi psi_i)) on cut cells."""
-    v0, jac, _, _ = element_maps(field.mesh, tris)
-    pts = physical_points(v0, jac, quad.points)
-    fv = np.asarray(f.value(pts[..., 0], pts[..., 1]), dtype=float)
-    lap, w = _laplacian_local(field, tris, ref, quad)
-    return -sigma * h * h * np.einsum("aq,aqi->ai", w * fv, lap)
-
-
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    """Copy each lower triangle onto the upper one, making symmetry exact."""
-    return np.tril(m) + np.tril(m, -1).swapaxes(-1, -2)
 
 
 def _facet_traces(field, ref, facets, tris, normals, s):
@@ -169,19 +126,93 @@ def _facet_traces(field, ref, facets, tris, normals, s):
     return pv[..., None] * bv, bv * pdn[..., None] + pv[..., None] * bdn
 
 
-def _boundary_local(field, ref, quad, facets, owners, normals):
-    """Local matrices of integral d/dn(phi psi_j) * (phi psi_i) ds."""
+def element_product_kernel(triangles: np.ndarray, field: LevelSetField,
+                           ref: ReferenceElement,
+                           quad: QuadratureRule) -> np.ndarray:
+    """Local matrices of integral grad(phi psi_j) . grad(phi psi_i) dx.
+
+    One (n, n) matrix per triangle id in `triangles`: shape (nT, n, n).
+    """
+    _, _, det, inv = element_maps(field.mesh, triangles)
+    pv, pg, _ = eval_lagrange(field.cell_coefficients(triangles),
+                              field.degree, inv, quad.points)
+    bv, bg, _ = basis_tables(ref, inv, quad.points)
+    nT, Q, n, _ = bg.shape
+    # built as (nT, Q, 2, n) so that (q, e) stacks into one axis for free
+    # and the contraction becomes a matmul
+    grads = pg[:, :, :, None] * bv[None, :, None, :]
+    grads += pv[:, :, None, None] * bg.swapaxes(2, 3)
+    grads = grads.reshape(nT, 2 * Q, n)
+    w = np.repeat(quad.weights[None, :] * det[:, None], 2, axis=1)
+    return _gram(w, grads, grads)
+
+
+def ghost_laplacian_kernel(triangles: np.ndarray, field: LevelSetField,
+                           ref: ReferenceElement, quad: QuadratureRule,
+                           sigma: float, h: float) -> np.ndarray:
+    """Penalty matrices sigma h^2 * integral lap(phi psi_j) lap(phi psi_i) dx.
+
+    One exactly symmetric (n, n) matrix per triangle: shape (nT, n, n).
+    """
+    lap, w = _laplacian_local(field, triangles, ref, quad)
+    return _symmetrize(sigma * h * h * _gram(w, lap, lap))
+
+
+def load_kernel(triangles: np.ndarray, f: AnalyticField,
+                field: LevelSetField, ref: ReferenceElement,
+                quad: QuadratureRule) -> np.ndarray:
+    """Element load vectors (f, phi psi_i), shape (nT, n)."""
+    v0, jac, det, inv = element_maps(field.mesh, triangles)
+    pts = physical_points(v0, jac, quad.points)
+    fv = np.asarray(f.value(pts[..., 0], pts[..., 1]), dtype=float)
+    pv, _, _ = eval_lagrange(field.cell_coefficients(triangles),
+                             field.degree, inv, quad.points)
+    w = quad.weights[None, :] * det[:, None]
+    return np.einsum("aq,qi->ai", w * fv * pv,
+                     basis_values(ref, quad.points))
+
+
+def load_correction_kernel(triangles: np.ndarray, f: AnalyticField,
+                           field: LevelSetField, ref: ReferenceElement,
+                           quad: QuadratureRule, sigma: float,
+                           h: float) -> np.ndarray:
+    """Stabilization corrections -sigma h^2 (f, lap(phi psi_i)), shape
+    (nT, n); the right-hand side adds them on cut triangles only."""
+    v0, jac, _, _ = element_maps(field.mesh, triangles)
+    pts = physical_points(v0, jac, quad.points)
+    fv = np.asarray(f.value(pts[..., 0], pts[..., 1]), dtype=float)
+    lap, w = _laplacian_local(field, triangles, ref, quad)
+    return -sigma * h * h * np.einsum("aq,aqi->ai", w * fv, lap)
+
+
+def boundary_term_kernel(facets: np.ndarray, owners: np.ndarray,
+                         normals: np.ndarray, field: LevelSetField,
+                         ref: ReferenceElement,
+                         quad: QuadratureRule) -> np.ndarray:
+    """Local matrices of integral d/dn(phi psi_j) * (phi psi_i) ds.
+
+    Traces of facet facets[f] are taken from owners[f], its unique active
+    triangle, and normals[f] must point out of the active set.  Returns
+    (F, n, n); the assembled system subtracts these matrices.
+    """
     test, dn = _facet_traces(field, ref, facets, owners, normals,
                              quad.points[:, 1])
     w = quad.weights * field.mesh.facet_lengths(facets)[:, None]
     return _gram(w, test, dn)
 
 
-def _ghost_jump_local(field, ref, quad, facets, sigma, h):
-    """Incident triangle pairs and exactly symmetric jump penalty matrices.
+def ghost_jump_kernel(facets: np.ndarray, field: LevelSetField,
+                      ref: ReferenceElement, quad: QuadratureRule,
+                      sigma: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Jump penalties sigma h * integral [d/dn(phi psi_j)][d/dn(phi psi_i)] ds.
 
-    The normal of each facet points from its lower-id towards its
-    higher-id triangle; the jump is invariant under flipping it.
+    Returns (tris, local): tris (F, 2) holds the two incident triangles
+    of each facet in ascending id order, and local (F, 2n, 2n) the exactly
+    symmetric matrices over their stacked dofs.  Dofs shared by both
+    triangles appear twice; duplicate entries add up correctly during
+    global accumulation.  Each facet normal is fixed from the lower-id
+    towards the higher-id triangle, and the jump is invariant under
+    flipping it.
     """
     mesh = field.mesh
     tris = mesh.facet_triangles[facets]                   # (F, 2) ascending
@@ -196,68 +227,6 @@ def _ghost_jump_local(field, ref, quad, facets, sigma, h):
     jump = np.concatenate([dn_lo, -dn_hi], axis=-1)       # (F, Q, 2n)
     w = sigma * h * quad.weights * mesh.facet_lengths(facets)[:, None]
     return tris, _symmetrize(_gram(w, jump, jump))
-
-
-# ---------------------------------------------------------------------------
-# public per-entity kernels
-
-def element_product_kernel(triangle: int, field: LevelSetField,
-                           ref: ReferenceElement,
-                           quad: QuadratureRule) -> np.ndarray:
-    """Local matrix of integral grad(phi psi_j) . grad(phi psi_i) dx."""
-    return _product_local(field, np.array([triangle]), ref, quad)[0]
-
-
-def boundary_term_kernel(facet: int, owner: int, normal: np.ndarray,
-                         field: LevelSetField, ref: ReferenceElement,
-                         quad: QuadratureRule) -> np.ndarray:
-    """Local matrix of integral d/dn(phi psi_j) * (phi psi_i) ds.
-
-    Traces are taken from `owner`, the unique active triangle of the
-    facet; `normal` must point out of the active set.  The assembled
-    system subtracts this matrix.
-    """
-    return _boundary_local(field, ref, quad, np.array([facet]),
-                           np.array([owner]),
-                           np.asarray(normal, dtype=float)[None])[0]
-
-
-def ghost_jump_kernel(facet: int, field: LevelSetField,
-                      ref: ReferenceElement, quad: QuadratureRule,
-                      sigma: float, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Penalty matrix sigma h * integral [d/dn(phi psi_j)][d/dn(phi psi_i)] ds.
-
-    Returns (tris, local) where tris are the two incident triangles in
-    ascending id order and local is the (2n, 2n) matrix over their stacked
-    dofs.  Dofs shared by both triangles appear twice; duplicate entries
-    add up correctly during global accumulation.  The facet normal is
-    fixed from the lower-id towards the higher-id triangle, and the jump
-    is invariant under flipping it.
-    """
-    tris, local = _ghost_jump_local(field, ref, quad, np.array([facet]),
-                                    sigma, h)
-    return tris[0], local[0]
-
-
-def ghost_laplacian_kernel(triangle: int, field: LevelSetField,
-                           ref: ReferenceElement, quad: QuadratureRule,
-                           sigma: float, h: float) -> np.ndarray:
-    """Penalty matrix sigma h^2 * integral lap(phi psi_j) lap(phi psi_i) dx."""
-    return _laplacian_penalty_local(field, np.array([triangle]), ref, quad,
-                                    sigma, h)[0]
-
-
-def rhs_kernels(triangle: int, f: AnalyticField, field: LevelSetField,
-                ref: ReferenceElement, quad: QuadratureRule,
-                sigma: float, h: float, cut: bool) -> np.ndarray:
-    """Element load vector (f, phi psi_i), with the stabilization
-    correction -sigma h^2 (f, lap(phi psi_i)) added on cut elements."""
-    tris = np.array([triangle])
-    load = _load_local(field, tris, f, ref, quad)[0]
-    if cut and sigma != 0.0:
-        load = load + _load_correction_local(field, tris, f, ref, quad,
-                                             sigma, h)[0]
-    return load
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +265,8 @@ def assemble_ghost_part(domain: ActiveDomain, field: LevelSetField,
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
 
-    tris, local = _ghost_jump_local(field, ref, edge_rule,
-                                    domain.ghost_facets, sigma, h)
+    tris, local = ghost_jump_kernel(domain.ghost_facets, field, ref,
+                                    edge_rule, sigma, h)
     dofs = dofmap.cell_dofs[dofmap.rows_for(tris)].reshape(len(tris), 2 * n)
     _accumulate(rows, cols, vals, dofs, dofs, local)
 
@@ -306,12 +275,12 @@ def assemble_ghost_part(domain: ActiveDomain, field: LevelSetField,
     cut_rows = dofmap.rows_for(cut)
     for start in range(0, cut.size, _CHUNK):
         sel = slice(start, start + _CHUNK)
-        local = _laplacian_penalty_local(field, cut[sel], ref, vol_rule,
-                                         sigma, h)
+        local = ghost_laplacian_kernel(cut[sel], field, ref, vol_rule,
+                                       sigma, h)
         dofs = dofmap.cell_dofs[cut_rows[sel]]
         _accumulate(rows, cols, vals, dofs, dofs, local)
-        corr = _load_correction_local(field, cut[sel], f, ref,
-                                      data_rule, sigma, h)
+        corr = load_correction_kernel(cut[sel], f, field, ref, data_rule,
+                                      sigma, h)
         np.add.at(b_corr, dofs.ravel(), corr.ravel())
 
     mat = sp.coo_matrix((np.concatenate(vals),
@@ -362,8 +331,6 @@ class SystemParts:
     pinned_values: np.ndarray   # their right-hand side values
     h: float
     dofmap: DofMap
-    degree: int
-    levelset_degree: int
 
     def system(self, sigma: float) -> SparseSystem:
         """The assembled system for one penalty strength."""
@@ -389,8 +356,7 @@ class SystemParts:
         A.eliminate_zeros()
         A.sort_indices()
         return SparseSystem(A=A, b=b, sigma=float(sigma), h=self.h,
-                            dofmap=self.dofmap, degree=self.degree,
-                            levelset_degree=self.levelset_degree)
+                            dofmap=self.dofmap)
 
 
 def assemble_parts(domain: ActiveDomain, field: LevelSetField,
@@ -439,14 +405,15 @@ def assemble_parts(domain: ActiveDomain, field: LevelSetField,
     for start in range(0, active.size, _CHUNK):
         sel = slice(start, start + _CHUNK)
         tris = active[sel]
-        local = _product_local(field, tris, ref, vol_rule)
+        local = element_product_kernel(tris, field, ref, vol_rule)
         dofs = dofmap.cell_dofs[dofmap.rows_for(tris)]
         _accumulate(rows, cols, vals, dofs, dofs, local)
-        load = _load_local(field, tris, f, ref, data_rule)
+        load = load_kernel(tris, f, field, ref, data_rule)
         np.add.at(b0, dofs.ravel(), load.ravel())
 
-    local = _boundary_local(field, ref, bnd_rule, domain.boundary_facets,
-                            domain.boundary_owners, domain.boundary_normals)
+    local = boundary_term_kernel(domain.boundary_facets,
+                                 domain.boundary_owners,
+                                 domain.boundary_normals, field, ref, bnd_rule)
     dofs = dofmap.cell_dofs[dofmap.rows_for(domain.boundary_owners)]
     _accumulate(rows, cols, vals, dofs, dofs, -local)
 
@@ -468,8 +435,7 @@ def assemble_parts(domain: ActiveDomain, field: LevelSetField,
                                    dtype=np.float64)
 
     return SystemParts(A0=A0, b0=b0, G=G, g=g, pinned=pinned,
-                       pinned_values=pinned_values, h=mesh.h, dofmap=dofmap,
-                       degree=k, levelset_degree=field.degree)
+                       pinned_values=pinned_values, h=mesh.h, dofmap=dofmap)
 
 
 def assemble_system(domain: ActiveDomain, field: LevelSetField,

@@ -167,8 +167,9 @@ def _solve_level(config: RunConfig, n: int, sigmas: list[float],
     """One level for every penalty strength.
 
     The mesh, level set, classification and sigma-free parts are built
-    once; then each strength gets its system, its solve and, on a
-    reported level, its kappa, so no system outlives its own solve.  The
+    once; then each strength gets its system, its solve (only when errors
+    are asked for: nothing else reads a solution) and, on a reported
+    level, its kappa, so no system outlives its own solve.  The
     closed-form errors of a reported level are taken after the loop, in
     one pass over every strength's solution.  Returns the domain and one
     (row, solution) per strength; the solution is kept only when a finer
@@ -191,7 +192,7 @@ def _solve_level(config: RunConfig, n: int, sigmas: list[float],
         if j == len(sigmas) - 1:
             del parts   # free A0 and G before the last solve
         row["dofs"] = system.n_dofs
-        solutions.append(_solve(system, field, row))
+        solutions.append(_solve(system, field, row) if want_errors else None)
         if reported and "conditioning" in config.tasks:
             _condition(system, row)
         del system      # the error norms need only the solution

@@ -233,10 +233,6 @@ class DofMap:
     def n_dofs(self) -> int:
         return self.node_coords.shape[0]
 
-    @property
-    def n_local(self) -> int:
-        return self.cell_dofs.shape[1]
-
     def rows_for(self, tris: np.ndarray) -> np.ndarray:
         """Rows of `cell_dofs` for the given triangle ids."""
         rows = np.searchsorted(self.triangles, tris)

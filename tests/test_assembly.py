@@ -1,8 +1,10 @@
 """Tests for the assembled forms.
 
-Local kernels are checked against integrals worked out by hand on the
-unit-square mesh (one or two cells), where the affine maps are simple
-enough to integrate the products on paper.  Global properties (symmetry,
+Each term has one batched kernel; the tests call it for one triangle or
+facet as a length-1 array and take entry [0].  Local kernels are checked
+against integrals worked out by hand on the unit-square mesh (one or two
+cells), where the affine maps are simple enough to integrate the
+products on paper.  Global properties (symmetry,
 positivity, consistency of the planted polynomial) are checked on the
 built-in cases with seeded random vectors.
 """
@@ -16,7 +18,8 @@ import phifem.assembly as assembly
 from phifem.assembly import (assemble_ghost_part, assemble_parts,
                              assemble_system, boundary_term_kernel,
                              element_product_kernel, ghost_jump_kernel,
-                             ghost_laplacian_kernel, rhs_kernels)
+                             ghost_laplacian_kernel, load_correction_kernel,
+                             load_kernel)
 from phifem.cases import get_case
 from phifem.fem_core import (build_dof_map, edge_quadrature,
                              make_reference_element, quadrature_degrees,
@@ -48,7 +51,7 @@ def test_product_kernel_reduces_to_stiffness():
                                [0.0, -1.0, 1.0]])
     for value in (1.0, -1.0):
         field = _const_field(mesh, value)
-        local = element_product_kernel(0, field, ref, quad)
+        local = element_product_kernel(np.array([0]), field, ref, quad)[0]
         np.testing.assert_allclose(local, expected, rtol=0, atol=1e-14)
 
 
@@ -64,8 +67,8 @@ def test_boundary_kernel_hand_integral():
                                  mesh, 1)
     ref = make_reference_element(1)
     quad = edge_quadrature(quadrature_degrees(1, 1)["boundary_facet"])
-    local = boundary_term_kernel(0, 0, np.array([0.0, -1.0]), field, ref,
-                                 quad)
+    local = boundary_term_kernel(np.array([0]), np.array([0]),
+                                 np.array([[0.0, -1.0]]), field, ref, quad)[0]
     expected = np.array([[0.0, 19.0 / 300.0, -19.0 / 300.0],
                          [0.0, 3.0 / 100.0, -3.0 / 100.0],
                          [0.0, 0.0, 0.0]])
@@ -95,15 +98,15 @@ def test_full_system_matches_manual_assembly():
     for tri in domain.active_triangles:
         dofs = dofmap.cell_dofs[dofmap.rows_for(np.array([tri]))[0]]
         a[np.ix_(dofs, dofs)] += element_product_kernel(
-            int(tri), field, ref, vol)
-        b[dofs] += rhs_kernels(int(tri), f, field, ref, data, 20.0,
-                               mesh.h, cut=False)
+            np.array([tri]), field, ref, vol)[0]
+        b[dofs] += load_kernel(np.array([tri]), f, field, ref, data)[0]
     for facet, owner, normal in zip(domain.boundary_facets,
                                     domain.boundary_owners,
                                     domain.boundary_normals):
         dofs = dofmap.cell_dofs[dofmap.rows_for(np.array([owner]))[0]]
         a[np.ix_(dofs, dofs)] -= boundary_term_kernel(
-            int(facet), int(owner), normal, field, ref, bnd)
+            np.array([facet]), np.array([owner]), normal[None], field, ref,
+            bnd)[0]
     np.testing.assert_allclose(system.A.toarray(), a, rtol=1e-12,
                                atol=1e-14)
     np.testing.assert_allclose(system.b, b, rtol=1e-12, atol=1e-14)
@@ -125,8 +128,9 @@ def test_ghost_jump_kernel_hand_integral():
     field = _const_field(mesh, -1.0)
     ref = make_reference_element(1)
     quad = edge_quadrature(quadrature_degrees(1, 1)["ghost_facet"])
-    tris, local = ghost_jump_kernel(4, field, ref, quad, 2.0,
+    tris, local = ghost_jump_kernel(np.array([4]), field, ref, quad, 2.0,
                                     float(np.sqrt(2.0)))
+    tris, local = tris[0], local[0]
     np.testing.assert_array_equal(tris, [0, 1])
     m = np.array([-1.0, 2.0, -1.0, -1.0, -1.0, 2.0])
     np.testing.assert_allclose(local, 2.0 * np.outer(m, m), rtol=0,
@@ -141,7 +145,7 @@ def test_ghost_jump_kernel_rejects_single_neighbour_facet():
     quad = edge_quadrature(quadrature_degrees(1, 1)["ghost_facet"])
     assert mesh.facet_triangles[0, 1] < 0
     with pytest.raises(ValueError, match="single incident triangle"):
-        ghost_jump_kernel(0, field, ref, quad, 20.0, mesh.h)
+        ghost_jump_kernel(np.array([0]), field, ref, quad, 20.0, mesh.h)
 
 
 def test_ghost_jump_annihilates_global_polynomials():
@@ -160,8 +164,9 @@ def test_ghost_jump_annihilates_global_polynomials():
         quad = edge_quadrature(quadrature_degrees(k, 1)["ghost_facet"])
         interior = np.nonzero(mesh.facet_triangles[:, 1] >= 0)[0]
         for facet in interior[:6]:
-            tris, local = ghost_jump_kernel(int(facet), field, ref, quad,
-                                            20.0, mesh.h)
+            tris, local = ghost_jump_kernel(np.array([facet]), field, ref,
+                                            quad, 20.0, mesh.h)
+            tris, local = tris[0], local[0]
             verts = mesh.triangle_coords(tris)          # (2, 3, 2)
             nodes = np.einsum("nb,tbd->tnd", ref.nodes_bary, verts)
             stacked = w(nodes[..., 0], nodes[..., 1]).ravel()
@@ -184,7 +189,8 @@ def test_ghost_laplacian_hand_integrals():
     ref = make_reference_element(2)
     quad = triangle_quadrature(quadrature_degrees(2, 2)["volume"])
     sigma, h = 3.0, 0.5
-    local = ghost_laplacian_kernel(0, field, ref, quad, sigma, h)
+    local = ghost_laplacian_kernel(np.array([0]), field, ref, quad, sigma,
+                                   h)[0]
     verts = mesh.triangle_coords(np.array([0]))[0]
     nodes = ref.nodes_bary @ verts
     ones = np.ones(ref.n_basis)
@@ -363,8 +369,9 @@ def test_assemble_validation():
 def test_batched_assembly_matches_per_entity_kernels(n, k, radius, shift,
                                                      seed):
     # A shifted, scaled disk kept 0.05 clear of the unit box: the batched
-    # system must equal the dense sum of the public per-entity kernels,
-    # with the penalty parts (ghost facets and cut cells) included.
+    # system must equal the dense sum of length-1 calls of the public
+    # kernels, with the penalty parts (ghost facets and cut cells)
+    # included.
     room = 0.45 - radius
     cx, cy = 0.5 + room * shift[0], 0.5 + room * shift[1]
     phi = AnalyticField(
@@ -393,25 +400,30 @@ def test_batched_assembly_matches_per_entity_kernels(n, k, radius, shift,
     cut = set(domain.cut_triangles.tolist())
     for tri in domain.active_triangles.tolist():
         dofs = dofs_of(tri)
-        a[np.ix_(dofs, dofs)] += element_product_kernel(tri, field, ref, vol)
-        b[dofs] += rhs_kernels(tri, f, field, ref, data, sigma, mesh.h,
-                               cut=tri in cut)
+        one = np.array([tri])
+        a[np.ix_(dofs, dofs)] += element_product_kernel(one, field, ref,
+                                                        vol)[0]
+        b[dofs] += load_kernel(one, f, field, ref, data)[0]
+        if tri in cut:
+            b[dofs] += load_correction_kernel(one, f, field, ref, data,
+                                              sigma, mesh.h)[0]
     for facet, owner, normal in zip(domain.boundary_facets.tolist(),
                                     domain.boundary_owners.tolist(),
                                     domain.boundary_normals):
         dofs = dofs_of(owner)
-        a[np.ix_(dofs, dofs)] -= boundary_term_kernel(facet, owner, normal,
-                                                      field, ref, bnd)
+        a[np.ix_(dofs, dofs)] -= boundary_term_kernel(
+            np.array([facet]), np.array([owner]), normal[None], field, ref,
+            bnd)[0]
     ghost = np.zeros_like(a)
     for facet in domain.ghost_facets.tolist():
-        tris, local = ghost_jump_kernel(facet, field, ref, edge, sigma,
-                                        mesh.h)
-        dofs = dofs_of(tris)
-        np.add.at(ghost, np.ix_(dofs, dofs), local)
+        tris, local = ghost_jump_kernel(np.array([facet]), field, ref, edge,
+                                        sigma, mesh.h)
+        dofs = dofs_of(tris[0])
+        np.add.at(ghost, np.ix_(dofs, dofs), local[0])
     for tri in cut:
         dofs = dofs_of(tri)
         ghost[np.ix_(dofs, dofs)] += ghost_laplacian_kernel(
-            tri, field, ref, vol, sigma, mesh.h)
+            np.array([tri]), field, ref, vol, sigma, mesh.h)[0]
     a += ghost
     scale = np.abs(a).max()
     np.testing.assert_allclose(system.A.toarray(), a, rtol=0,

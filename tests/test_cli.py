@@ -153,6 +153,16 @@ def test_conditioning_study_returns_slope():
     assert slope < 0
 
 
+def test_conditioning_study_factors_each_level_once(monkeypatch):
+    # kappa needs one factor per level; nothing reads a solution, so a
+    # solve would only factor the same system a second time
+    factored = _count_calls(monkeypatch, linalg.spla, "splu")
+    rows, _ = conditioning_study(RunConfig(case="circle", k=1, n=8,
+                                           levels=3))
+    assert all(row["kappa"] > 0 for row in rows)
+    assert len(factored) == len(rows) == 3
+
+
 def test_conditioning_without_penalty_runs_every_level():
     # the unpenalized system is the hardest one for the estimator's
     # solves, and its kappa is largest at the finest level (10,429

@@ -4,8 +4,8 @@
 one phifem module imported from another, and reads sizes off the
 results and errors of the calls it wraps.  A rename under `src/` would
 break only a traced benchmark run, so every binding and every reader of
-a linalg result is checked here.  The file is loaded by path and never
-modified.
+a linalg result is checked here, and a traced study must record the
+facet-kernel spans.  The file is loaded by path and never modified.
 """
 import importlib
 import importlib.util
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from phifem import cli
 from phifem.assembly import SparseSystem
 from phifem.linalg import (NoConvergenceError, estimate_condition_number,
                            solve)
@@ -37,8 +38,7 @@ def _laplacian_system(n):
     """The 1D Laplacian stencil with a unit right-hand side."""
     off = np.full(n - 1, -1.0)
     a = sp.diags([off, np.full(n, 2.0), off], [-1, 0, 1], format="csr")
-    return SparseSystem(A=a, b=np.ones(n), sigma=0.0, h=1.0, dofmap=None,
-                        degree=1, levelset_degree=1)
+    return SparseSystem(A=a, b=np.ones(n), sigma=0.0, h=1.0, dofmap=None)
 
 
 @pytest.mark.parametrize("module_name, attr",
@@ -71,3 +71,18 @@ def test_solve_reader_reads_solver_reports():
     sizes = _SPANS_MODULE._solve_sizes((system,), report, None)
     assert sizes == {"method": "sparse-lu", "iters": report.iterations,
                      "residual": report.residual}
+
+
+def test_tracer_sees_the_facet_kernels(monkeypatch):
+    # assembly calls its facet kernels by their module-level names, so a
+    # traced study records a span for each; monkeypatch restores every
+    # rebound name afterwards
+    for module_name, attr, _, _ in _BINDINGS:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    tracer = _SPANS_MODULE.Tracer()
+    tracer.install()
+    tracer.run_study(0, lambda: cli.run_case(
+        cli.RunConfig(case="circle", k=1, n=8, levels=1)))
+    names = {span["name"] for span in tracer.spans}
+    assert {"assembly.boundary", "assembly.ghost_facet"} <= names
