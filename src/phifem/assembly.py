@@ -18,13 +18,19 @@ with the matching right-hand side
 
 Each term has one public batched kernel, and assembly calls it: the
 product and Laplacian penalty matrices and the load and its correction
-over chunks of triangles at shared quadrature points, the boundary and
-ghost facet terms over all their facets in one call each, at per-facet
-points.  A single triangle or facet is a length-1 call, so the
-hand-integral tests pin the code that assembly runs.  Values and
-physical derivatives of phi and of the basis come from `fem_core`
-(`eval_lagrange`, `basis_tables`, `basis_values`), which takes both kinds
-of points; this module only forms the products.
+over chunks of triangles, the boundary and ghost facet terms over all
+their facets in one call each.  A single triangle or facet is a
+length-1 call, so the hand-integral tests pin the code that assembly
+runs.
+
+The mesh has two triangle shapes, so every basis table is per shape,
+never per triangle (`fem_core.shape_maps`, `rule_tables`,
+`facet_tables`).  Only the level-set coefficients c of a triangle vary.
+The two volume forms are quadratic in c, so each is the pair product
+(c_a c_b)_{a<=b} @ T_shape with a pair tensor T_shape[ab, ij] built by
+one matmul per shape from the tables; the load and its correction are
+one GEMM per shape against the tables at v0 + offset[shape] points; the
+facet traces gather the tables of the triangle's shape and local facet.
 Both penalty terms and the load correction are linear in sigma, so
 `assemble_parts` builds the core A0, b0 and the penalty part G, g at
 sigma = 1 once per level, and `SystemParts.system` forms
@@ -40,10 +46,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem_core import (QuadratureRule, ReferenceElement, DofMap,
-                       basis_tables, basis_values, build_dof_map,
-                       edge_quadrature, element_maps, eval_lagrange,
-                       make_reference_element, physical_points,
-                       quadrature_degrees, triangle_quadrature)
+                       build_dof_map, edge_quadrature, eval_shapes,
+                       facet_tables, make_reference_element,
+                       physical_points, physical_tables, quadrature_degrees,
+                       rule_tables, shape_maps, triangle_quadrature)
 from .levelset import ActiveDomain, AnalyticField, LevelSetField
 
 __all__ = [
@@ -91,38 +97,88 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return np.tril(m) + np.tril(m, -1).swapaxes(-1, -2)
 
 
-def _laplacian_local(field, tris, ref, quad):
-    """Laplacians lap(phi psi_i) at quadrature points and the weights."""
-    _, _, det, inv = element_maps(field.mesh, tris)
-    pv, pg, ph = eval_lagrange(field.cell_coefficients(tris), field.degree,
-                               inv, quad.points, need_hess=True)
-    bv, bg, blap = basis_tables(ref, inv, quad.points, need_lap=True)
-    plap = ph[..., 0, 0] + ph[..., 1, 1]
-    lap = (bv[None, :, :] * plap[:, :, None]
-           + 2.0 * np.einsum("aqe,aqie->aqi", pg, bg)
-           + pv[:, :, None] * blap)                     # (nT, Q, n)
-    w = quad.weights[None, :] * det[:, None]
-    return lap, w
+def _exactness(quad: QuadratureRule, rule_of) -> int:
+    """The key of `quad`'s cached tables, its exactness.  The tables hold
+    the points of `rule_of(exactness)`, so `quad` must be that rule."""
+    if quad is not rule_of(quad.degree):
+        raise ValueError(f"kernels take rules from {rule_of.__name__}")
+    return quad.degree
 
 
-def _facet_traces(field, ref, facets, tris, normals, s):
+def _shape_tables(degree, quad, inv, need_lap=False):
+    """Values (Q, n), per-shape physical gradients (2, Q, n, 2) and
+    Laplacians (2, Q, n) or None, from the cached reference tables."""
+    tables = rule_tables(degree, _exactness(quad, triangle_quadrature),
+                         need_lap)
+    return (tables[0],) + physical_tables(tables, inv, need_lap)
+
+
+def _gradient_terms(field, ref, quad, inv):
+    """grad(phi_a psi_i) at the rule's points for both shapes, phi_a the
+    level-set basis: shape (2, Q, 2, m, n), the (q, e) axes leading."""
+    pv, pg, _ = _shape_tables(field.degree, quad, inv)
+    bv, bg, _ = _shape_tables(ref.degree, quad, inv)
+    terms = (pg[:, :, :, None, :] * bv[None, :, None, :, None]
+             + pv[None, :, :, None, None] * bg[:, :, None, :, :])
+    return terms.transpose(0, 1, 4, 2, 3)
+
+
+def _laplacian_terms(field, ref, quad, inv):
+    """lap(phi_a psi_i) at the rule's points for both shapes, phi_a the
+    level-set basis: shape (2, Q, m, n)."""
+    pv, pg, plap = _shape_tables(field.degree, quad, inv, need_lap=True)
+    bv, bg, blap = _shape_tables(ref.degree, quad, inv, need_lap=True)
+    return (plap[:, :, :, None] * bv[None, :, None, :]
+            + 2.0 * pg @ bg.swapaxes(-1, -2)
+            + pv[None, :, :, None] * blap[:, :, None, :])
+
+
+def _pair_forms(coef, shape, terms, weights):
+    """Per-triangle matrices sum_r w_r (c . X_r)_i (c . X_r)_j, with
+    X_r = terms[shape, r] of shape (m, n) and c the triangle's level-set
+    coefficients.
+
+    The form is quadratic in c, so it is (c_a c_b)_{a<=b} @ T_shape with
+    the pair tensor T[ab, ij] = sum_r w_r X_r[a, i] X_r[b, j] (plus its
+    (b, a) twin off the diagonal), built by one matmul per shape.
+    """
+    m, n = terms.shape[-2:]
+    ia, ib = np.triu_indices(m)
+    off = (ia != ib)[:, None, None]
+    pairs = coef[:, ia] * coef[:, ib]
+    out = np.empty((len(coef), n, n))
+    for s in (0, 1):
+        x = terms[s].reshape(-1, m * n)
+        t = ((x * weights[:, None]).T @ x).reshape(m, n, m, n)
+        t = t.transpose(0, 2, 1, 3)                     # (a, b, i, j)
+        table = t[ia, ib] + off * t[ib, ia]
+        rows = np.flatnonzero(shape == s)
+        out[rows] = (pairs[rows] @ table.reshape(-1, n * n)).reshape(-1, n, n)
+    return out
+
+
+def _facet_traces(field, ref, facets, tris, normals, quad):
     """Traces phi psi_i and d/dn(phi psi_i) on one side of each facet.
 
-    Facet f is seen from triangle tris[f] and parametrized at `s` from its
-    lower to its higher vertex id, so both incident triangles see the same
-    physical points.  Returns two (F, Q, n) arrays.
+    Facet f is seen from triangle tris[f] and parametrized at the points
+    of the edge rule `quad` from its lower to its higher vertex id, so both
+    incident triangles see the same physical points.  The tables are
+    those of the triangle's shape and local facet.  Returns two (F, Q, n)
+    arrays.
     """
     mesh = field.mesh
-    ends = mesh.facets[facets]
-    verts = mesh.triangles[tris]
-    bary = ((1.0 - s)[:, None] * (verts == ends[:, :1])[:, None, :]
-            + s[:, None] * (verts == ends[:, 1:])[:, None, :])  # (F, Q, 3)
-    _, _, _, inv = element_maps(mesh, tris)
-    pv, pg, _ = eval_lagrange(field.cell_coefficients(tris), field.degree,
-                              inv, bary)
-    bv, bg, _ = basis_tables(ref, inv, bary)
+    local = np.argmax(mesh.triangle_facets[tris] == facets[:, None], axis=1)
+    group = 3 * (tris % 2) + local
+    exactness = _exactness(quad, edge_quadrature)
+    inv = np.repeat(shape_maps(mesh)[2], 3, axis=0)    # one per table row
+    tables = facet_tables(field.degree, exactness)
+    pv, pg = eval_shapes(field.cell_coefficients(tris), group, tables[0],
+                         physical_tables(tables, inv)[0])
+    tables = facet_tables(ref.degree, exactness)
+    bv = tables[0][group]
+    bdn = np.einsum("fqid,fd->fqi",
+                    physical_tables(tables, inv)[0][group], normals)
     pdn = np.einsum("fqd,fd->fq", pg, normals)
-    bdn = np.einsum("fqid,fd->fqi", bg, normals)
     return pv[..., None] * bv, bv * pdn[..., None] + pv[..., None] * bdn
 
 
@@ -133,18 +189,12 @@ def element_product_kernel(triangles: np.ndarray, field: LevelSetField,
 
     One (n, n) matrix per triangle id in `triangles`: shape (nT, n, n).
     """
-    _, _, det, inv = element_maps(field.mesh, triangles)
-    pv, pg, _ = eval_lagrange(field.cell_coefficients(triangles),
-                              field.degree, inv, quad.points)
-    bv, bg, _ = basis_tables(ref, inv, quad.points)
-    nT, Q, n, _ = bg.shape
-    # built as (nT, Q, 2, n) so that (q, e) stacks into one axis for free
-    # and the contraction becomes a matmul
-    grads = pg[:, :, :, None] * bv[None, :, None, :]
-    grads += pv[:, :, None, None] * bg.swapaxes(2, 3)
-    grads = grads.reshape(nT, 2 * Q, n)
-    w = np.repeat(quad.weights[None, :] * det[:, None], 2, axis=1)
-    return _gram(w, grads, grads)
+    _, det, inv = shape_maps(field.mesh)
+    terms = _gradient_terms(field, ref, quad, inv)
+    _, Q, _, m, n = terms.shape
+    return _pair_forms(field.cell_coefficients(triangles), triangles % 2,
+                       terms.reshape(2, 2 * Q, m, n),
+                       np.repeat(det * quad.weights, 2))
 
 
 def ghost_laplacian_kernel(triangles: np.ndarray, field: LevelSetField,
@@ -154,22 +204,29 @@ def ghost_laplacian_kernel(triangles: np.ndarray, field: LevelSetField,
 
     One exactly symmetric (n, n) matrix per triangle: shape (nT, n, n).
     """
-    lap, w = _laplacian_local(field, triangles, ref, quad)
-    return _symmetrize(sigma * h * h * _gram(w, lap, lap))
+    _, det, inv = shape_maps(field.mesh)
+    terms = _laplacian_terms(field, ref, quad, inv)
+    return _symmetrize(_pair_forms(field.cell_coefficients(triangles),
+                                   triangles % 2, terms,
+                                   sigma * h * h * det * quad.weights))
+
+
+def _source(f, mesh, triangles, quad):
+    """f at the rule's points of each triangle, times the weights."""
+    pts = physical_points(mesh, triangles, quad.points)
+    fv = np.asarray(f.value(pts[..., 0], pts[..., 1]), dtype=float)
+    return fv * (shape_maps(mesh)[1] * quad.weights)
 
 
 def load_kernel(triangles: np.ndarray, f: AnalyticField,
                 field: LevelSetField, ref: ReferenceElement,
                 quad: QuadratureRule) -> np.ndarray:
     """Element load vectors (f, phi psi_i), shape (nT, n)."""
-    v0, jac, det, inv = element_maps(field.mesh, triangles)
-    pts = physical_points(v0, jac, quad.points)
-    fv = np.asarray(f.value(pts[..., 0], pts[..., 1]), dtype=float)
-    pv, _, _ = eval_lagrange(field.cell_coefficients(triangles),
-                             field.degree, inv, quad.points)
-    w = quad.weights[None, :] * det[:, None]
-    return np.einsum("aq,qi->ai", w * fv * pv,
-                     basis_values(ref, quad.points))
+    exactness = _exactness(quad, triangle_quadrature)
+    wf = _source(f, field.mesh, triangles, quad)
+    pv = field.cell_coefficients(triangles) @ rule_tables(
+        field.degree, exactness, False)[0].T
+    return (wf * pv) @ rule_tables(ref.degree, exactness, False)[0]
 
 
 def load_correction_kernel(triangles: np.ndarray, f: AnalyticField,
@@ -178,11 +235,17 @@ def load_correction_kernel(triangles: np.ndarray, f: AnalyticField,
                            h: float) -> np.ndarray:
     """Stabilization corrections -sigma h^2 (f, lap(phi psi_i)), shape
     (nT, n); the right-hand side adds them on cut triangles only."""
-    v0, jac, _, _ = element_maps(field.mesh, triangles)
-    pts = physical_points(v0, jac, quad.points)
-    fv = np.asarray(f.value(pts[..., 0], pts[..., 1]), dtype=float)
-    lap, w = _laplacian_local(field, triangles, ref, quad)
-    return -sigma * h * h * np.einsum("aq,aqi->ai", w * fv, lap)
+    terms = _laplacian_terms(field, ref, quad, shape_maps(field.mesh)[2])
+    Q, m, n = terms.shape[1:]
+    wf = _source(f, field.mesh, triangles, quad)
+    coef = field.cell_coefficients(triangles)
+    shape = triangles % 2
+    out = np.empty((len(triangles), n))
+    for s in (0, 1):
+        rows = np.flatnonzero(shape == s)
+        x = wf[rows, :, None] * coef[rows, None, :]        # (nT, Q, m)
+        out[rows] = x.reshape(-1, Q * m) @ terms[s].reshape(Q * m, n)
+    return -sigma * h * h * out
 
 
 def boundary_term_kernel(facets: np.ndarray, owners: np.ndarray,
@@ -195,8 +258,7 @@ def boundary_term_kernel(facets: np.ndarray, owners: np.ndarray,
     triangle, and normals[f] must point out of the active set.  Returns
     (F, n, n); the assembled system subtracts these matrices.
     """
-    test, dn = _facet_traces(field, ref, facets, owners, normals,
-                             quad.points[:, 1])
+    test, dn = _facet_traces(field, ref, facets, owners, normals, quad)
     w = quad.weights * field.mesh.facet_lengths(facets)[:, None]
     return _gram(w, test, dn)
 
@@ -221,9 +283,8 @@ def ghost_jump_kernel(facets: np.ndarray, field: LevelSetField,
         raise ValueError(f"facet {facets[single][0]} has a single "
                          "incident triangle")
     normals = mesh.facet_normals(facets, tris[:, 0])
-    s = quad.points[:, 1]
-    _, dn_lo = _facet_traces(field, ref, facets, tris[:, 0], normals, s)
-    _, dn_hi = _facet_traces(field, ref, facets, tris[:, 1], normals, s)
+    _, dn_lo = _facet_traces(field, ref, facets, tris[:, 0], normals, quad)
+    _, dn_hi = _facet_traces(field, ref, facets, tris[:, 1], normals, quad)
     jump = np.concatenate([dn_lo, -dn_hi], axis=-1)       # (F, Q, 2n)
     w = sigma * h * quad.weights * mesh.facet_lengths(facets)[:, None]
     return tris, _symmetrize(_gram(w, jump, jump))

@@ -225,17 +225,25 @@ def _fill_orders(rows: list[dict]) -> None:
         cur["eoc_h1"] = eoc_h1
 
 
-def _compare(row: dict, solution, domain, ref_row: dict,
-             ref_solution) -> None:
-    """Errors of one row against the same strength two levels finer."""
-    if solution is None:
-        return
-    # the hidden reference level's failure is this row's too
-    if row["status"] == "ok":
-        row["status"] = ref_row["status"]
-    if ref_solution is not None:
-        _set_errors(row, compute_errors_vs_reference(solution, ref_solution,
-                                                     domain))
+def _compare(coarse: list, domain, fine: list) -> None:
+    """Errors of one level's rows against the same strengths two levels
+    finer; `coarse` and `fine` hold one (row, solution) per strength.
+    Every strength is measured in one pass."""
+    measured = []
+    for (row, solution), (ref_row, ref_solution) in zip(coarse, fine):
+        if solution is None:
+            continue
+        # the hidden reference level's failure is this row's too
+        if row["status"] == "ok":
+            row["status"] = ref_row["status"]
+        if ref_solution is not None:
+            measured.append((row, solution, ref_solution))
+    if measured:
+        rows, solutions, references = zip(*measured)
+        reports = compute_errors_vs_reference(list(solutions),
+                                              list(references), domain)
+        for row, report in zip(rows, reports):
+            _set_errors(row, report)
 
 
 def _run_study(config: RunConfig, sigmas: list[float]) -> list[dict]:
@@ -262,9 +270,7 @@ def _run_study(config: RunConfig, sigmas: list[float]) -> list[dict]:
             continue
         if i >= 2:
             coarse_domain, coarse = waiting.pop(0)
-            for (row, solution), (ref_row, ref_solution) in zip(coarse,
-                                                                results):
-                _compare(row, solution, coarse_domain, ref_row, ref_solution)
+            _compare(coarse, coarse_domain, results)
         if reported:
             waiting.append((domain, results))
     for by_sigma in rows:

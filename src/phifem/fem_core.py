@@ -7,12 +7,17 @@ lattice {(a, b, c)/p : a + b + c = p}, enumerated bottom row first.  Basis
 coefficients come from inverting the monomial Vandermonde matrix at the
 nodes, which is exact to rounding for p <= 3.
 
-Every physical value in the package comes from here: `basis_values` and
-`basis_tables` give the basis functions themselves, and `eval_lagrange`
-gives a per-triangle Lagrange field (the level set, the factor w)
-contracted with its nodal coefficients.  All take barycentric points
-either shared by every triangle, shape (Q, 3), or one set per triangle,
-shape (nT, Q, 3).
+The background mesh has two triangle shapes and one cell area: triangle
+t is the lower (t even) or upper (t odd) half of its cell.  `shape_maps`
+gives both affine maps in closed form from the cell size, and
+`element_maps` gathers them, so there is one source of geometric truth.
+A quadrature rule's basis tables are tabulated once per (degree, rule
+exactness, need_hess) by `rule_tables`, and those of the edge rules on
+the six (shape, local facet) pairs by `facet_tables`; `physical_tables`
+maps them to physical gradients and Laplacians per shape, and
+`eval_shapes` contracts per-triangle coefficients against them with one
+GEMM per shape.  `eval_lagrange` evaluates fields at arbitrary points
+(located points, a single point), which no fixed table covers.
 """
 from __future__ import annotations
 
@@ -34,10 +39,14 @@ __all__ = [
     "edge_quadrature",
     "quadrature_degrees",
     "build_dof_map",
+    "FACET_ENDS",
+    "shape_maps",
     "element_maps",
     "physical_points",
-    "basis_values",
-    "basis_tables",
+    "rule_tables",
+    "facet_tables",
+    "physical_tables",
+    "eval_shapes",
     "eval_lagrange",
 ]
 
@@ -252,23 +261,35 @@ def build_dof_map(mesh: BackgroundMesh, triangles: np.ndarray,
     """
     if degree not in (1, 2, 3):
         raise ValueError(f"unsupported polynomial degree {degree}")
-    tris = np.unique(np.asarray(triangles, dtype=np.int64))
+    tris = np.asarray(triangles, dtype=np.int64)
     if tris.size == 0:
         raise ValueError("empty triangle set")
-    if tris[0] < 0 or tris[-1] >= mesh.n_triangles:
+    if tris.min() < 0 or tris.max() >= mesh.n_triangles:
         raise ValueError("triangle ids out of range")
+    covered = np.zeros(mesh.n_triangles, dtype=bool)
+    covered[tris] = True
+    tris = np.flatnonzero(covered)                  # ascending, no repeats
 
-    multi = _lattice_multi_indices(degree)          # (n_local, 3)
-    vkeys = mesh.vertex_lattice[mesh.triangles[tris]]   # (nT, 3, 2)
-    # node key = sum_a multi[a] * degree-scaled vertex key, exact integers
-    keys = np.einsum("la,tad->tld", multi, vkeys)   # (nT, n_local, 2)
-
-    # one int64 per key, ordered like the keys themselves (x index first)
+    # one int64 code per node key, ordered like the keys themselves (x
+    # index first); a node key is sum_a multi[a] * vertex key, exact
+    # integers, and the code is linear in the key
     stride = degree * mesh.n_cells[1] + 1
-    codes, inverse = np.unique(keys[..., 0] * stride + keys[..., 1],
-                               return_inverse=True)
-    cell_dofs = inverse.reshape(keys.shape[:2]).astype(np.int64)
-    uniq = np.column_stack([codes // stride, codes % stride])
+    vertex_codes = mesh.vertex_lattice @ np.array([stride, 1])
+    multi = _lattice_multi_indices(degree)          # (n_local, 3)
+    codes = vertex_codes[mesh.triangles[tris]] @ multi.T    # (nT, n_local)
+    # ids number the codes in use in ascending order, read off a mask of
+    # the whole node lattice, so no sort is needed
+    n_codes = (degree * mesh.n_cells[0] + 1) * stride
+    if tris.size == mesh.n_triangles:
+        # every lattice node is in use: the ids are the codes themselves
+        cell_dofs = codes
+        used = np.arange(n_codes)
+    else:
+        in_use = np.zeros(n_codes, dtype=bool)
+        in_use[codes.ravel()] = True
+        cell_dofs = (np.cumsum(in_use) - 1)[codes]
+        used = np.flatnonzero(in_use)
+    uniq = np.column_stack([used // stride, used % stride])
 
     xmin, ymin, _, _ = mesh.box
     dx, dy = mesh.cell_size
@@ -284,84 +305,161 @@ def build_dof_map(mesh: BackgroundMesh, triangles: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# element maps and physical tabulations
+# the two triangle shapes, their maps and their tables
+
+#: Local facets of each shape as (from, to) local vertices, from the lower
+#: to the higher vertex id.  Facets are ordered as in
+#: `BackgroundMesh.triangle_facets`.  Vertex ids grow along x, then y, so
+#: v00 < v10 < v01 < v11 in every cell, and the lower end of a local facet
+#: is the same on every triangle of a shape.
+FACET_ENDS = (((0, 1), (1, 2), (0, 2)),    # lower: bottom, right, diagonal
+              ((0, 1), (2, 1), (0, 2)))    # upper: diagonal, top, left
+
+
+def shape_maps(mesh: BackgroundMesh):
+    """Affine maps of the mesh's two triangle shapes, in closed form.
+
+    Triangle t has shape t % 2: 0 for the lower triangle (v00, v10, v11)
+    of its cell, 1 for the upper one (v00, v11, v01).  Returns (jac, det,
+    inv): jac and inv are (2, 2, 2), indexed by shape, with the edge
+    vectors as the columns of jac; det = dx dy = 2 * area is shared.
+    """
+    dx, dy = mesh.cell_size
+    jac = np.array([[[dx, dx], [0.0, dy]],
+                    [[dx, 0.0], [dy, dy]]])
+    inv = np.array([[[1.0 / dx, -1.0 / dy], [0.0, 1.0 / dy]],
+                    [[1.0 / dx, 0.0], [-1.0 / dx, 1.0 / dy]]])
+    return jac, dx * dy, inv
+
 
 def element_maps(mesh: BackgroundMesh, tris: np.ndarray):
-    """Affine maps of the given triangles.
+    """Affine maps of the given triangles, gathered from `shape_maps`.
 
-    Returns (v0, jac, det, inv) where jac columns are the edge vectors,
-    det = 2 * area > 0 and inv is the inverse Jacobian.  The physical
+    Returns (v0, jac, det, inv): v0 is the first vertex, and the physical
     gradient of a reference function g is inv.T @ g_ref.
     """
-    verts = mesh.triangle_coords(tris)
-    v0 = verts[:, 0, :]
-    jac = np.stack([verts[:, 1, :] - v0, verts[:, 2, :] - v0], axis=-1)
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    inv = np.empty_like(jac)
-    inv[:, 0, 0] = jac[:, 1, 1]
-    inv[:, 0, 1] = -jac[:, 0, 1]
-    inv[:, 1, 0] = -jac[:, 1, 0]
-    inv[:, 1, 1] = jac[:, 0, 0]
-    inv /= det[:, None, None]
-    return v0, jac, det, inv
+    jac, det, inv = shape_maps(mesh)
+    shape = np.asarray(tris) % 2
+    v0 = mesh.vertices[mesh.triangles[tris, 0]]
+    return v0, jac[shape], np.full(shape.shape, det), inv[shape]
 
 
-def physical_points(v0: np.ndarray, jac: np.ndarray,
+def physical_points(mesh: BackgroundMesh, tris: np.ndarray,
                     bary: np.ndarray) -> np.ndarray:
-    """Physical coordinates of barycentric points, shape (nT, Q, 2)."""
-    return v0[:, None, :] + bary[..., 1:] @ jac.swapaxes(1, 2)
+    """Physical coordinates (nT, Q, 2) of barycentric points (Q, 3) shared
+    by every triangle: its first vertex plus the offset of its shape."""
+    jac, _, _ = shape_maps(mesh)
+    offsets = bary[:, 1:] @ jac.swapaxes(1, 2)          # (2, Q, 2)
+    v0 = mesh.vertices[mesh.triangles[tris, 0]]
+    return v0[:, None, :] + offsets[tris % 2]
 
 
-def basis_values(ref: ReferenceElement, bary: np.ndarray) -> np.ndarray:
-    """Basis values at barycentric points (Q, 3) or (nT, Q, 3); the
-    result keeps the shape of the points, (Q, n) or (nT, Q, n)."""
-    bary = np.asarray(bary, dtype=float)
-    values, _, _ = ref.tabulate(bary.reshape(-1, 3), need_hess=False)
-    return values.reshape(bary.shape[:-1] + (ref.n_basis,))
+def _frozen(arrays: tuple) -> tuple:
+    for arr in arrays:
+        if arr is not None:
+            arr.setflags(write=False)
+    return arrays
 
 
-def basis_tables(ref: ReferenceElement, inv: np.ndarray, bary: np.ndarray,
-                 need_lap: bool = False):
-    """Basis values, physical gradients and physical Laplacians.
+@lru_cache(maxsize=None)
+def rule_tables(degree: int, exactness: int, need_hess: bool):
+    """Reference values (Q, n), gradients (Q, n, 2) and Hessians
+    (Q, n, 2, 2), or None unless `need_hess`, of the degree-`degree`
+    basis at the points of `triangle_quadrature(exactness)`.  Tabulated
+    once per key; every triangle of both shapes shares them."""
+    return _frozen(make_reference_element(degree).tabulate(
+        triangle_quadrature(exactness).points, need_hess))
 
-    `bary` is (Q, 3), shared by every triangle, or (nT, Q, 3).  Values
-    keep the shape of the points, (Q, n) or (nT, Q, n); gradients are
-    (nT, Q, n, 2) and Laplacians (nT, Q, n), or None unless `need_lap`.
+
+@lru_cache(maxsize=None)
+def facet_tables(degree: int, exactness: int):
+    """Reference values (6, Q, n), gradients (6, Q, n, 2) and no
+    Hessians (None, as from `rule_tables` without them) of the
+    degree-`degree` basis at the points of `edge_quadrature(exactness)`
+    on every local facet of both shapes, each run from its lower to its
+    higher vertex id (`FACET_ENDS`).  Row 3 * shape + local facet.
+    Tabulated once per key, in one call over all six point sets."""
+    s = edge_quadrature(exactness).points[:, 1]
+    bary = np.zeros((2, 3, s.size, 3))
+    for shape, ends in enumerate(FACET_ENDS):
+        for facet, (lo, hi) in enumerate(ends):
+            bary[shape, facet, :, lo] = 1.0 - s
+            bary[shape, facet, :, hi] = s
+    values, grads, _ = make_reference_element(degree).tabulate(
+        bary.reshape(-1, 3), need_hess=False)
+    n = values.shape[-1]
+    return _frozen((values.reshape(6, s.size, n),
+                    grads.reshape(6, s.size, n, 2), None))
+
+
+def physical_tables(tables: tuple, inv: np.ndarray, need_lap: bool = False):
+    """Physical gradients and Laplacians of reference tables.
+
+    `tables` comes from `rule_tables`, shared by every row of `inv`, or
+    from `facet_tables`, one table row per row of `inv`; `inv` is (S, 2, 2),
+    the two shapes' inverse Jacobians or one per facet table row.
+    Returns gradients (S, Q, n, 2) and Laplacians (S, Q, n), or None
+    unless `need_lap`.
     """
-    bary = np.asarray(bary, dtype=float)
-    tab_v, tab_g, tab_h = ref.tabulate(bary.reshape(-1, 3), need_lap)
-    lead = bary.shape[:-2]                          # () or (nT,)
-    Q, n = bary.shape[-2], ref.n_basis
-    shape = (len(inv), Q, n)
-    grad = (tab_g.reshape(lead + (Q * n, 2)) @ inv).reshape(shape + (2,))
+    _, tab_g, tab_h = tables
+    lead = tab_g.shape[:-3]                         # () or (S,)
+    Q, n = tab_g.shape[-3:-1]
+    S = len(inv)
+    grads = (tab_g.reshape(lead + (Q * n, 2)) @ inv).reshape(S, Q, n, 2)
     lap = None
     if need_lap:
         # the trace of inv.T H_ref inv: sum_dc H_ref[d, c] (inv inv.T)[d, c]
-        metric = (inv @ inv.swapaxes(1, 2)).reshape(-1, 4, 1)
-        lap = (tab_h.reshape(lead + (Q * n, 4)) @ metric).reshape(shape)
-    return tab_v.reshape(bary.shape[:-1] + (n,)), grad, lap
+        metric = (inv @ inv.swapaxes(1, 2)).reshape(S, 4, 1)
+        lap = (tab_h.reshape(lead + (Q * n, 4)) @ metric).reshape(S, Q, n)
+    return grads, lap
+
+
+def eval_shapes(coef: np.ndarray, group: np.ndarray, values: np.ndarray,
+                grads: np.ndarray):
+    """Values and physical gradients of per-entity Lagrange fields whose
+    tables depend only on a group: the shape of a triangle, or the shape
+    and local facet of a facet trace.
+
+    coef : (N, m) nodal values; group : (N,) table row of each entity.
+    values : (Q, m), shared by every group, or (S, Q, m).
+    grads : (S, Q, m, 2) physical gradients from `physical_tables`.
+    Returns values (N, Q) and gradients (N, Q, 2), one GEMM per group.
+    """
+    S, Q, m, _ = grads.shape
+    table = np.concatenate(
+        [np.broadcast_to(values, (S, Q, m))[..., None], grads], axis=-1)
+    table = table.transpose(0, 2, 1, 3).reshape(S, m, Q * 3)
+    out = np.empty((len(coef), Q, 3))
+    for s in range(S):
+        rows = np.nonzero(group == s)[0]
+        out[rows] = (coef[rows] @ table[s]).reshape(-1, Q, 3)
+    return out[..., 0], out[..., 1:]
 
 
 def eval_lagrange(coef: np.ndarray, degree: int, inv: np.ndarray,
                   bary: np.ndarray, need_hess: bool = False):
-    """Values and physical derivatives of per-triangle Lagrange fields.
+    """Values and physical derivatives of per-triangle Lagrange fields at
+    arbitrary points, such as located points or a single point.
 
     Parameters
     ----------
-    coef : (nT, m) nodal values of a degree-`degree` field per triangle.
+    coef : (..., nT, m) nodal values of degree-`degree` fields per
+        triangle; leading axes stack several fields on the same points.
     inv : (nT, 2, 2) inverse Jacobians from `element_maps`.
     bary : (Q, 3) points shared by every triangle, or (nT, Q, 3).
 
     Returns
     -------
-    values (nT, Q), gradients (nT, Q, 2) and, when `need_hess`, Hessians
-    inv.T H_ref inv of shape (nT, Q, 2, 2), else None.
+    values (..., nT, Q), gradients (..., nT, Q, 2) and, when `need_hess`,
+    Hessians inv.T H_ref inv of shape (..., nT, Q, 2, 2), else None.
 
-    The coefficients are contracted in reference coordinates first, so
-    the inverse Jacobian acts on one gradient per point, not one per
-    basis function.
+    The points are tabulated once for every stacked field, and the
+    coefficients are contracted in reference coordinates first, so the
+    inverse Jacobian acts on one gradient per point, not one per basis
+    function.  The contraction is a fixed-order einsum, not a GEMM.
     """
-    bary = np.asarray(bary, dtype=float)
+    bary = np.broadcast_to(np.asarray(bary, dtype=float),
+                           (len(inv),) + np.shape(bary)[-2:])
     tab_v, tab_g, tab_h = make_reference_element(degree).tabulate(
         bary.reshape(-1, 3), need_hess)
     P, m = tab_v.shape
@@ -369,17 +467,14 @@ def eval_lagrange(coef: np.ndarray, degree: int, inv: np.ndarray,
     if need_hess:
         parts.append(tab_h.reshape(P, m, 4))
     tab = np.concatenate(parts, axis=-1)            # (P, m, c)
-    nT, Q, c = len(coef), bary.shape[-2], tab.shape[-1]
-    if bary.ndim == 2:
-        # shared points: one GEMM over every triangle
-        ref = (coef @ tab.swapaxes(0, 1).reshape(m, Q * c)).reshape(nT, Q, c)
-    else:
-        ref = np.einsum("tm,tqmc->tqc", coef, tab.reshape(nT, Q, m, c))
+    lead, Q, c = coef.shape[:-1], bary.shape[-2], tab.shape[-1]
+    ref = np.einsum("...tm,tqmc->...tqc", coef,
+                    tab.reshape(len(inv), Q, m, c))
     val = ref[..., 0]
     grad = ref[..., 1:3] @ inv
     hess = None
     if need_hess:
         # (inv.T H inv)[a, b] = sum_dc inv[d, a] H[d, c] inv[c, b]
-        outer = np.einsum("tda,tcb->tdcab", inv, inv).reshape(nT, 4, 4)
-        hess = (ref[..., 3:] @ outer).reshape(nT, Q, 2, 2)
+        outer = np.einsum("tda,tcb->tdcab", inv, inv).reshape(-1, 4, 4)
+        hess = (ref[..., 3:] @ outer).reshape(lead + (Q, 2, 2))
     return val, grad, hess

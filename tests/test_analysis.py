@@ -101,6 +101,37 @@ def test_batched_errors_equal_single_calls(k, count, seed):
         compute_errors([], case.u_exact, domain)
 
 
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(k=st.integers(1, 3), count=st.integers(2, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_reference_errors_equal_single_calls(k, count, seed):
+    # one comparison of several solutions with their references, two
+    # levels finer, must give each the report a call of its own gives
+    case = get_case("circle")
+    rng = np.random.default_rng(seed)
+    levels = []
+    for n in (6, 24):
+        mesh = build_background_mesh(case.box, (n, n))
+        field = interpolate_levelset(case.phi, mesh, k)
+        domain = classify_domain(field, mesh)
+        dofmap = build_dof_map(mesh, domain.active_triangles, k)
+        levels.append((domain, [
+            ProductSolution(field, dofmap, rng.standard_normal(dofmap.n_dofs))
+            for _ in range(count)]))
+    (domain, sols), (_, refs) = levels
+    batched = compute_errors_vs_reference(sols, refs, domain)
+    assert batched == [compute_errors_vs_reference([s], [r], domain)[0]
+                       for s, r in zip(sols, refs)]
+    assert len(set(batched)) == count
+
+    with pytest.raises(ValueError):
+        compute_errors_vs_reference(sols, refs[:-1], domain)
+    with pytest.raises(ValueError):
+        compute_errors_vs_reference([sols[0], refs[0]], refs[:2], domain)
+    with pytest.raises(ValueError):
+        compute_errors_vs_reference([], [], domain)
+
+
 def test_eval_solution_matches_exact():
     case, domain, system, sol = _solve_case("planted", 8, 1)
     bary = np.array([0.3, 0.4, 0.3])
@@ -136,7 +167,7 @@ def test_compute_errors_rejects_vanishing_exact():
 
 def test_reference_comparison_against_self_is_zero():
     _, domain, _, sol = _solve_case("circle", 8, 1)
-    err = compute_errors_vs_reference(sol, sol, domain)
+    err = compute_errors_vs_reference([sol], [sol], domain)[0]
     assert err.rel_l2 <= 1e-13
     assert err.rel_h1_semi <= 1e-13
 
@@ -147,7 +178,7 @@ def test_reference_comparison_exact_case():
     # the cut-triangle exclusion without any discretization error.
     _, domain, _, coarse = _solve_case("planted", 8, 1)
     _, _, _, fine = _solve_case("planted", 32, 1)
-    err = compute_errors_vs_reference(coarse, fine, domain)
+    err = compute_errors_vs_reference([coarse], [fine], domain)[0]
     assert err.rel_l2 <= 1e-9
     assert err.rel_h1_semi <= 1e-8
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import phifem.assembly as assembly
+import phifem.fem_core as fem_core
 from phifem.assembly import (assemble_ghost_part, assemble_parts,
                              assemble_system, boundary_term_kernel,
                              element_product_kernel, ghost_jump_kernel,
@@ -440,3 +441,139 @@ def test_batched_assembly_matches_per_entity_kernels(n, k, radius, shift,
         dofmap)
     np.testing.assert_allclose(permuted.toarray(), part.toarray(), rtol=0,
                                atol=1e-12 * np.abs(ghost).max())
+
+
+# ---------------------------------------------------------------------------
+# an independent oracle: plain per-triangle quadrature with vertex-built maps
+
+# A non-square box whose cell sizes (1.17 / 7 and 0.85 / 5) are not exact
+# in binary, so the two shapes differ and no spacing is exact.
+_SKEW_BOX = (-0.35, 0.1, 0.82, 0.95)
+_SKEW_CELLS = (7, 5)
+
+
+def _vertex_map(mesh, tri):
+    """v0, Jacobian, |det| and inverse of one triangle, from its vertices."""
+    verts = mesh.triangle_coords(np.array([tri]))[0]
+    jac = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
+    return verts[0], jac, abs(np.linalg.det(jac)), np.linalg.inv(jac)
+
+
+def _plain_fields(degree, inv, bary):
+    """Basis values (Q, n), physical gradients (Q, n, 2) and Laplacians
+    (Q, n) at barycentric points, through `ReferenceElement.tabulate`."""
+    values, grads, hess = make_reference_element(degree).tabulate(bary)
+    phys = np.einsum("da,qndc,cb->qnab", inv, hess, inv)
+    return values, grads @ inv, phys[..., 0, 0] + phys[..., 1, 1]
+
+
+def _plain_products(field, ref, tri, bary):
+    """phi psi_i, grad(phi psi_i) and lap(phi psi_i) at the points."""
+    _, _, _, inv = _vertex_map(field.mesh, tri)
+    coef = field.cell_coefficients(np.array([tri]))[0]
+    cv, cg, cl = _plain_fields(field.degree, inv, bary)
+    bv, bg, bl = _plain_fields(ref.degree, inv, bary)
+    pv, pg, pl = cv @ coef, np.einsum("qmd,m->qd", cg, coef), cl @ coef
+    value = pv[:, None] * bv
+    grad = pg[:, None, :] * bv[..., None] + pv[:, None, None] * bg
+    lap = (pl[:, None] * bv + 2.0 * np.einsum("qd,qnd->qn", pg, bg)
+           + pv[:, None] * bl)
+    return value, grad, lap
+
+
+def _plain_facet_traces(field, ref, facet, tri, normal, s):
+    """Traces phi psi_i and d/dn(phi psi_i) of triangle `tri` on `facet`,
+    at the points (1 - s) A + s B, A the lower-id end."""
+    mesh = field.mesh
+    a, b = mesh.vertices[mesh.facets[facet]]
+    pts = (1.0 - s)[:, None] * a + s[:, None] * b
+    v0, _, _, inv = _vertex_map(mesh, tri)
+    lam = (pts - v0) @ inv.T
+    bary = np.column_stack([1.0 - lam.sum(axis=1), lam])
+    value, grad, _ = _plain_products(field, ref, tri, bary)
+    return value, grad @ normal
+
+
+@pytest.mark.parametrize("k,l", [(1, 1), (2, 2), (3, 3), (1, 3), (2, 1),
+                                 (3, 2)])
+def test_shape_kernels_match_plain_quadrature(k, l):
+    # Every kernel against the same integral summed point by point on each
+    # triangle or facet, with maps built from its vertices and bases
+    # tabulated at its own points.
+    mesh = build_background_mesh(_SKEW_BOX, _SKEW_CELLS)
+    dx, dy = mesh.cell_size
+    assert dx != dy
+    for t in range(mesh.n_triangles):
+        _, jac, _, _ = _vertex_map(mesh, t)
+        shape_jac = fem_core.shape_maps(mesh)[0][t % 2]
+        assert np.abs(jac - shape_jac).max() <= 1e-14 * np.abs(jac).max()
+
+    phi = AnalyticField(
+        value=lambda x, y: (x - 0.25) ** 2 + (y - 0.5) ** 2 - 0.3 ** 2)
+    f = AnalyticField(value=lambda x, y: np.sin(3.0 * x) + y * y)
+    field = interpolate_levelset(phi, mesh, l)
+    domain = classify_domain(field, mesh)
+    assert domain.cut_triangles.size and domain.ghost_facets.size
+    ref = make_reference_element(k)
+    degrees = quadrature_degrees(k, l)
+    vol = triangle_quadrature(degrees["volume"])
+    data = triangle_quadrature(degrees["data"])
+    bnd = edge_quadrature(degrees["boundary_facet"])
+    edge = edge_quadrature(degrees["ghost_facet"])
+    sigma, h = 20.0, mesh.h
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+
+    tris = domain.active_triangles
+    product, laplacian, load, correction = [], [], [], []
+    for t in tris:
+        v0, jac, det, _ = _vertex_map(mesh, t)
+        _, grad, lap = _plain_products(field, ref, t, vol.points)
+        w = vol.weights * det
+        product.append(np.einsum("q,qid,qjd->ij", w, grad, grad))
+        laplacian.append(sigma * h * h * np.einsum("q,qi,qj->ij", w, lap,
+                                                   lap))
+        value, _, lap = _plain_products(field, ref, t, data.points)
+        pts = v0 + data.points[:, 1:] @ jac.T
+        wf = data.weights * det * f.value(pts[:, 0], pts[:, 1])
+        load.append(wf @ value)
+        correction.append(-sigma * h * h * (wf @ lap))
+    close(element_product_kernel(tris, field, ref, vol), np.array(product))
+    close(ghost_laplacian_kernel(tris, field, ref, vol, sigma, h),
+          np.array(laplacian))
+    close(load_kernel(tris, f, field, ref, data), np.array(load))
+    close(load_correction_kernel(tris, f, field, ref, data, sigma, h),
+          np.array(correction))
+
+    boundary = []
+    s = bnd.points[:, 1]
+    for facet, owner, normal in zip(domain.boundary_facets,
+                                    domain.boundary_owners,
+                                    domain.boundary_normals):
+        value, dn = _plain_facet_traces(field, ref, facet, owner, normal, s)
+        length = np.linalg.norm(np.diff(mesh.facet_coords(facet), axis=0))
+        boundary.append(np.einsum("q,qi,qj->ij", bnd.weights * length,
+                                  value, dn))
+    close(boundary_term_kernel(domain.boundary_facets, domain.boundary_owners,
+                               domain.boundary_normals, field, ref, bnd),
+          np.array(boundary))
+
+    jumps = []
+    s = edge.points[:, 1]
+    for facet in domain.ghost_facets:
+        lo, hi = mesh.facet_triangles[facet]
+        a, b = mesh.facet_coords(facet)
+        normal = np.array([b[1] - a[1], a[0] - b[0]]) / np.linalg.norm(b - a)
+        centroid = mesh.triangle_coords(np.array([lo]))[0].mean(axis=0)
+        if normal @ (0.5 * (a + b) - centroid) < 0.0:
+            normal = -normal                    # out of the lower-id side
+        _, dn_lo = _plain_facet_traces(field, ref, facet, lo, normal, s)
+        _, dn_hi = _plain_facet_traces(field, ref, facet, hi, normal, s)
+        jump = np.concatenate([dn_lo, -dn_hi], axis=1)
+        w = sigma * h * edge.weights * np.linalg.norm(b - a)
+        jumps.append(np.einsum("q,qi,qj->ij", w, jump, jump))
+    _, local = ghost_jump_kernel(domain.ghost_facets, field, ref, edge,
+                                 sigma, h)
+    close(local, np.array(jumps))

@@ -4,6 +4,7 @@ The polynomial case is cheap and exact, so whole studies run in well
 under a second while still exercising assembly, solve and the error
 pipeline end to end.
 """
+import collections
 import io
 import json
 from dataclasses import replace
@@ -11,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from phifem import assembly, cli, linalg
+from phifem import analysis, assembly, cli, fem_core, levelset, linalg
 from phifem.cli import (CSV_HEADER, RunConfig, conditioning_study, run_case,
                         sigma_sweep, write_csv)
 from phifem.linalg import NoConvergenceError
@@ -135,12 +136,16 @@ def test_sigma_sweep_builds_each_level_once(monkeypatch):
     assert len(classified) == 2
     assert penalized == []
 
-    # without a closed form every row is measured against a finer level
+    # without a closed form every row is measured against a finer level,
+    # in one comparison per level for every strength
     measured.clear()
+    compared = _count_calls(monkeypatch, cli, "compute_errors_vs_reference")
     rows = sigma_sweep(RunConfig(case="rectangle", k=1, n=4, levels=1),
                        [0.1, 1.0, 20.0])
     assert len(rows) == 3
     assert measured == []
+    assert len(compared) == 1
+    assert all(row["err_l2_rel"] is not None for row in rows)
 
 
 def test_conditioning_study_returns_slope():
@@ -161,6 +166,34 @@ def test_conditioning_study_factors_each_level_once(monkeypatch):
                                            levels=3))
     assert all(row["kappa"] > 0 for row in rows)
     assert len(factored) == len(rows) == 3
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_each_point_set_is_tabulated_once(monkeypatch, k):
+    # the tables of a fixed rule are built once, however many levels and
+    # chunks a study runs: each (degree, point set, need_hess) at most
+    # once, and as often with half the chunk size
+    real = fem_core.ReferenceElement.tabulate
+
+    def tabulations(chunk):
+        for cached in (fem_core.rule_tables, fem_core.facet_tables,
+                       levelset._sign_lattice):
+            cached.cache_clear()
+        seen = collections.Counter()
+
+        def counting(self, points, need_hess=True):
+            seen[self.degree, np.asarray(points).tobytes(), need_hess] += 1
+            return real(self, points, need_hess)
+
+        monkeypatch.setattr(fem_core.ReferenceElement, "tabulate", counting)
+        monkeypatch.setattr(assembly, "_CHUNK", chunk)
+        monkeypatch.setattr(analysis, "_CHUNK", chunk)
+        rows = run_case(RunConfig(case="circle", k=k, n=8, levels=3))
+        assert all(row["status"] == "ok" for row in rows)
+        assert max(seen.values()) == 1
+        return sum(seen.values())
+
+    assert tabulations(256) == tabulations(128)
 
 
 def test_conditioning_without_penalty_runs_every_level():

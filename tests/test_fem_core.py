@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phifem.fem_core import (QUAD_DEGREE_CAP, basis_tables, basis_values,
-                             build_dof_map, edge_quadrature, element_maps,
-                             eval_lagrange, make_reference_element,
+from phifem.fem_core import (QUAD_DEGREE_CAP, build_dof_map, edge_quadrature,
+                             element_maps, eval_lagrange, eval_shapes,
+                             make_reference_element, physical_tables,
+                             shape_maps,
                              quadrature_degrees, triangle_quadrature)
 from phifem.mesh import build_background_mesh
 
@@ -206,6 +207,31 @@ def test_dof_numbering_is_x_first_key_order_on_non_square_grid():
         np.testing.assert_array_equal(dm.node_keys[dm.cell_dofs], keys)
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(nx=st.integers(1, 6), ny=st.integers(1, 6), degree=st.integers(1, 3),
+       full=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_dof_ids_equal_sorted_key_numbering(nx, ny, degree, full, seed):
+    # the ids must be those of sorting the node keys, x index first: the
+    # numbering np.unique gives, on a full cover and on random subsets
+    mesh = build_background_mesh((-0.3, 0.2, 1.1, 0.9), (nx, ny))
+    tris = np.arange(mesh.n_triangles)
+    if not full:
+        rng = np.random.default_rng(seed)
+        tris = rng.choice(tris, rng.integers(1, tris.size + 1),
+                          replace=False)
+    dm = build_dof_map(mesh, tris, degree)
+    multi = np.rint(make_reference_element(degree).nodes_bary
+                    * degree).astype(np.int64)
+    keys = np.einsum("la,tad->tld", multi,
+                     mesh.vertex_lattice[mesh.triangles[dm.triangles]])
+    uniq, inverse = np.unique(keys.reshape(-1, 2), axis=0,
+                              return_inverse=True)
+    np.testing.assert_array_equal(dm.node_keys, uniq)
+    np.testing.assert_array_equal(dm.cell_dofs,
+                                  inverse.reshape(keys.shape[:2]))
+    assert dm.cell_dofs.dtype == np.int64
+
+
 def test_nodal_interpolation_reproduces_polynomial():
     mesh = build_background_mesh(UNIT, (3, 3))
     tris = np.arange(mesh.n_triangles)
@@ -245,10 +271,10 @@ def _assert_close(got, want, rel):
 @given(k=st.integers(1, 3), l=st.integers(1, 3), n_points=st.integers(1, 7),
        seed=st.integers(0, 2**32 - 1))
 def test_evaluator_point_shapes_agree(k, l, n_points, seed):
-    # Shared points (Q, 3) take the GEMM branch and per-triangle points
-    # (nT, Q, 3) the einsum branch; both must give the same fields.  The
-    # cells are not square, so the two triangle shapes have different
-    # inverse Jacobians.
+    # Shared points (Q, 3) and the same points given per triangle
+    # (nT, Q, 3) must give the same fields, and so must the per-shape
+    # tables.  The cells are not square, so the two triangle shapes have
+    # different inverse Jacobians.
     rng = np.random.default_rng(seed)
     mesh = build_background_mesh((-0.3, 0.2, 1.1, 0.9), (3, 2))
     tris = np.arange(mesh.n_triangles)
@@ -261,15 +287,19 @@ def test_evaluator_point_shapes_agree(k, l, n_points, seed):
     for got, want in zip(eval_lagrange(coef, l, inv, per_tri,
                                        need_hess=True), shared):
         _assert_close(got, want, 1e-13)
-    ref = make_reference_element(k)
-    tables = basis_tables(ref, inv, bary, need_lap=True)
-    for got, want in zip(basis_tables(ref, inv, per_tri, need_lap=True),
-                         tables):
-        _assert_close(got, np.broadcast_to(want, got.shape), 1e-13)
-    np.testing.assert_array_equal(basis_values(ref, bary), tables[0])
-    _assert_close(basis_values(ref, per_tri),
-                  np.broadcast_to(tables[0], (tris.size,) + tables[0].shape),
-                  1e-13)
+    # the per-shape tables give the same fields, one GEMM per shape, and
+    # their Laplacians, which assembly uses, are the traces of the Hessians
+    for degree in (k, l):
+        c = rng.standard_normal(
+            (tris.size, make_reference_element(degree).n_basis))
+        tables = make_reference_element(degree).tabulate(bary)
+        grads, laps = physical_tables(tables, shape_maps(mesh)[2],
+                                      need_lap=True)
+        want = eval_lagrange(c, degree, inv, bary, need_hess=True)
+        for got, w in zip(eval_shapes(c, tris % 2, tables[0], grads), want):
+            _assert_close(got, w, 1e-13)
+        _assert_close(np.einsum("tqm,tm->tq", laps[tris % 2], c),
+                      want[2][..., 0, 0] + want[2][..., 1, 1], 1e-13)
 
     # distinct points per triangle match one shared call per triangle
     own = rng.dirichlet([2.0, 2.0, 2.0], size=(tris.size, n_points))
@@ -280,11 +310,5 @@ def test_evaluator_point_shapes_agree(k, l, n_points, seed):
         for got, want in zip(each, one):
             _assert_close(got[t:t + 1], want, 1e-13)
 
-    # the trace of the Hessian is the Laplacian assembly builds from the
-    # basis tables
-    _, _, basis_lap = basis_tables(make_reference_element(l), inv, bary,
-                                   need_lap=True)
     hess = shared[2]
-    _assert_close(hess[..., 0, 0] + hess[..., 1, 1],
-                  np.einsum("tqm,tm->tq", basis_lap, coef), 1e-13)
     _assert_close(hess, hess.swapaxes(-1, -2), 1e-15)
