@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import SparseSystem
-from .fem_core import (DofMap, element_maps, eval_lagrange, eval_shapes,
+from .fem_core import (DofMap, eval_lagrange, eval_shapes,
                        physical_points, physical_tables, quadrature_degrees,
                        rule_tables, shape_maps, triangle_quadrature)
 from .levelset import ActiveDomain, AnalyticField, LevelSetField
@@ -90,7 +90,7 @@ def _product_field(solutions: list[ProductSolution], tris: np.ndarray,
     at barycentric points of the given active triangles; the solutions
     share one field and one dof map, and `bary` is (Q, 3) or (nT, Q, 3)."""
     field, dofmap = solutions[0].field, solutions[0].dofmap
-    _, _, _, inv = element_maps(field.mesh, tris)
+    inv = shape_maps(field.mesh)[2][tris % 2]
     pv, pg, _ = eval_lagrange(field.cell_coefficients(tris), field.degree,
                               inv, bary)
     cells = dofmap.cell_dofs[dofmap.rows_for(tris)]

@@ -29,11 +29,15 @@ never per triangle (`fem_core.shape_maps`, `rule_tables`,
 The two volume forms are quadratic in c, so each is the pair product
 (c_a c_b)_{a<=b} @ T_shape with a pair tensor T_shape[ab, ij] built by
 one matmul per shape from the tables; the load and its correction are
-one GEMM per shape against the tables at v0 + offset[shape] points; the
-facet traces gather the tables of the triangle's shape and local facet.
+one GEMM per shape against the tables at v0 + offset[shape] points.  A
+facet trace takes the values and outward normal derivatives of its
+triangle's shape and local facet, the latter one matmul of the facet
+table with the conormal of `fem_core.facet_frames`, and each side of a
+ghost facet differentiates along its own outward normal.
 Both penalty terms and the load correction are linear in sigma, so
-`assemble_parts` builds the core A0, b0 and the penalty part G, g at
-sigma = 1 once per level, and `SystemParts.system` forms
+their kernels and `assemble_ghost_part` return the sigma = 1 forms,
+with h read from the mesh; `assemble_parts` builds the core A0, b0 and
+the penalty part G, g once per level, and `SystemParts.system` forms
 A = A0 + sigma G, b = b0 + sigma g for each strength.  The penalty part
 is assembled separately from the core so that its matrix is exactly
 symmetric and can be inspected on its own.
@@ -47,7 +51,7 @@ import scipy.sparse as sp
 
 from .fem_core import (QuadratureRule, ReferenceElement, DofMap,
                        build_dof_map, edge_quadrature, eval_shapes,
-                       facet_tables, make_reference_element,
+                       facet_frames, facet_tables, make_reference_element,
                        physical_points, physical_tables, quadrature_degrees,
                        rule_tables, shape_maps, triangle_quadrature)
 from .levelset import ActiveDomain, AnalyticField, LevelSetField
@@ -75,8 +79,6 @@ class SparseSystem:
 
     A: sp.csr_matrix
     b: np.ndarray
-    sigma: float
-    h: float
     dofmap: DofMap
 
     @property
@@ -157,29 +159,30 @@ def _pair_forms(coef, shape, terms, weights):
     return out
 
 
-def _facet_traces(field, ref, facets, tris, normals, quad):
-    """Traces phi psi_i and d/dn(phi psi_i) on one side of each facet.
+def _facet_traces(field, ref, facets, tris, quad):
+    """Lengths, traces phi psi_i and outward normal derivatives
+    d/dn(phi psi_i) on one side of each facet.
 
     Facet f is seen from triangle tris[f] and parametrized at the points
     of the edge rule `quad` from its lower to its higher vertex id, so both
-    incident triangles see the same physical points.  The tables are
-    those of the triangle's shape and local facet.  Returns two (F, Q, n)
+    incident triangles see the same physical points.  The tables and the
+    frame are those of the triangle's shape and local facet, and the
+    normal points out of tris[f].  Returns (F,) lengths and two (F, Q, n)
     arrays.
     """
     mesh = field.mesh
     local = np.argmax(mesh.triangle_facets[tris] == facets[:, None], axis=1)
     group = 3 * (tris % 2) + local
     exactness = _exactness(quad, edge_quadrature)
-    inv = np.repeat(shape_maps(mesh)[2], 3, axis=0)    # one per table row
-    tables = facet_tables(field.degree, exactness)
-    pv, pg = eval_shapes(field.cell_coefficients(tris), group, tables[0],
-                         physical_tables(tables, inv)[0])
-    tables = facet_tables(ref.degree, exactness)
-    bv = tables[0][group]
-    bdn = np.einsum("fqid,fd->fqi",
-                    physical_tables(tables, inv)[0][group], normals)
-    pdn = np.einsum("fqd,fd->fq", pg, normals)
-    return pv[..., None] * bv, bv * pdn[..., None] + pv[..., None] * bdn
+    lengths, conormals = facet_frames(mesh)
+    conormals = conormals[:, None, :, None]         # one per table row
+    values, grads = facet_tables(field.degree, exactness)
+    pv, pdn = eval_shapes(field.cell_coefficients(tris), group, values,
+                          grads @ conormals)
+    values, grads = facet_tables(ref.degree, exactness)
+    bv = values[group]
+    bdn = (grads @ conormals)[group, ..., 0]
+    return lengths[group], pv[..., None] * bv, bv * pdn + pv[..., None] * bdn
 
 
 def element_product_kernel(triangles: np.ndarray, field: LevelSetField,
@@ -198,17 +201,19 @@ def element_product_kernel(triangles: np.ndarray, field: LevelSetField,
 
 
 def ghost_laplacian_kernel(triangles: np.ndarray, field: LevelSetField,
-                           ref: ReferenceElement, quad: QuadratureRule,
-                           sigma: float, h: float) -> np.ndarray:
-    """Penalty matrices sigma h^2 * integral lap(phi psi_j) lap(phi psi_i) dx.
+                           ref: ReferenceElement,
+                           quad: QuadratureRule) -> np.ndarray:
+    """Penalty matrices h^2 * integral lap(phi psi_j) lap(phi psi_i) dx,
+    at sigma = 1 with h = field.mesh.h.
 
     One exactly symmetric (n, n) matrix per triangle: shape (nT, n, n).
     """
+    h = field.mesh.h
     _, det, inv = shape_maps(field.mesh)
     terms = _laplacian_terms(field, ref, quad, inv)
     return _symmetrize(_pair_forms(field.cell_coefficients(triangles),
                                    triangles % 2, terms,
-                                   sigma * h * h * det * quad.weights))
+                                   h * h * det * quad.weights))
 
 
 def _source(f, mesh, triangles, quad):
@@ -231,10 +236,11 @@ def load_kernel(triangles: np.ndarray, f: AnalyticField,
 
 def load_correction_kernel(triangles: np.ndarray, f: AnalyticField,
                            field: LevelSetField, ref: ReferenceElement,
-                           quad: QuadratureRule, sigma: float,
-                           h: float) -> np.ndarray:
-    """Stabilization corrections -sigma h^2 (f, lap(phi psi_i)), shape
-    (nT, n); the right-hand side adds them on cut triangles only."""
+                           quad: QuadratureRule) -> np.ndarray:
+    """Stabilization corrections -h^2 (f, lap(phi psi_i)) at sigma = 1,
+    with h = field.mesh.h, shape (nT, n); the right-hand side adds them
+    on cut triangles only."""
+    h = field.mesh.h
     terms = _laplacian_terms(field, ref, quad, shape_maps(field.mesh)[2])
     Q, m, n = terms.shape[1:]
     wf = _source(f, field.mesh, triangles, quad)
@@ -245,36 +251,36 @@ def load_correction_kernel(triangles: np.ndarray, f: AnalyticField,
         rows = np.flatnonzero(shape == s)
         x = wf[rows, :, None] * coef[rows, None, :]        # (nT, Q, m)
         out[rows] = x.reshape(-1, Q * m) @ terms[s].reshape(Q * m, n)
-    return -sigma * h * h * out
+    return -h * h * out
 
 
 def boundary_term_kernel(facets: np.ndarray, owners: np.ndarray,
-                         normals: np.ndarray, field: LevelSetField,
-                         ref: ReferenceElement,
+                         field: LevelSetField, ref: ReferenceElement,
                          quad: QuadratureRule) -> np.ndarray:
     """Local matrices of integral d/dn(phi psi_j) * (phi psi_i) ds.
 
     Traces of facet facets[f] are taken from owners[f], its unique active
-    triangle, and normals[f] must point out of the active set.  Returns
-    (F, n, n); the assembled system subtracts these matrices.
+    triangle, and n points out of that triangle, so out of the active
+    set.  Returns (F, n, n); the assembled system subtracts these
+    matrices.
     """
-    test, dn = _facet_traces(field, ref, facets, owners, normals, quad)
-    w = quad.weights * field.mesh.facet_lengths(facets)[:, None]
-    return _gram(w, test, dn)
+    lengths, test, dn = _facet_traces(field, ref, facets, owners, quad)
+    return _gram(quad.weights * lengths[:, None], test, dn)
 
 
 def ghost_jump_kernel(facets: np.ndarray, field: LevelSetField,
-                      ref: ReferenceElement, quad: QuadratureRule,
-                      sigma: float, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Jump penalties sigma h * integral [d/dn(phi psi_j)][d/dn(phi psi_i)] ds.
+                      ref: ReferenceElement, quad: QuadratureRule
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Jump penalties h * integral [d/dn(phi psi_j)][d/dn(phi psi_i)] ds,
+    at sigma = 1 with h = field.mesh.h.
 
     Returns (tris, local): tris (F, 2) holds the two incident triangles
     of each facet in ascending id order, and local (F, 2n, 2n) the exactly
     symmetric matrices over their stacked dofs.  Dofs shared by both
     triangles appear twice; duplicate entries add up correctly during
-    global accumulation.  Each facet normal is fixed from the lower-id
-    towards the higher-id triangle, and the jump is invariant under
-    flipping it.
+    global accumulation.  Each side takes the derivative along its own
+    outward normal; the two normals are opposite, so the jump is the sum
+    of the two sides.
     """
     mesh = field.mesh
     tris = mesh.facet_triangles[facets]                   # (F, 2) ascending
@@ -282,11 +288,10 @@ def ghost_jump_kernel(facets: np.ndarray, field: LevelSetField,
     if single.any():
         raise ValueError(f"facet {facets[single][0]} has a single "
                          "incident triangle")
-    normals = mesh.facet_normals(facets, tris[:, 0])
-    _, dn_lo = _facet_traces(field, ref, facets, tris[:, 0], normals, quad)
-    _, dn_hi = _facet_traces(field, ref, facets, tris[:, 1], normals, quad)
-    jump = np.concatenate([dn_lo, -dn_hi], axis=-1)       # (F, Q, 2n)
-    w = sigma * h * quad.weights * mesh.facet_lengths(facets)[:, None]
+    lengths, _, dn_lo = _facet_traces(field, ref, facets, tris[:, 0], quad)
+    _, _, dn_hi = _facet_traces(field, ref, facets, tris[:, 1], quad)
+    jump = np.concatenate([dn_lo, dn_hi], axis=-1)        # (F, Q, 2n)
+    w = mesh.h * quad.weights * lengths[:, None]
     return tris, _symmetrize(_gram(w, jump, jump))
 
 
@@ -300,10 +305,11 @@ def _accumulate(rows, cols, vals, dofs_i, dofs_j, local):
 
 
 def assemble_ghost_part(domain: ActiveDomain, field: LevelSetField,
-                        f: AnalyticField, k: int, sigma: float,
+                        f: AnalyticField, k: int,
                         dofmap: DofMap | None = None
                         ) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Assemble the penalty matrix and its right-hand side correction.
+    """Assemble the penalty matrix and its right-hand side correction at
+    sigma = 1; the system for strength sigma adds sigma times them.
 
     The matrix couples facet jumps on ghost facets with element Laplacian
     products on cut triangles.  Local blocks are symmetrized exactly, and
@@ -319,7 +325,6 @@ def assemble_ghost_part(domain: ActiveDomain, field: LevelSetField,
     edge_rule = edge_quadrature(degrees["ghost_facet"])
     vol_rule = triangle_quadrature(degrees["volume"])
     data_rule = triangle_quadrature(degrees["data"])
-    h = mesh.h
     n = ref.n_basis
 
     rows: list[np.ndarray] = []
@@ -327,7 +332,7 @@ def assemble_ghost_part(domain: ActiveDomain, field: LevelSetField,
     vals: list[np.ndarray] = []
 
     tris, local = ghost_jump_kernel(domain.ghost_facets, field, ref,
-                                    edge_rule, sigma, h)
+                                    edge_rule)
     dofs = dofmap.cell_dofs[dofmap.rows_for(tris)].reshape(len(tris), 2 * n)
     _accumulate(rows, cols, vals, dofs, dofs, local)
 
@@ -336,12 +341,10 @@ def assemble_ghost_part(domain: ActiveDomain, field: LevelSetField,
     cut_rows = dofmap.rows_for(cut)
     for start in range(0, cut.size, _CHUNK):
         sel = slice(start, start + _CHUNK)
-        local = ghost_laplacian_kernel(cut[sel], field, ref, vol_rule,
-                                       sigma, h)
+        local = ghost_laplacian_kernel(cut[sel], field, ref, vol_rule)
         dofs = dofmap.cell_dofs[cut_rows[sel]]
         _accumulate(rows, cols, vals, dofs, dofs, local)
-        corr = load_correction_kernel(cut[sel], f, field, ref, data_rule,
-                                      sigma, h)
+        corr = load_correction_kernel(cut[sel], f, field, ref, data_rule)
         np.add.at(b_corr, dofs.ravel(), corr.ravel())
 
     mat = sp.coo_matrix((np.concatenate(vals),
@@ -390,7 +393,6 @@ class SystemParts:
     g: np.ndarray | None
     pinned: np.ndarray          # dofs with Dirichlet rows
     pinned_values: np.ndarray   # their right-hand side values
-    h: float
     dofmap: DofMap
 
     def system(self, sigma: float) -> SparseSystem:
@@ -416,8 +418,7 @@ class SystemParts:
             b[self.pinned] = self.pinned_values
         A.eliminate_zeros()
         A.sort_indices()
-        return SparseSystem(A=A, b=b, sigma=float(sigma), h=self.h,
-                            dofmap=self.dofmap)
+        return SparseSystem(A=A, b=b, dofmap=self.dofmap)
 
 
 def assemble_parts(domain: ActiveDomain, field: LevelSetField,
@@ -473,8 +474,7 @@ def assemble_parts(domain: ActiveDomain, field: LevelSetField,
         np.add.at(b0, dofs.ravel(), load.ravel())
 
     local = boundary_term_kernel(domain.boundary_facets,
-                                 domain.boundary_owners,
-                                 domain.boundary_normals, field, ref, bnd_rule)
+                                 domain.boundary_owners, field, ref, bnd_rule)
     dofs = dofmap.cell_dofs[dofmap.rows_for(domain.boundary_owners)]
     _accumulate(rows, cols, vals, dofs, dofs, -local)
 
@@ -484,7 +484,7 @@ def assemble_parts(domain: ActiveDomain, field: LevelSetField,
 
     G = g = None
     if any(sigmas):
-        G, g = assemble_ghost_part(domain, field, f, k, 1.0, dofmap)
+        G, g = assemble_ghost_part(domain, field, f, k, dofmap)
 
     pinned = np.zeros(0, dtype=np.int64)
     pinned_values = np.zeros(0)
@@ -496,7 +496,7 @@ def assemble_parts(domain: ActiveDomain, field: LevelSetField,
                                    dtype=np.float64)
 
     return SystemParts(A0=A0, b0=b0, G=G, g=g, pinned=pinned,
-                       pinned_values=pinned_values, h=mesh.h, dofmap=dofmap)
+                       pinned_values=pinned_values, dofmap=dofmap)
 
 
 def assemble_system(domain: ActiveDomain, field: LevelSetField,

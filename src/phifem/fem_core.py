@@ -9,15 +9,19 @@ nodes, which is exact to rounding for p <= 3.
 
 The background mesh has two triangle shapes and one cell area: triangle
 t is the lower (t even) or upper (t odd) half of its cell.  `shape_maps`
-gives both affine maps in closed form from the cell size, and
-`element_maps` gathers them, so there is one source of geometric truth.
-A quadrature rule's basis tables are tabulated once per (degree, rule
-exactness, need_hess) by `rule_tables`, and those of the edge rules on
-the six (shape, local facet) pairs by `facet_tables`; `physical_tables`
-maps them to physical gradients and Laplacians per shape, and
-`eval_shapes` contracts per-triangle coefficients against them with one
-GEMM per shape.  `eval_lagrange` evaluates fields at arbitrary points
-(located points, a single point), which no fixed table covers.
+gives both affine maps in closed form from the cell size, and a
+triangle's map is the one of its shape, so there is one source of
+geometric truth.  The shapes have six (shape, local facet) pairs but
+only three facet orientations; `facet_frames` gives each pair's length
+and its conormal inv @ n, n the unit normal out of the triangle, in
+closed form too.  A quadrature rule's basis tables are tabulated once
+per (degree, rule exactness, need_hess) by `rule_tables`, and those of
+the edge rules on the six pairs by `facet_tables`; `physical_tables`
+maps triangle tables to physical gradients and Laplacians per shape, a
+facet table times its conormal gives the outward normal derivatives,
+and `eval_shapes` contracts per-entity coefficients against such tables
+with one GEMM per group.  `eval_lagrange` evaluates fields at arbitrary
+points (located points, a single point), which no fixed table covers.
 """
 from __future__ import annotations
 
@@ -41,7 +45,7 @@ __all__ = [
     "build_dof_map",
     "FACET_ENDS",
     "shape_maps",
-    "element_maps",
+    "facet_frames",
     "physical_points",
     "rule_tables",
     "facet_tables",
@@ -332,16 +336,22 @@ def shape_maps(mesh: BackgroundMesh):
     return jac, dx * dy, inv
 
 
-def element_maps(mesh: BackgroundMesh, tris: np.ndarray):
-    """Affine maps of the given triangles, gathered from `shape_maps`.
+def facet_frames(mesh: BackgroundMesh):
+    """Lengths (6,) and conormals (6, 2) of the local facets of both
+    shapes, in closed form from the cell size; row 3 * shape + local
+    facet, as in `facet_tables`.
 
-    Returns (v0, jac, det, inv): v0 is the first vertex, and the physical
-    gradient of a reference function g is inv.T @ g_ref.
+    The conormal is inv @ n, with inv the shape's inverse Jacobian and n
+    the unit normal pointing out of the triangle, so the outward normal
+    derivative of a function with reference gradient g is g . conormal.
     """
-    jac, det, inv = shape_maps(mesh)
-    shape = np.asarray(tris) % 2
-    v0 = mesh.vertices[mesh.triangles[tris, 0]]
-    return v0, jac[shape], np.full(shape.shape, det), inv[shape]
+    dx, dy = mesh.cell_size
+    h = mesh.h
+    lengths = np.array([dx, dy, h, h, dx, dy])
+    normals = np.array([[0.0, -1.0], [1.0, 0.0], [-dy / h, dx / h],
+                        [dy / h, -dx / h], [0.0, 1.0], [-1.0, 0.0]])
+    inv = np.repeat(shape_maps(mesh)[2], 3, axis=0)
+    return lengths, (inv @ normals[:, :, None])[..., 0]
 
 
 def physical_points(mesh: BackgroundMesh, tris: np.ndarray,
@@ -373,8 +383,7 @@ def rule_tables(degree: int, exactness: int, need_hess: bool):
 
 @lru_cache(maxsize=None)
 def facet_tables(degree: int, exactness: int):
-    """Reference values (6, Q, n), gradients (6, Q, n, 2) and no
-    Hessians (None, as from `rule_tables` without them) of the
+    """Reference values (6, Q, n) and gradients (6, Q, n, 2) of the
     degree-`degree` basis at the points of `edge_quadrature(exactness)`
     on every local facet of both shapes, each run from its lower to its
     higher vertex id (`FACET_ENDS`).  Row 3 * shape + local facet.
@@ -389,50 +398,47 @@ def facet_tables(degree: int, exactness: int):
         bary.reshape(-1, 3), need_hess=False)
     n = values.shape[-1]
     return _frozen((values.reshape(6, s.size, n),
-                    grads.reshape(6, s.size, n, 2), None))
+                    grads.reshape(6, s.size, n, 2)))
 
 
 def physical_tables(tables: tuple, inv: np.ndarray, need_lap: bool = False):
-    """Physical gradients and Laplacians of reference tables.
-
-    `tables` comes from `rule_tables`, shared by every row of `inv`, or
-    from `facet_tables`, one table row per row of `inv`; `inv` is (S, 2, 2),
-    the two shapes' inverse Jacobians or one per facet table row.
-    Returns gradients (S, Q, n, 2) and Laplacians (S, Q, n), or None
-    unless `need_lap`.
+    """Physical gradients and Laplacians of a triangle rule's reference
+    tables (`rule_tables`), which every shape shares; `inv` is (S, 2, 2),
+    the two shapes' inverse Jacobians.  Returns gradients (S, Q, n, 2)
+    and Laplacians (S, Q, n), or None unless `need_lap`.
     """
     _, tab_g, tab_h = tables
-    lead = tab_g.shape[:-3]                         # () or (S,)
-    Q, n = tab_g.shape[-3:-1]
+    Q, n = tab_g.shape[:2]
     S = len(inv)
-    grads = (tab_g.reshape(lead + (Q * n, 2)) @ inv).reshape(S, Q, n, 2)
+    grads = (tab_g.reshape(Q * n, 2) @ inv).reshape(S, Q, n, 2)
     lap = None
     if need_lap:
         # the trace of inv.T H_ref inv: sum_dc H_ref[d, c] (inv inv.T)[d, c]
         metric = (inv @ inv.swapaxes(1, 2)).reshape(S, 4, 1)
-        lap = (tab_h.reshape(lead + (Q * n, 4)) @ metric).reshape(S, Q, n)
+        lap = (tab_h.reshape(Q * n, 4) @ metric).reshape(S, Q, n)
     return grads, lap
 
 
 def eval_shapes(coef: np.ndarray, group: np.ndarray, values: np.ndarray,
-                grads: np.ndarray):
-    """Values and physical gradients of per-entity Lagrange fields whose
+                derivs: np.ndarray):
+    """Values and physical derivatives of per-entity Lagrange fields whose
     tables depend only on a group: the shape of a triangle, or the shape
     and local facet of a facet trace.
 
     coef : (N, m) nodal values; group : (N,) table row of each entity.
     values : (Q, m), shared by every group, or (S, Q, m).
-    grads : (S, Q, m, 2) physical gradients from `physical_tables`.
-    Returns values (N, Q) and gradients (N, Q, 2), one GEMM per group.
+    derivs : (S, Q, m, c), any c derivative columns: the gradients from
+        `physical_tables`, or a facet table's outward normal derivatives.
+    Returns values (N, Q) and derivatives (N, Q, c), one GEMM per group.
     """
-    S, Q, m, _ = grads.shape
+    S, Q, m, c = derivs.shape
     table = np.concatenate(
-        [np.broadcast_to(values, (S, Q, m))[..., None], grads], axis=-1)
-    table = table.transpose(0, 2, 1, 3).reshape(S, m, Q * 3)
-    out = np.empty((len(coef), Q, 3))
+        [np.broadcast_to(values, (S, Q, m))[..., None], derivs], axis=-1)
+    table = table.transpose(0, 2, 1, 3).reshape(S, m, Q * (c + 1))
+    out = np.empty((len(coef), Q, c + 1))
     for s in range(S):
         rows = np.nonzero(group == s)[0]
-        out[rows] = (coef[rows] @ table[s]).reshape(-1, Q, 3)
+        out[rows] = (coef[rows] @ table[s]).reshape(-1, Q, c + 1)
     return out[..., 0], out[..., 1:]
 
 
@@ -445,7 +451,8 @@ def eval_lagrange(coef: np.ndarray, degree: int, inv: np.ndarray,
     ----------
     coef : (..., nT, m) nodal values of degree-`degree` fields per
         triangle; leading axes stack several fields on the same points.
-    inv : (nT, 2, 2) inverse Jacobians from `element_maps`.
+    inv : (nT, 2, 2) inverse Jacobians, `shape_maps`' of each
+        triangle's shape.
     bary : (Q, 3) points shared by every triangle, or (nT, Q, 3).
 
     Returns

@@ -4,7 +4,9 @@ The geometry enters only through a Lagrange interpolant of the level-set
 function on the full background mesh.  A triangle is active when the
 interpolant is negative somewhere on it, judged by sampling on a fixed
 barycentric lattice; no geometric tolerance or snapping is applied, so
-classification is reproducible bit for bit.
+classification is reproducible bit for bit.  The facet sets it returns
+carry ids and owner triangles only: a facet's length and outward normal
+follow from its owner's shape and local facet (`fem_core.facet_frames`).
 """
 from __future__ import annotations
 
@@ -14,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fem_core import (DofMap, build_dof_map, element_maps, eval_lagrange,
-                       make_reference_element)
+from .fem_core import (DofMap, build_dof_map, eval_lagrange,
+                       make_reference_element, shape_maps)
 from .mesh import BackgroundMesh, submesh_boundary_facets
 
 __all__ = [
@@ -85,7 +87,7 @@ def eval_field(field: LevelSetField, triangle: int, bary: np.ndarray
     derivatives are in physical coordinates.
     """
     tris = np.array([triangle])
-    _, _, _, inv = element_maps(field.mesh, tris)
+    inv = shape_maps(field.mesh)[2][tris % 2]
     val, grad, hess = eval_lagrange(
         field.cell_coefficients(tris), field.degree, inv,
         np.asarray(bary, dtype=float).reshape(1, 3), need_hess=True)
@@ -99,8 +101,8 @@ class ActiveDomain:
     active_triangles : triangles where the interpolant dips below zero.
     cut_triangles : active triangles where it also reaches >= 0.
     ghost_facets : interior facets of the active set with a cut neighbour.
-    boundary_facets : facets bounding the active set, with owner triangles
-        and outward unit normals alongside.
+    boundary_facets : facets bounding the active set, with their owner
+        triangles alongside.
     """
 
     mesh: BackgroundMesh
@@ -109,7 +111,6 @@ class ActiveDomain:
     ghost_facets: np.ndarray
     boundary_facets: np.ndarray
     boundary_owners: np.ndarray
-    boundary_normals: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -168,5 +169,4 @@ def classify_domain(field: LevelSetField, mesh: BackgroundMesh
         ghost_facets=ghost,
         boundary_facets=boundary.facets,
         boundary_owners=boundary.owners,
-        boundary_normals=boundary.normals,
     )

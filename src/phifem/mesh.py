@@ -4,7 +4,10 @@ Every grid cell is split into two triangles along its lower-left to
 upper-right diagonal.  All numbering is deterministic: vertices are
 row-major in (i, j) grid indices, cells are row-major, and each cell
 contributes its lower triangle first.  Facets are enumerated as all
-horizontal edges, then all vertical edges, then all diagonals.
+horizontal edges, then all vertical edges, then all diagonals.  Those
+are the only three facet orientations, so no length or normal is stored
+per facet: `fem_core.facet_frames` gives them per triangle shape and
+local facet, in closed form from the cell size.
 """
 from __future__ import annotations
 
@@ -76,35 +79,16 @@ class BackgroundMesh:
         """Endpoint coordinates of the given facets, shape (..., 2, 2)."""
         return self.vertices[self.facets[facets]]
 
-    def facet_lengths(self, facets: np.ndarray) -> np.ndarray:
-        ends = self.facet_coords(facets)
-        return np.linalg.norm(ends[..., 1, :] - ends[..., 0, :], axis=-1)
-
-    def facet_normals(self, facets: np.ndarray,
-                      owners: np.ndarray) -> np.ndarray:
-        """Unit normals of the given facets, pointing out of `owners`,
-        one incident triangle per facet; shape (F, 2)."""
-        ends = self.facet_coords(facets)
-        tang = ends[:, 1, :] - ends[:, 0, :]
-        normals = np.column_stack([tang[:, 1], -tang[:, 0]])
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        mid = 0.5 * (ends[:, 0, :] + ends[:, 1, :])
-        centroid = self.triangle_coords(owners).mean(axis=1)
-        flip = np.einsum("fd,fd->f", normals, mid - centroid) < 0.0
-        normals[flip] *= -1.0
-        return normals
-
     def interior_facets_mask(self) -> np.ndarray:
         """True for facets with two incident triangles."""
         return self.facet_triangles[:, 1] >= 0
 
 
 class BoundaryFacets(NamedTuple):
-    """Facets bounding a triangle subset, with owners and outward normals."""
+    """Facets bounding a triangle subset, with their owners."""
 
     facets: np.ndarray   # (F,) facet ids, ascending
     owners: np.ndarray   # (F,) the unique incident triangle inside the subset
-    normals: np.ndarray  # (F, 2) unit normals pointing out of the subset
 
 
 def build_background_mesh(box: tuple[float, float, float, float],
@@ -238,8 +222,8 @@ def submesh_boundary_facets(mesh: BackgroundMesh,
     """Facets with exactly one incident triangle in `active`.
 
     Together these facets bound the union of the active triangles.  Each
-    comes with its unique active triangle and the unit normal pointing out
-    of that triangle.
+    comes with its unique active triangle; its outward normal is that of
+    the owner's shape and local facet (`fem_core.facet_frames`).
     """
     active = np.asarray(active, dtype=np.int64)
     if active.size == 0:
@@ -255,8 +239,7 @@ def submesh_boundary_facets(mesh: BackgroundMesh,
     count = in0.astype(np.int64) + in1.astype(np.int64)
     ids = np.nonzero(count == 1)[0]
     owners = np.where(in0[ids], ft[ids, 0], ft[ids, 1])
-    return BoundaryFacets(facets=ids, owners=owners,
-                          normals=mesh.facet_normals(ids, owners))
+    return BoundaryFacets(facets=ids, owners=owners)
 
 
 def locate_points(mesh: BackgroundMesh, points: np.ndarray

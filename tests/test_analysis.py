@@ -36,7 +36,7 @@ def test_polynomial_solution_has_roundoff_errors():
     err = compute_errors([sol], case.u_exact, domain)[0]
     assert err.rel_l2 <= 1e-10
     assert err.rel_h1_semi <= 1e-9
-    assert err.h == system.h
+    assert err.h == system.dofmap.mesh.h
     assert err.n_dofs == system.n_dofs
 
 

@@ -68,8 +68,8 @@ def test_boundary_kernel_hand_integral():
                                  mesh, 1)
     ref = make_reference_element(1)
     quad = edge_quadrature(quadrature_degrees(1, 1)["boundary_facet"])
-    local = boundary_term_kernel(np.array([0]), np.array([0]),
-                                 np.array([[0.0, -1.0]]), field, ref, quad)[0]
+    local = boundary_term_kernel(np.array([0]), np.array([0]), field, ref,
+                                 quad)[0]
     expected = np.array([[0.0, 19.0 / 300.0, -19.0 / 300.0],
                          [0.0, 3.0 / 100.0, -3.0 / 100.0],
                          [0.0, 0.0, 0.0]])
@@ -101,13 +101,10 @@ def test_full_system_matches_manual_assembly():
         a[np.ix_(dofs, dofs)] += element_product_kernel(
             np.array([tri]), field, ref, vol)[0]
         b[dofs] += load_kernel(np.array([tri]), f, field, ref, data)[0]
-    for facet, owner, normal in zip(domain.boundary_facets,
-                                    domain.boundary_owners,
-                                    domain.boundary_normals):
+    for facet, owner in zip(domain.boundary_facets, domain.boundary_owners):
         dofs = dofmap.cell_dofs[dofmap.rows_for(np.array([owner]))[0]]
         a[np.ix_(dofs, dofs)] -= boundary_term_kernel(
-            np.array([facet]), np.array([owner]), normal[None], field, ref,
-            bnd)[0]
+            np.array([facet]), np.array([owner]), field, ref, bnd)[0]
     np.testing.assert_allclose(system.A.toarray(), a, rtol=1e-12,
                                atol=1e-14)
     np.testing.assert_allclose(system.b, b, rtol=1e-12, atol=1e-14)
@@ -122,16 +119,18 @@ def test_ghost_jump_kernel_hand_integral():
     # phi = -1 across the diagonal facet of the 1x1 mesh: the normal
     # derivative of each phi*psi is constant along the facet, so the jump
     # vector is constant and the kernel is sigma*h*len * outer(c, c).
-    # With the facet normal (-1,1)/sqrt(2) the stacked jump evaluates to
-    # c = (-1, 2, -1, -1, -1, 2)/sqrt(2); sigma=2, h=len=sqrt(2) give
-    # local = 2 * outer(m, m) with m = (-1, 2, -1, -1, -1, 2).
+    # Each side differentiates along its own outward normal, (-1,1)/sqrt(2)
+    # out of the lower triangle and its opposite out of the upper one, so
+    # the stacked jump evaluates to c = (-1, 2, -1, -1, -1, 2)/sqrt(2);
+    # sigma=2 (applied here) and h=len=sqrt(2) give local = 2 * outer(m, m)
+    # with m = (-1, 2, -1, -1, -1, 2).
     mesh = build_background_mesh(UNIT_BOX, (1, 1))
     field = _const_field(mesh, -1.0)
     ref = make_reference_element(1)
     quad = edge_quadrature(quadrature_degrees(1, 1)["ghost_facet"])
-    tris, local = ghost_jump_kernel(np.array([4]), field, ref, quad, 2.0,
-                                    float(np.sqrt(2.0)))
-    tris, local = tris[0], local[0]
+    assert mesh.h == np.sqrt(2.0)
+    tris, local = ghost_jump_kernel(np.array([4]), field, ref, quad)
+    tris, local = tris[0], 2.0 * local[0]
     np.testing.assert_array_equal(tris, [0, 1])
     m = np.array([-1.0, 2.0, -1.0, -1.0, -1.0, 2.0])
     np.testing.assert_allclose(local, 2.0 * np.outer(m, m), rtol=0,
@@ -146,7 +145,7 @@ def test_ghost_jump_kernel_rejects_single_neighbour_facet():
     quad = edge_quadrature(quadrature_degrees(1, 1)["ghost_facet"])
     assert mesh.facet_triangles[0, 1] < 0
     with pytest.raises(ValueError, match="single incident triangle"):
-        ghost_jump_kernel(np.array([0]), field, ref, quad, 20.0, mesh.h)
+        ghost_jump_kernel(np.array([0]), field, ref, quad)
 
 
 def test_ghost_jump_annihilates_global_polynomials():
@@ -166,7 +165,7 @@ def test_ghost_jump_annihilates_global_polynomials():
         interior = np.nonzero(mesh.facet_triangles[:, 1] >= 0)[0]
         for facet in interior[:6]:
             tris, local = ghost_jump_kernel(np.array([facet]), field, ref,
-                                            quad, 20.0, mesh.h)
+                                            quad)
             tris, local = tris[0], local[0]
             verts = mesh.triangle_coords(tris)          # (2, 3, 2)
             nodes = np.einsum("nb,tbd->tnd", ref.nodes_bary, verts)
@@ -181,7 +180,8 @@ def test_ghost_laplacian_hand_integrals():
     # phi = x^2 + y^2 - 1/2 is reproduced exactly at l=2 and has lap = 4.
     # For w = 1: lap(phi*1) = 4;  for w = x: lap(phi*x) = 8x.  On triangle
     # 0 ((0,0),(1,0),(1,1); int x = 1/3, int x^2 = 1/4, area = 1/2) the
-    # quadratic forms of the kernel against those vectors are
+    # quadratic forms of sigma times the kernel, h = sqrt(2) the mesh
+    # size, against those vectors are
     #   1' L 1 = s h^2 * 16 * (1/2),  x' L 1 = s h^2 * 32 * (1/3),
     #   x' L x = s h^2 * 64 * (1/4).
     mesh = build_background_mesh(UNIT_BOX, (1, 1))
@@ -189,9 +189,9 @@ def test_ghost_laplacian_hand_integrals():
         AnalyticField(value=lambda x, y: x * x + y * y - 0.5), mesh, 2)
     ref = make_reference_element(2)
     quad = triangle_quadrature(quadrature_degrees(2, 2)["volume"])
-    sigma, h = 3.0, 0.5
-    local = ghost_laplacian_kernel(np.array([0]), field, ref, quad, sigma,
-                                   h)[0]
+    sigma, h = 3.0, mesh.h
+    local = sigma * ghost_laplacian_kernel(np.array([0]), field, ref,
+                                           quad)[0]
     verts = mesh.triangle_coords(np.array([0]))[0]
     nodes = ref.nodes_bary @ verts
     ones = np.ones(ref.n_basis)
@@ -201,18 +201,6 @@ def test_ghost_laplacian_hand_integrals():
     assert abs(xs @ local @ ones - factor * 32.0 / 3.0) <= 1e-12
     assert abs(xs @ local @ xs - factor * 16.0) <= 1e-12
     np.testing.assert_array_equal(local, local.T)
-
-
-def test_ghost_part_scales_linearly_in_sigma():
-    case = get_case("circle")
-    mesh = build_background_mesh(case.box, (10, 10))
-    field = interpolate_levelset(case.phi, mesh, 1)
-    domain = classify_domain(field, mesh)
-    g1, b1 = assemble_ghost_part(domain, field, case.f, 1, 1.0)
-    g2, b2 = assemble_ghost_part(domain, field, case.f, 1, 2.0)
-    diff = (g2 - 2.0 * g1).tocoo()
-    assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
-    np.testing.assert_array_equal(b2, 2.0 * b1)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
@@ -231,7 +219,7 @@ def test_ghost_matrix_symmetric_and_psd(n, k, radius, shift):
     field = interpolate_levelset(phi, mesh, k)
     domain = classify_domain(field, mesh)
     assert domain.ghost_facets.size > 0
-    ghost, _ = assemble_ghost_part(domain, field, f, k, 20.0)
+    ghost, _ = assemble_ghost_part(domain, field, f, k)
     assert (ghost != ghost.T).nnz == 0
     eigenvalues = np.linalg.eigvalsh(ghost.toarray())
     assert eigenvalues[0] >= -1e-12 * eigenvalues[-1]
@@ -259,8 +247,7 @@ def test_sigma_zero_skips_penalty_assembly(monkeypatch):
         raise AssertionError("penalty assembled despite sigma = 0")
 
     monkeypatch.setattr(assembly, "assemble_ghost_part", boom)
-    system = assemble_system(domain, field, case.f, 1, 0.0)
-    assert system.sigma == 0.0
+    assemble_system(domain, field, case.f, 1, 0.0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -278,6 +265,49 @@ def test_planted_polynomial_reproduced(k):
     nodes = system.dofmap.node_coords
     exact = 1.0 + nodes[:, 0] + nodes[:, 1]
     assert np.abs(report.x - exact).max() <= 1e-9
+
+
+# Affine zero sets along the three mesh-line orientations, each from both
+# sides, with the group 3 * shape + local facet (lower: bottom, right,
+# diagonal; upper: diagonal, top, left) that owns the zero set at k = 1.
+_MESH_LINES = [((1.0, 0.0, -0.5), 1), ((-1.0, 0.0, 0.5), 5),
+               ((0.0, 1.0, -0.25), 4), ((0.0, -1.0, 0.25), 0),
+               ((1.0, -1.0, 0.0), 3), ((-1.0, 1.0, 0.0), 2)]
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_zero_sets_along_mesh_lines(k, n):
+    # The planted construction with phi = +-(x - 1/2), +-(y - 1/4) and
+    # +-(x - y) on the unit box: u = phi w with w = 1 + x + y solves
+    # -lap(u) = -2 grad(phi) . (1, 1), so w must be reproduced where the
+    # zero set runs along mesh facets.  At k = 1 each side of each line
+    # leaves the facets of one (shape, local facet) group on the boundary
+    # of the active set, and the six cases cover all six groups.
+    w = AnalyticField(value=lambda x, y: 1.0 + x + y)
+    mesh = build_background_mesh(UNIT_BOX, (n, n))
+    seen = []
+    for (a, b, c), group in _MESH_LINES:
+        phi = AnalyticField(value=lambda x, y: a * x + b * y + c)
+        f = AnalyticField(value=lambda x, y: np.full_like(x, -2.0 * (a + b)))
+        field = interpolate_levelset(phi, mesh, k)
+        domain = classify_domain(field, mesh)
+        system = assemble_system(domain, field, f, k, 20.0, outer_data=w)
+        nodes = system.dofmap.node_coords
+        gap = solve(system).x - w.value(nodes[:, 0], nodes[:, 1])
+        assert np.abs(gap).max() <= 1e-9
+        if k == 1:
+            ends = mesh.facet_coords(domain.boundary_facets)
+            on_line = (phi.value(ends[..., 0], ends[..., 1]) == 0.0).all(1)
+            facets = domain.boundary_facets[on_line]
+            owners = domain.boundary_owners[on_line]
+            local = np.argmax(mesh.triangle_facets[owners]
+                              == facets[:, None], axis=1)
+            assert facets.size == n
+            assert set((3 * (owners % 2) + local).tolist()) == {group}
+            seen.append(group)
+    if k == 1:
+        assert sorted(seen) == list(range(6))
 
 
 def test_outer_pinning_rows_are_identity():
@@ -406,25 +436,22 @@ def test_batched_assembly_matches_per_entity_kernels(n, k, radius, shift,
                                                         vol)[0]
         b[dofs] += load_kernel(one, f, field, ref, data)[0]
         if tri in cut:
-            b[dofs] += load_correction_kernel(one, f, field, ref, data,
-                                              sigma, mesh.h)[0]
-    for facet, owner, normal in zip(domain.boundary_facets.tolist(),
-                                    domain.boundary_owners.tolist(),
-                                    domain.boundary_normals):
+            b[dofs] += sigma * load_correction_kernel(one, f, field, ref,
+                                                      data)[0]
+    for facet, owner in zip(domain.boundary_facets.tolist(),
+                            domain.boundary_owners.tolist()):
         dofs = dofs_of(owner)
         a[np.ix_(dofs, dofs)] -= boundary_term_kernel(
-            np.array([facet]), np.array([owner]), normal[None], field, ref,
-            bnd)[0]
+            np.array([facet]), np.array([owner]), field, ref, bnd)[0]
     ghost = np.zeros_like(a)
     for facet in domain.ghost_facets.tolist():
-        tris, local = ghost_jump_kernel(np.array([facet]), field, ref, edge,
-                                        sigma, mesh.h)
+        tris, local = ghost_jump_kernel(np.array([facet]), field, ref, edge)
         dofs = dofs_of(tris[0])
-        np.add.at(ghost, np.ix_(dofs, dofs), local[0])
+        np.add.at(ghost, np.ix_(dofs, dofs), sigma * local[0])
     for tri in cut:
         dofs = dofs_of(tri)
-        ghost[np.ix_(dofs, dofs)] += ghost_laplacian_kernel(
-            np.array([tri]), field, ref, vol, sigma, mesh.h)[0]
+        ghost[np.ix_(dofs, dofs)] += sigma * ghost_laplacian_kernel(
+            np.array([tri]), field, ref, vol)[0]
     a += ghost
     scale = np.abs(a).max()
     np.testing.assert_allclose(system.A.toarray(), a, rtol=0,
@@ -432,13 +459,13 @@ def test_batched_assembly_matches_per_entity_kernels(n, k, radius, shift,
     np.testing.assert_allclose(system.b, b, rtol=0,
                                atol=1e-12 * np.abs(b).max())
 
-    part, _ = assemble_ghost_part(domain, field, f, k, sigma, dofmap)
+    part = sigma * assemble_ghost_part(domain, field, f, k, dofmap)[0]
     assert (part != part.T).nnz == 0
     # duplicate entries sum in another order, so equal up to rounding
     order = np.random.default_rng(seed).permutation(domain.ghost_facets)
-    permuted, _ = assemble_ghost_part(
-        dataclasses.replace(domain, ghost_facets=order), field, f, k, sigma,
-        dofmap)
+    permuted = sigma * assemble_ghost_part(
+        dataclasses.replace(domain, ghost_facets=order), field, f, k,
+        dofmap)[0]
     np.testing.assert_allclose(permuted.toarray(), part.toarray(), rtol=0,
                                atol=1e-12 * np.abs(ghost).max())
 
@@ -481,6 +508,35 @@ def _plain_products(field, ref, tri, bary):
     return value, grad, lap
 
 
+def _outward_normal(mesh, facet, tri):
+    """Unit normal of `facet` from its endpoints, pointing away from the
+    centroid of the incident triangle `tri`."""
+    a, b = mesh.facet_coords(facet)
+    normal = np.array([b[1] - a[1], a[0] - b[0]]) / np.linalg.norm(b - a)
+    centroid = mesh.triangle_coords(np.array([tri]))[0].mean(axis=0)
+    return normal if normal @ (0.5 * (a + b) - centroid) > 0.0 else -normal
+
+
+def test_facet_frames_match_vertex_geometry():
+    # every facet seen from each of its incident triangles: the closed-form
+    # length and conormal inv @ n of the triangle's (shape, local facet)
+    # pair against the endpoint distance and the vertex-built inverse
+    # Jacobian times the geometric outward normal
+    mesh = build_background_mesh(_SKEW_BOX, _SKEW_CELLS)
+    lengths, conormals = fem_core.facet_frames(mesh)
+    assert lengths.shape == (6,) and conormals.shape == (6, 2)
+    for t in range(mesh.n_triangles):
+        _, _, _, inv = _vertex_map(mesh, t)
+        for local, facet in enumerate(mesh.triangle_facets[t]):
+            group = 3 * (t % 2) + local
+            a, b = mesh.facet_coords(facet)
+            length = np.linalg.norm(b - a)
+            assert abs(lengths[group] - length) <= 1e-15 * length
+            want = inv @ _outward_normal(mesh, facet, t)
+            got = conormals[group]
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def _plain_facet_traces(field, ref, facet, tri, normal, s):
     """Traces phi psi_i and d/dn(phi psi_i) of triangle `tri` on `facet`,
     at the points (1 - s) A + s B, A the lower-id end."""
@@ -520,7 +576,7 @@ def test_shape_kernels_match_plain_quadrature(k, l):
     data = triangle_quadrature(degrees["data"])
     bnd = edge_quadrature(degrees["boundary_facet"])
     edge = edge_quadrature(degrees["ghost_facet"])
-    sigma, h = 20.0, mesh.h
+    h = mesh.h
 
     def close(got, want):
         np.testing.assert_allclose(got, want, rtol=0,
@@ -533,47 +589,40 @@ def test_shape_kernels_match_plain_quadrature(k, l):
         _, grad, lap = _plain_products(field, ref, t, vol.points)
         w = vol.weights * det
         product.append(np.einsum("q,qid,qjd->ij", w, grad, grad))
-        laplacian.append(sigma * h * h * np.einsum("q,qi,qj->ij", w, lap,
-                                                   lap))
+        laplacian.append(h * h * np.einsum("q,qi,qj->ij", w, lap, lap))
         value, _, lap = _plain_products(field, ref, t, data.points)
         pts = v0 + data.points[:, 1:] @ jac.T
         wf = data.weights * det * f.value(pts[:, 0], pts[:, 1])
         load.append(wf @ value)
-        correction.append(-sigma * h * h * (wf @ lap))
+        correction.append(-h * h * (wf @ lap))
     close(element_product_kernel(tris, field, ref, vol), np.array(product))
-    close(ghost_laplacian_kernel(tris, field, ref, vol, sigma, h),
-          np.array(laplacian))
+    close(ghost_laplacian_kernel(tris, field, ref, vol), np.array(laplacian))
     close(load_kernel(tris, f, field, ref, data), np.array(load))
-    close(load_correction_kernel(tris, f, field, ref, data, sigma, h),
+    close(load_correction_kernel(tris, f, field, ref, data),
           np.array(correction))
 
     boundary = []
     s = bnd.points[:, 1]
-    for facet, owner, normal in zip(domain.boundary_facets,
-                                    domain.boundary_owners,
-                                    domain.boundary_normals):
+    for facet, owner in zip(domain.boundary_facets, domain.boundary_owners):
+        normal = _outward_normal(mesh, facet, owner)
         value, dn = _plain_facet_traces(field, ref, facet, owner, normal, s)
         length = np.linalg.norm(np.diff(mesh.facet_coords(facet), axis=0))
         boundary.append(np.einsum("q,qi,qj->ij", bnd.weights * length,
                                   value, dn))
     close(boundary_term_kernel(domain.boundary_facets, domain.boundary_owners,
-                               domain.boundary_normals, field, ref, bnd),
+                               field, ref, bnd),
           np.array(boundary))
 
     jumps = []
     s = edge.points[:, 1]
     for facet in domain.ghost_facets:
         lo, hi = mesh.facet_triangles[facet]
-        a, b = mesh.facet_coords(facet)
-        normal = np.array([b[1] - a[1], a[0] - b[0]]) / np.linalg.norm(b - a)
-        centroid = mesh.triangle_coords(np.array([lo]))[0].mean(axis=0)
-        if normal @ (0.5 * (a + b) - centroid) < 0.0:
-            normal = -normal                    # out of the lower-id side
+        normal = _outward_normal(mesh, facet, lo)   # out of the lower-id side
         _, dn_lo = _plain_facet_traces(field, ref, facet, lo, normal, s)
         _, dn_hi = _plain_facet_traces(field, ref, facet, hi, normal, s)
         jump = np.concatenate([dn_lo, -dn_hi], axis=1)
-        w = sigma * h * edge.weights * np.linalg.norm(b - a)
+        a, b = mesh.facet_coords(facet)
+        w = h * edge.weights * np.linalg.norm(b - a)
         jumps.append(np.einsum("q,qi,qj->ij", w, jump, jump))
-    _, local = ghost_jump_kernel(domain.ghost_facets, field, ref, edge,
-                                 sigma, h)
+    _, local = ghost_jump_kernel(domain.ghost_facets, field, ref, edge)
     close(local, np.array(jumps))

@@ -7,7 +7,11 @@ pipeline end to end.
 import collections
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +244,28 @@ def test_main_output_is_reproducible(tmp_path):
     assert cli.main(args + ["--out", str(first)]) == 0
     assert cli.main(args + ["--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--case", "rectangle", "--k", "2", "--n", "20", "--levels", "2"],
+    ["run", "--case", "circle", "--k", "3", "--n", "10", "--levels", "4"],
+], ids=["rectangle-k2", "circle-k3"])
+def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, args):
+    # The same study in fresh processes under one and two OpenBLAS
+    # threads writes the same bytes: no contraction whose summation order
+    # follows the thread count may reach the CSV.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "phifem", *args,
+                        "--out", str(out)], env=env, check=True,
+                       capture_output=True, timeout=300)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_main_flags_override_config_file(tmp_path):

@@ -49,7 +49,7 @@ def _bench_disk_offset(seed):
 def _system(a, b):
     """Wrap a plain matrix as a solvable system; solver ignores the rest."""
     return SparseSystem(A=sp.csr_matrix(a), b=np.asarray(b, dtype=float),
-                        sigma=0.0, h=1.0, dofmap=None)
+                        dofmap=None)
 
 
 def _assembled(n, k=1, sigma=20.0, shift=(0.0, 0.0)):
