@@ -305,8 +305,7 @@ def _accumulate(rows, cols, vals, dofs_i, dofs_j, local):
 
 
 def assemble_ghost_part(domain: ActiveDomain, field: LevelSetField,
-                        f: AnalyticField, k: int,
-                        dofmap: DofMap | None = None
+                        f: AnalyticField, k: int, dofmap: DofMap
                         ) -> tuple[sp.csr_matrix, np.ndarray]:
     """Assemble the penalty matrix and its right-hand side correction at
     sigma = 1; the system for strength sigma adds sigma times them.
@@ -317,9 +316,6 @@ def assemble_ghost_part(domain: ActiveDomain, field: LevelSetField,
     of duplicate entries is not mirror-invariant, so the average is what
     makes the result symmetric entry for entry, not merely up to rounding.
     """
-    mesh = domain.mesh
-    if dofmap is None:
-        dofmap = build_dof_map(mesh, domain.active_triangles, k)
     ref = make_reference_element(k)
     degrees = quadrature_degrees(k, field.degree)
     edge_rule = edge_quadrature(degrees["ghost_facet"])

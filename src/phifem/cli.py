@@ -25,6 +25,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import numbers
+import os
 import sys
 from dataclasses import dataclass
 
@@ -79,12 +81,20 @@ class RunConfig:
         if self.case not in CASES:
             raise ValueError(
                 f"unknown case {self.case!r}; choose from {sorted(CASES)}")
+        for name in ("k", "l", "n", "levels"):
+            value = getattr(self, name)
+            if value is not None and not _is_number(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for value in (self.sigma, *(self.sigmas or ()), *(self.box or ())):
+            if not _is_number(value, numbers.Real) or not np.isfinite(value):
+                raise ValueError(f"sigma values and box coordinates must be "
+                                 f"finite numbers, got {value!r}")
         if self.k not in (1, 2, 3):
             raise ValueError(f"k must be 1, 2 or 3, got {self.k}")
         if self.levelset_degree not in (1, 2, 3):
             raise ValueError(f"l must be 1, 2 or 3, got {self.l}")
-        if not np.isfinite(self.sigma) or self.sigma < 0.0:
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if self.sigma < 0.0:
+            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.levels < 1:
@@ -93,6 +103,8 @@ class RunConfig:
             if len(self.box) != 4 or self.box[2] <= self.box[0] \
                     or self.box[3] <= self.box[1]:
                 raise ValueError(f"degenerate box {self.box!r}")
+        if not isinstance(self.out, (str, os.PathLike, type(None))):
+            raise ValueError(f"out must be a file path, got {self.out!r}")
         bad = set(self.tasks) - {"errors", "conditioning"}
         if bad:
             raise ValueError(f"unknown tasks {sorted(bad)}")
@@ -100,7 +112,7 @@ class RunConfig:
             if len(self.sigmas) == 0:
                 raise ValueError("sigmas must be a non-empty list")
             for s in self.sigmas:
-                if not np.isfinite(s) or s < 0.0:
+                if s < 0.0:
                     raise ValueError(f"sigma values must be >= 0, got {s}")
 
     @classmethod
@@ -116,6 +128,11 @@ class RunConfig:
         cfg = cls(**data)
         cfg.validate()
         return cfg
+
+
+def _is_number(value, kind) -> bool:
+    """True for a number of the given `numbers` kind; a bool is none."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _blank_row(config: RunConfig, sigma: float) -> dict:

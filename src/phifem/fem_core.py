@@ -12,14 +12,16 @@ t is the lower (t even) or upper (t odd) half of its cell.  `shape_maps`
 gives both affine maps in closed form from the cell size, and a
 triangle's map is the one of its shape, so there is one source of
 geometric truth.  The shapes have six (shape, local facet) pairs but
-only three facet orientations; `facet_frames` gives each pair's length
-and its conormal inv @ n, n the unit normal out of the triangle, in
-closed form too.  A quadrature rule's basis tables are tabulated once
-per (degree, rule exactness, need_hess) by `rule_tables`, and those of
-the edge rules on the six pairs by `facet_tables`; `physical_tables`
-maps triangle tables to physical gradients and Laplacians per shape, a
-facet table times its conormal gives the outward normal derivatives,
-and `eval_shapes` contracts per-entity coefficients against such tables
+only three facet kinds, and `mesh.LOCAL_FACETS` is the one source of
+their convention: `facet_frames` reads each pair's kind and side to give
+its length and its conormal inv @ n, n the unit normal out of the
+triangle, in closed form too, and `facet_tables` reads its ends.  A
+quadrature rule's basis tables are tabulated once per (degree, rule
+exactness, need_hess) by `rule_tables`, and those of the edge rules on
+the six pairs by `facet_tables`; `physical_tables` maps triangle
+tables to physical gradients and Laplacians per shape, a facet table
+times its conormal gives the outward normal derivatives, and
+`eval_shapes` contracts per-entity coefficients against such tables
 with one GEMM per group.  `eval_lagrange` evaluates fields at arbitrary
 points (located points, a single point), which no fixed table covers.
 """
@@ -31,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .mesh import BackgroundMesh
+from .mesh import LOCAL_FACETS, BackgroundMesh
 
 __all__ = [
     "QUAD_DEGREE_CAP",
@@ -43,7 +45,6 @@ __all__ = [
     "edge_quadrature",
     "quadrature_degrees",
     "build_dof_map",
-    "FACET_ENDS",
     "shape_maps",
     "facet_frames",
     "physical_points",
@@ -311,15 +312,6 @@ def build_dof_map(mesh: BackgroundMesh, triangles: np.ndarray,
 # ---------------------------------------------------------------------------
 # the two triangle shapes, their maps and their tables
 
-#: Local facets of each shape as (from, to) local vertices, from the lower
-#: to the higher vertex id.  Facets are ordered as in
-#: `BackgroundMesh.triangle_facets`.  Vertex ids grow along x, then y, so
-#: v00 < v10 < v01 < v11 in every cell, and the lower end of a local facet
-#: is the same on every triangle of a shape.
-FACET_ENDS = (((0, 1), (1, 2), (0, 2)),    # lower: bottom, right, diagonal
-              ((0, 1), (2, 1), (0, 2)))    # upper: diagonal, top, left
-
-
 def shape_maps(mesh: BackgroundMesh):
     """Affine maps of the mesh's two triangle shapes, in closed form.
 
@@ -339,17 +331,22 @@ def shape_maps(mesh: BackgroundMesh):
 def facet_frames(mesh: BackgroundMesh):
     """Lengths (6,) and conormals (6, 2) of the local facets of both
     shapes, in closed form from the cell size; row 3 * shape + local
-    facet, as in `facet_tables`.
+    facet, as in `mesh.LOCAL_FACETS`.
 
     The conormal is inv @ n, with inv the shape's inverse Jacobian and n
     the unit normal pointing out of the triangle, so the outward normal
     derivative of a function with reference gradient g is g . conormal.
+    Each facet kind has one length and one normal, pointing from its
+    lower-id triangle to its higher-id one; a triangle on side 1 of its
+    facet turns that normal around.
     """
     dx, dy = mesh.cell_size
     h = mesh.h
-    lengths = np.array([dx, dy, h, h, dx, dy])
-    normals = np.array([[0.0, -1.0], [1.0, 0.0], [-dy / h, dx / h],
-                        [dy / h, -dx / h], [0.0, 1.0], [-1.0, 0.0]])
+    kind, side = np.array([(f.kind, f.side) for f in LOCAL_FACETS]).T
+    # indexed by kind: horizontal, vertical, diagonal
+    lengths = np.array([dx, dy, h])[kind]
+    normals = np.array([[0.0, 1.0], [1.0, 0.0], [-dy / h, dx / h]])[kind]
+    normals *= (1 - 2 * side)[:, None]
     inv = np.repeat(shape_maps(mesh)[2], 3, axis=0)
     return lengths, (inv @ normals[:, :, None])[..., 0]
 
@@ -386,14 +383,15 @@ def facet_tables(degree: int, exactness: int):
     """Reference values (6, Q, n) and gradients (6, Q, n, 2) of the
     degree-`degree` basis at the points of `edge_quadrature(exactness)`
     on every local facet of both shapes, each run from its lower to its
-    higher vertex id (`FACET_ENDS`).  Row 3 * shape + local facet.
-    Tabulated once per key, in one call over all six point sets."""
+    higher vertex id (the ends of `mesh.LOCAL_FACETS`).  Row 3 * shape +
+    local facet.  Tabulated once per key, in one call over all six point
+    sets."""
     s = edge_quadrature(exactness).points[:, 1]
-    bary = np.zeros((2, 3, s.size, 3))
-    for shape, ends in enumerate(FACET_ENDS):
-        for facet, (lo, hi) in enumerate(ends):
-            bary[shape, facet, :, lo] = 1.0 - s
-            bary[shape, facet, :, hi] = s
+    bary = np.zeros((6, s.size, 3))
+    for row, facet in enumerate(LOCAL_FACETS):
+        lo, hi = facet.ends
+        bary[row, :, lo] = 1.0 - s
+        bary[row, :, hi] = s
     values, grads, _ = make_reference_element(degree).tabulate(
         bary.reshape(-1, 3), need_hess=False)
     n = values.shape[-1]

@@ -153,8 +153,6 @@ def classify_domain(field: LevelSetField, mesh: BackgroundMesh
     both_active = interior.copy()
     both_active[interior] = (active_mask[ft[interior, 0]]
                              & active_mask[ft[interior, 1]])
-    cut_mask = np.zeros(mesh.n_triangles, dtype=bool)
-    cut_mask[cut] = True
     touches_cut = np.zeros(mesh.n_facets, dtype=bool)
     touches_cut[mesh.triangle_facets[cut].ravel()] = True
     ghost = np.nonzero(both_active & touches_cut)[0]

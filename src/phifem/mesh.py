@@ -4,10 +4,15 @@ Every grid cell is split into two triangles along its lower-left to
 upper-right diagonal.  All numbering is deterministic: vertices are
 row-major in (i, j) grid indices, cells are row-major, and each cell
 contributes its lower triangle first.  Facets are enumerated as all
-horizontal edges, then all vertical edges, then all diagonals.  Those
-are the only three facet orientations, so no length or normal is stored
-per facet: `fem_core.facet_frames` gives them per triangle shape and
-local facet, in closed form from the cell size.
+horizontal edges, then all vertical edges, then all diagonals, each kind
+row-major in its own grid.
+
+The two triangle shapes have six (shape, local facet) pairs, and
+`LOCAL_FACETS` is the one source of their convention: each row gives
+the facet's kind, its cell offset in its kind's grid, the triangle's
+side on it and its two ends.  `build_background_mesh` builds the facet
+arrays from it, and `fem_core` its facet tables and its closed-form
+facet lengths and normals, so no length or normal is stored per facet.
 """
 from __future__ import annotations
 
@@ -17,12 +22,43 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
+    "HORIZONTAL",
+    "VERTICAL",
+    "DIAGONAL",
+    "LocalFacet",
+    "LOCAL_FACETS",
     "BackgroundMesh",
     "BoundaryFacets",
     "build_background_mesh",
     "submesh_boundary_facets",
     "locate_points",
 ]
+
+#: Facet kinds, in the order of their id blocks.
+HORIZONTAL, VERTICAL, DIAGONAL = 0, 1, 2
+
+
+class LocalFacet(NamedTuple):
+    """One (shape, local facet) pair of the structured mesh."""
+
+    kind: int                # HORIZONTAL, VERTICAL or DIAGONAL
+    offset: tuple[int, int]  # the facet's (i, j) in its kind's grid,
+                             # minus those of the triangle's cell
+    side: int                # 0 if the triangle is the lower id on it, else 1
+    ends: tuple[int, int]    # local vertices, the lower vertex id first
+
+
+#: The six (shape, local facet) pairs, row 3 * shape + local facet.  The
+#: lower triangle is (v00, v10, v11), the upper one (v00, v11, v01), and
+#: vertex ids grow along x, then y, so v00 < v10 < v01 < v11.
+LOCAL_FACETS = (
+    LocalFacet(HORIZONTAL, (0, 0), 1, (0, 1)),   # lower: bottom
+    LocalFacet(VERTICAL, (1, 0), 0, (1, 2)),     # lower: right
+    LocalFacet(DIAGONAL, (0, 0), 0, (0, 2)),     # lower: diagonal
+    LocalFacet(DIAGONAL, (0, 0), 1, (0, 1)),     # upper: diagonal
+    LocalFacet(HORIZONTAL, (0, 1), 0, (2, 1)),   # upper: top
+    LocalFacet(VERTICAL, (0, 0), 1, (0, 2)),     # upper: left
+)
 
 
 @dataclass(frozen=True)
@@ -39,7 +75,8 @@ class BackgroundMesh:
     facets : (n_facets, 2) int array, each row a vertex pair with a < b.
     facet_triangles : (n_facets, 2) int array of incident triangles in
         ascending order, -1 marking a missing neighbour.
-    triangle_facets : (n_triangles, 3) int array, facets of each triangle.
+    triangle_facets : (n_triangles, 3) int array, facets of each triangle
+        in the local order of `LOCAL_FACETS`.
     h : float, the cell diagonal; the mesh size used everywhere.
     """
 
@@ -114,93 +151,33 @@ def build_background_mesh(box: tuple[float, float, float, float],
     if nx < 1 or ny < 1:
         raise ValueError(f"cell counts must be positive, got {n_cells!r}")
 
-    xs = np.linspace(xmin, xmax, nx + 1)
-    ys = np.linspace(ymin, ymax, ny + 1)
-    X, Y = np.meshgrid(xs, ys)                      # row-major in (i, j)
-    vertices = np.column_stack([X.ravel(), Y.ravel()])
-    I, J = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1))
-    vertex_lattice = np.column_stack([I.ravel(), J.ravel()]).astype(np.int64)
+    J, I = np.divmod(np.arange((nx + 1) * (ny + 1)), nx + 1)   # row-major
+    vertex_lattice = np.column_stack([I, J])
+    vertices = np.column_stack([np.linspace(xmin, xmax, nx + 1)[I],
+                                np.linspace(ymin, ymax, ny + 1)[J]])
 
-    def vid(i, j):
-        return j * (nx + 1) + i
+    cj, ci = np.divmod(np.arange(nx * ny), nx)
+    # v00, v10, v01, v11 of every cell; both triangles counter-clockwise
+    corners = (cj * (nx + 1) + ci)[:, None] + np.array([0, 1, nx + 1, nx + 2])
+    triangles = corners[:, [[0, 1, 3], [0, 3, 2]]].reshape(-1, 3)
 
-    ci, cj = np.meshgrid(np.arange(nx), np.arange(ny))
-    ci, cj = ci.ravel(), cj.ravel()
-    v00 = vid(ci, cj)
-    v10 = vid(ci + 1, cj)
-    v01 = vid(ci, cj + 1)
-    v11 = vid(ci + 1, cj + 1)
-    lower = np.column_stack([v00, v10, v11])        # both counter-clockwise
-    upper = np.column_stack([v00, v11, v01])
-    triangles = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
-
-    # Facet ids: horizontal block, then vertical, then diagonal.
-    n_h = (ny + 1) * nx
-    n_v = ny * (nx + 1)
-
-    def fh(i, j):
-        return j * nx + i
-
-    def fv(i, j):
-        return n_h + j * (nx + 1) + i
-
-    def fd(i, j):
-        return n_h + n_v + j * nx + i
-
-    hi, hj = np.meshgrid(np.arange(nx), np.arange(ny + 1))
-    hi, hj = hi.ravel(), hj.ravel()
-    vi, vj = np.meshgrid(np.arange(nx + 1), np.arange(ny))
-    vi, vj = vi.ravel(), vj.ravel()
-    facets = np.empty((n_h + n_v + nx * ny, 2), dtype=np.int64)
-    facets[fh(hi, hj)] = np.column_stack([vid(hi, hj), vid(hi + 1, hj)])
-    facets[fv(vi, vj)] = np.column_stack([vid(vi, vj), vid(vi, vj + 1)])
-    facets[fd(ci, cj)] = np.column_stack([v00, v11])
-
-    cell = cj * nx + ci
-    t_lo = 2 * cell
-    t_up = 2 * cell + 1
-
-    facet_triangles = np.full((facets.shape[0], 2), -1, dtype=np.int64)
-    # Horizontal facet (i, j): upper triangle of cell (i, j-1) below, lower
-    # triangle of cell (i, j) above; ids listed ascending.
-    below = np.full(n_h, -1, dtype=np.int64)
-    above = np.full(n_h, -1, dtype=np.int64)
-    has_below = hj > 0
-    below[fh(hi[has_below], hj[has_below])] = \
-        2 * ((hj[has_below] - 1) * nx + hi[has_below]) + 1
-    has_above = hj < ny
-    above[fh(hi[has_above], hj[has_above])] = \
-        2 * (hj[has_above] * nx + hi[has_above])
-    facet_triangles[:n_h, 0] = np.where(below >= 0, below, above)
-    facet_triangles[:n_h, 1] = np.where(below >= 0, above, -1)
-    # Vertical facet (i, j): lower triangle of cell (i-1, j) on the left,
-    # upper triangle of cell (i, j) on the right.
-    left = np.full(n_v, -1, dtype=np.int64)
-    right = np.full(n_v, -1, dtype=np.int64)
-    has_left = vi > 0
-    left[fv(vi[has_left], vj[has_left]) - n_h] = \
-        2 * (vj[has_left] * nx + vi[has_left] - 1)
-    has_right = vi < nx
-    right[fv(vi[has_right], vj[has_right]) - n_h] = \
-        2 * (vj[has_right] * nx + vi[has_right]) + 1
-    facet_triangles[n_h:n_h + n_v, 0] = np.where(left >= 0, left, right)
-    facet_triangles[n_h:n_h + n_v, 1] = np.where(left >= 0, right, -1)
-    # Diagonal facet: the two triangles of its own cell.
-    facet_triangles[fd(ci, cj), 0] = t_lo
-    facet_triangles[fd(ci, cj), 1] = t_up
-
+    # each kind's facets form a grid, numbered row-major after the kinds
+    # before it; a facet's ends come from any triangle that holds it, and
+    # a facet along the box has its one triangle in slot 0
+    widths = (nx, nx + 1, nx)
+    starts = np.cumsum([0, nx * (ny + 1), (nx + 1) * ny])
+    facets = np.empty((starts[2] + nx * ny, 2), dtype=np.int64)
+    facet_triangles = np.full((len(facets), 2), -1, dtype=np.int64)
     triangle_facets = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    triangle_facets[t_lo, 0] = fh(ci, cj)           # bottom
-    triangle_facets[t_lo, 1] = fv(ci + 1, cj)       # right
-    triangle_facets[t_lo, 2] = fd(ci, cj)           # diagonal
-    triangle_facets[t_up, 0] = fd(ci, cj)           # diagonal
-    triangle_facets[t_up, 1] = fh(ci, cj + 1)       # top
-    triangle_facets[t_up, 2] = fv(ci, cj)           # left
+    for row, (kind, (oi, oj), side, ends) in enumerate(LOCAL_FACETS):
+        shape, local = divmod(row, 3)
+        ids = starts[kind] + (cj + oj) * widths[kind] + ci + oi
+        facets[ids] = triangles[shape::2][:, ends]
+        facet_triangles[ids, side] = np.arange(shape, len(triangles), 2)
+        triangle_facets[shape::2, local] = ids
+    on_box = facet_triangles[:, 0] < 0
+    facet_triangles[on_box] = facet_triangles[on_box, ::-1]
 
-    dx = (xmax - xmin) / nx
-    dy = (ymax - ymin) / ny
     for arr in (vertices, vertex_lattice, triangles, facets,
                 facet_triangles, triangle_facets):
         arr.setflags(write=False)
@@ -213,7 +190,7 @@ def build_background_mesh(box: tuple[float, float, float, float],
         facets=facets,
         facet_triangles=facet_triangles,
         triangle_facets=triangle_facets,
-        h=float(np.hypot(dx, dy)),
+        h=float(np.hypot((xmax - xmin) / nx, (ymax - ymin) / ny)),
     )
 
 

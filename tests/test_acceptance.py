@@ -19,8 +19,8 @@ from phifem import cli
 from phifem.assembly import assemble_ghost_part, assemble_system
 from phifem.cases import get_case
 from phifem.cli import RunConfig, conditioning_study, run_case, sigma_sweep
-from phifem.fem_core import (QUAD_DEGREE_CAP, make_reference_element,
-                             triangle_quadrature)
+from phifem.fem_core import (QUAD_DEGREE_CAP, build_dof_map,
+                             make_reference_element, triangle_quadrature)
 from phifem.levelset import classify_domain, interpolate_levelset
 from phifem.linalg import estimate_condition_number, solve
 from phifem.mesh import build_background_mesh
@@ -190,7 +190,9 @@ def test_06_property_suite(tmp_path):
     mesh = build_background_mesh(disk.box, (20, 20))
     field = interpolate_levelset(disk.phi, mesh, 1)
     domain = classify_domain(field, mesh)
-    ghost = 20.0 * assemble_ghost_part(domain, field, disk.f, 1)[0]
+    ghost = 20.0 * assemble_ghost_part(
+        domain, field, disk.f, 1,
+        build_dof_map(mesh, domain.active_triangles, 1))[0]
     if (ghost != ghost.T).nnz != 0:
         bad.append("ghost matrix not exactly symmetric")
     rng = np.random.default_rng(20240910)

@@ -219,7 +219,8 @@ def test_ghost_matrix_symmetric_and_psd(n, k, radius, shift):
     field = interpolate_levelset(phi, mesh, k)
     domain = classify_domain(field, mesh)
     assert domain.ghost_facets.size > 0
-    ghost, _ = assemble_ghost_part(domain, field, f, k)
+    ghost, _ = assemble_ghost_part(
+        domain, field, f, k, build_dof_map(mesh, domain.active_triangles, k))
     assert (ghost != ghost.T).nnz == 0
     eigenvalues = np.linalg.eigvalsh(ghost.toarray())
     assert eigenvalues[0] >= -1e-12 * eigenvalues[-1]

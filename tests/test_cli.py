@@ -61,6 +61,8 @@ def test_config_rejects_unknown_keys():
     {"tasks": ("errors", "plotting")},
     {"sigmas": ()},
     {"sigmas": (1.0, -2.0)},
+    # an integer would be opened as a file descriptor
+    {"out": 1},
 ])
 def test_config_rejects_bad_values(data):
     with pytest.raises(ValueError):
@@ -303,6 +305,28 @@ def test_main_rejects_bad_configuration(tmp_path, capsys):
     not_object.write_text("[1, 2]")
     assert cli.main(["run", "--config", str(not_object)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", [
+    '{"box": [0, 0, Infinity, 1]}',
+    '{"box": [0, 0, NaN, 1]}',
+    '{"n": 4.5}',
+    '{"k": 2.0}',
+    '{"l": 2.0}',
+    '{"sigma": true}',
+    '{"levels": true}',
+], ids=["box-inf", "box-nan", "n-float", "k-float", "l-float", "sigma-bool",
+        "levels-bool"])
+def test_main_rejects_mistyped_config_values(tmp_path, capsys, text):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(text)
+    code = cli.main(["run", "--config", str(cfg_file), "--case", "planted",
+                     "--out", str(tmp_path / "run.csv")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "run.csv").exists()
 
 
 def test_main_reports_empty_active_set(tmp_path, capsys):

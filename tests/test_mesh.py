@@ -1,6 +1,7 @@
 """Tests for the structured background mesh and its facet topology."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phifem.mesh import (build_background_mesh, locate_points,
                          submesh_boundary_facets)
@@ -184,6 +185,70 @@ def test_build_rejects_bad_input():
         build_background_mesh(UNIT, (0, 2))
     with pytest.raises(ValueError):
         build_background_mesh((0.0, 0.0, np.inf, 1.0), (2, 2))
+
+
+def _lattice(mesh, box, nx, ny):
+    """(i, j) grid indices of every vertex, from its coordinates alone."""
+    xmin, ymin, xmax, ymax = box
+    step = ((xmax - xmin) / nx, (ymax - ymin) / ny)
+    return np.rint((mesh.vertices - (xmin, ymin)) / step).astype(np.int64)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(nx=st.integers(1, 12), ny=st.integers(1, 12),
+       box=st.sampled_from([UNIT, (-0.35, 0.1, 0.82, 0.95)]))
+def test_numbering_follows_the_documented_order(nx, ny, box):
+    # the CSV bytes depend on this numbering; it is rebuilt here from the
+    # vertex coordinates and the documented order, not from the builder
+    mesh = build_background_mesh(box, (nx, ny))
+    lattice = _lattice(mesh, box, nx, ny)
+    ids = np.arange(mesh.n_vertices)
+    np.testing.assert_array_equal(lattice, np.column_stack(
+        [ids % (nx + 1), ids // (nx + 1)]))          # row-major vertices
+
+    # facets: horizontal, then vertical, then diagonal, each row-major,
+    # ends from the lower to the higher vertex id
+    expected = np.array(
+        [((i, j), (i + 1, j)) for j in range(ny + 1) for i in range(nx)]
+        + [((i, j), (i, j + 1)) for j in range(ny) for i in range(nx + 1)]
+        + [((i, j), (i + 1, j + 1)) for j in range(ny) for i in range(nx)])
+    np.testing.assert_array_equal(lattice[mesh.facets], expected)
+
+    # local facets: lower (bottom, right, diagonal), upper (diagonal, top,
+    # left); cells row-major, the lower triangle of a cell first
+    corners = lattice[mesh.triangles]                # (T, 3, 2)
+    ci, cj = corners.min(axis=1).T
+    np.testing.assert_array_equal(ci + nx * cj,
+                                  np.arange(mesh.n_triangles) // 2)
+    lower = (corners == np.column_stack([ci + 1, cj])[:, None]).all(
+        axis=2).any(axis=1)
+    np.testing.assert_array_equal(lower, np.arange(mesh.n_triangles) % 2 == 0)
+    c00 = np.column_stack([ci, cj])
+    bottom = np.stack([c00, c00 + (1, 0)], axis=1)
+    right = np.stack([c00 + (1, 0), c00 + (1, 1)], axis=1)
+    diagonal = np.stack([c00, c00 + (1, 1)], axis=1)
+    top = np.stack([c00 + (0, 1), c00 + (1, 1)], axis=1)
+    left = np.stack([c00, c00 + (0, 1)], axis=1)
+    want = np.where(lower[:, None, None, None],
+                    np.stack([bottom, right, diagonal], axis=1),
+                    np.stack([diagonal, top, left], axis=1))
+    np.testing.assert_array_equal(lattice[mesh.facets[mesh.triangle_facets]],
+                                  want)
+
+    # facet triangles: every triangle holding both ends, ascending, and
+    # -1 in the second slot exactly on the facets along the box
+    holders = {}
+    for t, tri in enumerate(mesh.triangles):
+        for a, b in ((0, 1), (1, 2), (0, 2)):
+            key = tuple(sorted((int(tri[a]), int(tri[b]))))
+            holders.setdefault(key, []).append(t)
+    ends = lattice[mesh.facets]
+    on_box = ((ends[..., 0] == 0).all(axis=1) | (ends[..., 0] == nx).all(axis=1)
+              | (ends[..., 1] == 0).all(axis=1) | (ends[..., 1] == ny).all(axis=1))
+    for f, pair in enumerate(mesh.facets):
+        tris = sorted(holders[tuple(int(v) for v in pair)])
+        assert len(tris) == (1 if on_box[f] else 2)
+        assert list(mesh.facet_triangles[f]) == tris + [-1] * (2 - len(tris))
 
 
 def test_mesh_arrays_read_only():

@@ -1,4 +1,5 @@
-"""Tests that the benchmark's tracer still fits the package.
+"""Tests that the benchmark's tracer and the README example still fit
+the package.
 
 `perfbench/spans.py` rebinds, in the benchmark process only, names that
 one phifem module imported from another, and reads sizes off the
@@ -6,9 +7,14 @@ results and errors of the calls it wraps.  A rename under `src/` would
 break only a traced benchmark run, so every binding and every reader of
 a linalg result is checked here, and a traced study must record the
 facet-kernel spans.  The file is loaded by path and never modified.
+The README's library example is run as written, so an API edit cannot
+silently break it.
 """
+import contextlib
 import importlib
 import importlib.util
+import io
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +26,8 @@ from phifem.assembly import SparseSystem
 from phifem.linalg import (NoConvergenceError, estimate_condition_number,
                            solve)
 
-_SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_SPANS = _ROOT / "perfbench" / "spans.py"
 
 
 def _load_spans():
@@ -86,3 +93,14 @@ def test_tracer_sees_the_facet_kernels(monkeypatch):
         cli.RunConfig(case="circle", k=1, n=8, levels=1)))
     names = {span["name"] for span in tracer.spans}
     assert {"assembly.boundary", "assembly.ghost_facet"} <= names
+
+
+def test_readme_library_example_prints_an_error_report():
+    readme = (_ROOT / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], "README.md", "exec"), {})
+    assert re.fullmatch(r"ErrorReport\(.*\)\n", out.getvalue(), flags=re.S)
