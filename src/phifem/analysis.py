@@ -22,8 +22,9 @@ import numpy as np
 
 from .assembly import SparseSystem
 from .fem_core import (DofMap, eval_lagrange, eval_shapes,
-                       physical_points, physical_tables, quadrature_degrees,
-                       rule_tables, shape_maps, triangle_quadrature)
+                       physical_points, physical_tables, product_rule,
+                       quadrature_degrees, rule_tables, shape_maps,
+                       triangle_quadrature)
 from .levelset import ActiveDomain, AnalyticField, LevelSetField
 from .mesh import locate_points
 
@@ -70,11 +71,6 @@ def make_solution(system: SparseSystem, field: LevelSetField,
     return ProductSolution(field=field, dofmap=system.dofmap, coefficients=x)
 
 
-def _product(pv, pg, wv, wg):
-    """Values and gradients of u = phi * w from those of phi and w."""
-    return pv * wv, wv[..., None] * pg + pv[..., None] * wg
-
-
 def _check_shared(solutions: list[ProductSolution]) -> None:
     if not solutions:
         raise ValueError("no solutions to measure")
@@ -96,7 +92,7 @@ def _product_field(solutions: list[ProductSolution], tris: np.ndarray,
     cells = dofmap.cell_dofs[dofmap.rows_for(tris)]
     wcoef = np.stack([sol.coefficients[cells] for sol in solutions])
     wv, wg, _ = eval_lagrange(wcoef, dofmap.degree, inv, bary)
-    return _product(pv, pg, wv, wg)
+    return product_rule(pv, pg, wv, wg)[:2]
 
 
 def eval_solution(sol: ProductSolution, triangle: int, bary: np.ndarray
@@ -154,7 +150,7 @@ def _relative_errors(solutions: list[ProductSolution], tris: np.ndarray,
         dofs = dofmap.cell_dofs[dofmap.rows_for(sel)]
         for j, sol in enumerate(solutions):
             wv, wg = eval_shapes(sol.coefficients[dofs], shape, w_v, w_g)
-            val, grad = _product(pv, pg, wv, wg)
+            val, grad, _ = product_rule(pv, pg, wv, wg)
             num_l2[j] += np.sum(w * (ex[j] - val) ** 2)
             num_h1[j] += np.sum(w * np.sum((ex_grad[j] - grad) ** 2, axis=-1))
 

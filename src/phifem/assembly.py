@@ -21,7 +21,9 @@ product and Laplacian penalty matrices and the load and its correction
 over chunks of triangles, the boundary and ghost facet terms over all
 their facets in one call each.  A single triangle or facet is a
 length-1 call, so the hand-integral tests pin the code that assembly
-runs.
+runs.  A kernel takes the degree k of w and looks up the cached rule of
+its term in `quadrature_degrees(k, field.degree)`, so no caller passes
+an element or a rule.
 
 The mesh has two triangle shapes, so every basis table is per shape,
 never per triangle (`fem_core.shape_maps`, `rule_tables`,
@@ -33,7 +35,10 @@ one GEMM per shape against the tables at v0 + offset[shape] points.  A
 facet trace takes the values and outward normal derivatives of its
 triangle's shape and local facet, the latter one matmul of the facet
 table with the conormal of `fem_core.facet_frames`, and each side of a
-ghost facet differentiates along its own outward normal.
+ghost facet differentiates along its own outward normal.  The gradients
+and Laplacians of the basis products phi_a psi_i and the facet traces
+all come from `fem_core.product_rule`, the one place the product rule of
+u = phi * w is written.
 Both penalty terms and the load correction are linear in sigma, so
 their kernels and `assemble_ghost_part` return the sigma = 1 forms,
 with h read from the mesh; `assemble_parts` builds the core A0, b0 and
@@ -49,10 +54,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fem_core import (QuadratureRule, ReferenceElement, DofMap,
-                       build_dof_map, edge_quadrature, eval_shapes,
-                       facet_frames, facet_tables, make_reference_element,
-                       physical_points, physical_tables, quadrature_degrees,
+from .fem_core import (DofMap, build_dof_map, edge_quadrature, eval_shapes,
+                       facet_frames, facet_tables, physical_points,
+                       physical_tables, product_rule, quadrature_degrees,
                        rule_tables, shape_maps, triangle_quadrature)
 from .levelset import ActiveDomain, AnalyticField, LevelSetField
 
@@ -99,40 +103,30 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return np.tril(m) + np.tril(m, -1).swapaxes(-1, -2)
 
 
-def _exactness(quad: QuadratureRule, rule_of) -> int:
-    """The key of `quad`'s cached tables, its exactness.  The tables hold
-    the points of `rule_of(exactness)`, so `quad` must be that rule."""
-    if quad is not rule_of(quad.degree):
-        raise ValueError(f"kernels take rules from {rule_of.__name__}")
-    return quad.degree
+def _rule(k, field, term):
+    """The cached rule of `term` in `quadrature_degrees(k, field.degree)`;
+    its `degree`, the exactness, keys the cached tables."""
+    exactness = quadrature_degrees(k, field.degree)[term]
+    if term.endswith("facet"):
+        return edge_quadrature(exactness)
+    return triangle_quadrature(exactness)
 
 
-def _shape_tables(degree, quad, inv, need_lap=False):
-    """Values (Q, n), per-shape physical gradients (2, Q, n, 2) and
-    Laplacians (2, Q, n) or None, from the cached reference tables."""
-    tables = rule_tables(degree, _exactness(quad, triangle_quadrature),
-                         need_lap)
-    return (tables[0],) + physical_tables(tables, inv, need_lap)
-
-
-def _gradient_terms(field, ref, quad, inv):
-    """grad(phi_a psi_i) at the rule's points for both shapes, phi_a the
-    level-set basis: shape (2, Q, 2, m, n), the (q, e) axes leading."""
-    pv, pg, _ = _shape_tables(field.degree, quad, inv)
-    bv, bg, _ = _shape_tables(ref.degree, quad, inv)
-    terms = (pg[:, :, :, None, :] * bv[None, :, None, :, None]
-             + pv[None, :, :, None, None] * bg[:, :, None, :, :])
-    return terms.transpose(0, 1, 4, 2, 3)
-
-
-def _laplacian_terms(field, ref, quad, inv):
-    """lap(phi_a psi_i) at the rule's points for both shapes, phi_a the
-    level-set basis: shape (2, Q, m, n)."""
-    pv, pg, plap = _shape_tables(field.degree, quad, inv, need_lap=True)
-    bv, bg, blap = _shape_tables(ref.degree, quad, inv, need_lap=True)
-    return (plap[:, :, :, None] * bv[None, :, None, :]
-            + 2.0 * pg @ bg.swapaxes(-1, -2)
-            + pv[None, :, :, None] * blap[:, :, None, :])
+def _basis_products(field, k, exactness, need_lap=False):
+    """grad(phi_a psi_i), shape (2, Q, m, n, 2), and lap(phi_a psi_i),
+    shape (2, Q, m, n) or None unless `need_lap`, at the rule's points
+    for both shapes; phi_a is the level-set basis, psi_i that of w."""
+    inv = shape_maps(field.mesh)[2]
+    phi_tables = rule_tables(field.degree, exactness, need_lap)
+    w_tables = rule_tables(k, exactness, need_lap)
+    pg, plap = physical_tables(phi_tables, inv, need_lap)
+    bg, blap = physical_tables(w_tables, inv, need_lap)
+    if need_lap:
+        plap, blap = plap[..., :, None], blap[..., None, :]
+    _, grad, lap = product_rule(phi_tables[0][:, :, None], pg[..., None, :],
+                                w_tables[0][:, None, :], bg[..., None, :, :],
+                                plap, blap)
+    return grad, lap
 
 
 def _pair_forms(coef, shape, terms, weights):
@@ -159,61 +153,60 @@ def _pair_forms(coef, shape, terms, weights):
     return out
 
 
-def _facet_traces(field, ref, facets, tris, quad):
+def _facet_traces(field, k, facets, tris, exactness):
     """Lengths, traces phi psi_i and outward normal derivatives
     d/dn(phi psi_i) on one side of each facet.
 
     Facet f is seen from triangle tris[f] and parametrized at the points
-    of the edge rule `quad` from its lower to its higher vertex id, so both
-    incident triangles see the same physical points.  The tables and the
-    frame are those of the triangle's shape and local facet, and the
-    normal points out of tris[f].  Returns (F,) lengths and two (F, Q, n)
-    arrays.
+    of the edge rule of that exactness from its lower to its higher
+    vertex id, so both incident triangles see the same physical points.
+    The tables and the frame are those of the triangle's shape and local
+    facet, and the normal points out of tris[f].  Returns (F,) lengths
+    and two (F, Q, n) arrays.
     """
     mesh = field.mesh
     local = np.argmax(mesh.triangle_facets[tris] == facets[:, None], axis=1)
     group = 3 * (tris % 2) + local
-    exactness = _exactness(quad, edge_quadrature)
     lengths, conormals = facet_frames(mesh)
     conormals = conormals[:, None, :, None]         # one per table row
     values, grads = facet_tables(field.degree, exactness)
     pv, pdn = eval_shapes(field.cell_coefficients(tris), group, values,
                           grads @ conormals)
-    values, grads = facet_tables(ref.degree, exactness)
-    bv = values[group]
-    bdn = (grads @ conormals)[group, ..., 0]
-    return lengths[group], pv[..., None] * bv, bv * pdn + pv[..., None] * bdn
+    values, grads = facet_tables(k, exactness)
+    trace, dn, _ = product_rule(pv[..., None], pdn[..., None, :],
+                                values[group], (grads @ conormals)[group])
+    return lengths[group], trace, dn[..., 0]
 
 
 def element_product_kernel(triangles: np.ndarray, field: LevelSetField,
-                           ref: ReferenceElement,
-                           quad: QuadratureRule) -> np.ndarray:
-    """Local matrices of integral grad(phi psi_j) . grad(phi psi_i) dx.
+                           k: int) -> np.ndarray:
+    """Local matrices of integral grad(phi psi_j) . grad(phi psi_i) dx,
+    psi the degree-k basis.
 
     One (n, n) matrix per triangle id in `triangles`: shape (nT, n, n).
     """
-    _, det, inv = shape_maps(field.mesh)
-    terms = _gradient_terms(field, ref, quad, inv)
-    _, Q, _, m, n = terms.shape
+    quad = _rule(k, field, "volume")
+    grad, _ = _basis_products(field, k, quad.degree)
+    _, Q, m, n, _ = grad.shape
+    terms = grad.transpose(0, 1, 4, 2, 3).reshape(2, 2 * Q, m, n)
+    weights = np.repeat(shape_maps(field.mesh)[1] * quad.weights, 2)
     return _pair_forms(field.cell_coefficients(triangles), triangles % 2,
-                       terms.reshape(2, 2 * Q, m, n),
-                       np.repeat(det * quad.weights, 2))
+                       terms, weights)
 
 
 def ghost_laplacian_kernel(triangles: np.ndarray, field: LevelSetField,
-                           ref: ReferenceElement,
-                           quad: QuadratureRule) -> np.ndarray:
+                           k: int) -> np.ndarray:
     """Penalty matrices h^2 * integral lap(phi psi_j) lap(phi psi_i) dx,
-    at sigma = 1 with h = field.mesh.h.
+    at sigma = 1 with h = field.mesh.h, psi the degree-k basis.
 
     One exactly symmetric (n, n) matrix per triangle: shape (nT, n, n).
     """
     h = field.mesh.h
-    _, det, inv = shape_maps(field.mesh)
-    terms = _laplacian_terms(field, ref, quad, inv)
+    quad = _rule(k, field, "volume")
+    _, lap = _basis_products(field, k, quad.degree, need_lap=True)
+    weights = h * h * shape_maps(field.mesh)[1] * quad.weights
     return _symmetrize(_pair_forms(field.cell_coefficients(triangles),
-                                   triangles % 2, terms,
-                                   h * h * det * quad.weights))
+                                   triangles % 2, lap, weights))
 
 
 def _source(f, mesh, triangles, quad):
@@ -224,24 +217,24 @@ def _source(f, mesh, triangles, quad):
 
 
 def load_kernel(triangles: np.ndarray, f: AnalyticField,
-                field: LevelSetField, ref: ReferenceElement,
-                quad: QuadratureRule) -> np.ndarray:
-    """Element load vectors (f, phi psi_i), shape (nT, n)."""
-    exactness = _exactness(quad, triangle_quadrature)
+                field: LevelSetField, k: int) -> np.ndarray:
+    """Element load vectors (f, phi psi_i), psi the degree-k basis, shape
+    (nT, n)."""
+    quad = _rule(k, field, "data")
     wf = _source(f, field.mesh, triangles, quad)
     pv = field.cell_coefficients(triangles) @ rule_tables(
-        field.degree, exactness, False)[0].T
-    return (wf * pv) @ rule_tables(ref.degree, exactness, False)[0]
+        field.degree, quad.degree, False)[0].T
+    return (wf * pv) @ rule_tables(k, quad.degree, False)[0]
 
 
 def load_correction_kernel(triangles: np.ndarray, f: AnalyticField,
-                           field: LevelSetField, ref: ReferenceElement,
-                           quad: QuadratureRule) -> np.ndarray:
+                           field: LevelSetField, k: int) -> np.ndarray:
     """Stabilization corrections -h^2 (f, lap(phi psi_i)) at sigma = 1,
-    with h = field.mesh.h, shape (nT, n); the right-hand side adds them
-    on cut triangles only."""
+    with h = field.mesh.h and psi the degree-k basis, shape (nT, n); the
+    right-hand side adds them on cut triangles only."""
     h = field.mesh.h
-    terms = _laplacian_terms(field, ref, quad, shape_maps(field.mesh)[2])
+    quad = _rule(k, field, "data")
+    _, terms = _basis_products(field, k, quad.degree, need_lap=True)
     Q, m, n = terms.shape[1:]
     wf = _source(f, field.mesh, triangles, quad)
     coef = field.cell_coefficients(triangles)
@@ -255,24 +248,24 @@ def load_correction_kernel(triangles: np.ndarray, f: AnalyticField,
 
 
 def boundary_term_kernel(facets: np.ndarray, owners: np.ndarray,
-                         field: LevelSetField, ref: ReferenceElement,
-                         quad: QuadratureRule) -> np.ndarray:
-    """Local matrices of integral d/dn(phi psi_j) * (phi psi_i) ds.
+                         field: LevelSetField, k: int) -> np.ndarray:
+    """Local matrices of integral d/dn(phi psi_j) * (phi psi_i) ds, psi
+    the degree-k basis.
 
     Traces of facet facets[f] are taken from owners[f], its unique active
     triangle, and n points out of that triangle, so out of the active
     set.  Returns (F, n, n); the assembled system subtracts these
     matrices.
     """
-    lengths, test, dn = _facet_traces(field, ref, facets, owners, quad)
+    quad = _rule(k, field, "boundary_facet")
+    lengths, test, dn = _facet_traces(field, k, facets, owners, quad.degree)
     return _gram(quad.weights * lengths[:, None], test, dn)
 
 
-def ghost_jump_kernel(facets: np.ndarray, field: LevelSetField,
-                      ref: ReferenceElement, quad: QuadratureRule
+def ghost_jump_kernel(facets: np.ndarray, field: LevelSetField, k: int
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Jump penalties h * integral [d/dn(phi psi_j)][d/dn(phi psi_i)] ds,
-    at sigma = 1 with h = field.mesh.h.
+    at sigma = 1 with h = field.mesh.h, psi the degree-k basis.
 
     Returns (tris, local): tris (F, 2) holds the two incident triangles
     of each facet in ascending id order, and local (F, 2n, 2n) the exactly
@@ -288,8 +281,10 @@ def ghost_jump_kernel(facets: np.ndarray, field: LevelSetField,
     if single.any():
         raise ValueError(f"facet {facets[single][0]} has a single "
                          "incident triangle")
-    lengths, _, dn_lo = _facet_traces(field, ref, facets, tris[:, 0], quad)
-    _, _, dn_hi = _facet_traces(field, ref, facets, tris[:, 1], quad)
+    quad = _rule(k, field, "ghost_facet")
+    lengths, _, dn_lo = _facet_traces(field, k, facets, tris[:, 0],
+                                      quad.degree)
+    _, _, dn_hi = _facet_traces(field, k, facets, tris[:, 1], quad.degree)
     jump = np.concatenate([dn_lo, dn_hi], axis=-1)        # (F, Q, 2n)
     w = mesh.h * quad.weights * lengths[:, None]
     return tris, _symmetrize(_gram(w, jump, jump))
@@ -316,19 +311,12 @@ def assemble_ghost_part(domain: ActiveDomain, field: LevelSetField,
     of duplicate entries is not mirror-invariant, so the average is what
     makes the result symmetric entry for entry, not merely up to rounding.
     """
-    ref = make_reference_element(k)
-    degrees = quadrature_degrees(k, field.degree)
-    edge_rule = edge_quadrature(degrees["ghost_facet"])
-    vol_rule = triangle_quadrature(degrees["volume"])
-    data_rule = triangle_quadrature(degrees["data"])
-    n = ref.n_basis
-
+    n = dofmap.cell_dofs.shape[1]
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
 
-    tris, local = ghost_jump_kernel(domain.ghost_facets, field, ref,
-                                    edge_rule)
+    tris, local = ghost_jump_kernel(domain.ghost_facets, field, k)
     dofs = dofmap.cell_dofs[dofmap.rows_for(tris)].reshape(len(tris), 2 * n)
     _accumulate(rows, cols, vals, dofs, dofs, local)
 
@@ -337,10 +325,10 @@ def assemble_ghost_part(domain: ActiveDomain, field: LevelSetField,
     cut_rows = dofmap.rows_for(cut)
     for start in range(0, cut.size, _CHUNK):
         sel = slice(start, start + _CHUNK)
-        local = ghost_laplacian_kernel(cut[sel], field, ref, vol_rule)
+        local = ghost_laplacian_kernel(cut[sel], field, k)
         dofs = dofmap.cell_dofs[cut_rows[sel]]
         _accumulate(rows, cols, vals, dofs, dofs, local)
-        corr = load_correction_kernel(cut[sel], f, field, ref, data_rule)
+        corr = load_correction_kernel(cut[sel], f, field, k)
         np.add.at(b_corr, dofs.ravel(), corr.ravel())
 
     mat = sp.coo_matrix((np.concatenate(vals),
@@ -448,11 +436,6 @@ def assemble_parts(domain: ActiveDomain, field: LevelSetField,
         raise ValueError("level set and domain live on different meshes")
 
     dofmap = build_dof_map(mesh, domain.active_triangles, k)
-    ref = make_reference_element(k)
-    degrees = quadrature_degrees(k, field.degree)
-    vol_rule = triangle_quadrature(degrees["volume"])
-    data_rule = triangle_quadrature(degrees["data"])
-    bnd_rule = edge_quadrature(degrees["boundary_facet"])
 
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
@@ -463,14 +446,14 @@ def assemble_parts(domain: ActiveDomain, field: LevelSetField,
     for start in range(0, active.size, _CHUNK):
         sel = slice(start, start + _CHUNK)
         tris = active[sel]
-        local = element_product_kernel(tris, field, ref, vol_rule)
+        local = element_product_kernel(tris, field, k)
         dofs = dofmap.cell_dofs[dofmap.rows_for(tris)]
         _accumulate(rows, cols, vals, dofs, dofs, local)
-        load = load_kernel(tris, f, field, ref, data_rule)
+        load = load_kernel(tris, f, field, k)
         np.add.at(b0, dofs.ravel(), load.ravel())
 
     local = boundary_term_kernel(domain.boundary_facets,
-                                 domain.boundary_owners, field, ref, bnd_rule)
+                                 domain.boundary_owners, field, k)
     dofs = dofmap.cell_dofs[dofmap.rows_for(domain.boundary_owners)]
     _accumulate(rows, cols, vals, dofs, dofs, -local)
 

@@ -16,13 +16,16 @@ conditioning
 
 All commands emit one CSV with a fixed header; numbers are written with
 repr so that two runs of the same configuration produce byte-identical
-files.  Exit code 0 means success, 2 a configuration problem, 3 at least
-one failed solve (failed rows still appear, flagged in `status`: a
-singular matrix, no convergence, or factors that ran out of memory).
+files.  Exit code 0 means success, 2 a configuration problem (an `--out`
+path that cannot be opened included; it is opened before any level
+runs), 3 at least one failed solve (failed rows still appear, flagged
+in `status`: a singular matrix, no convergence, or factors that ran out
+of memory).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import numbers
@@ -406,31 +409,29 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
+        if args.command == "sigma-sweep" and config.sigmas is None:
+            raise ValueError("sigma-sweep needs --sigmas or a `sigmas` "
+                             "config entry")
+        # opened before any level runs, so an unwritable path costs no work
+        out = (contextlib.nullcontext(sys.stdout) if config.out is None
+               else open(config.out, "w", newline=""))
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
     slope = None
-    try:
-        if args.command == "run":
-            rows = run_case(config)
-        elif args.command == "sigma-sweep":
-            if config.sigmas is None:
-                print("error: sigma-sweep needs --sigmas or a `sigmas` "
-                      "config entry", file=sys.stderr)
-                return 2
-            rows = sigma_sweep(config, list(config.sigmas))
-        else:
-            rows, slope = conditioning_study(config)
-    except EmptyActiveSetError as err:
-        print(f"error: EmptyActiveSet: {err}", file=sys.stderr)
-        return 2
-
-    if config.out is None:
-        write_csv(rows, sys.stdout, slope)
-    else:
-        with open(config.out, "w", newline="") as fh:
-            write_csv(rows, fh, slope)
+    with out as stream:
+        try:
+            if args.command == "run":
+                rows = run_case(config)
+            elif args.command == "sigma-sweep":
+                rows = sigma_sweep(config, list(config.sigmas))
+            else:
+                rows, slope = conditioning_study(config)
+        except EmptyActiveSetError as err:
+            print(f"error: EmptyActiveSet: {err}", file=sys.stderr)
+            return 2
+        write_csv(rows, stream, slope)
 
     failed = sorted({row["status"] for row in rows} - {"ok"})
     if failed:

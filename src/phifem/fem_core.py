@@ -24,6 +24,10 @@ times its conormal gives the outward normal derivatives, and
 `eval_shapes` contracts per-entity coefficients against such tables
 with one GEMM per group.  `eval_lagrange` evaluates fields at arbitrary
 points (located points, a single point), which no fixed table covers.
+`product_rule` turns the values and derivatives of phi and of w into
+those of u = phi * w, and the Laplacian on request; it is the only
+place that rule is written, and it serves both the basis products of
+assembly and the contracted fields of the error norms.
 """
 from __future__ import annotations
 
@@ -53,6 +57,7 @@ __all__ = [
     "physical_tables",
     "eval_shapes",
     "eval_lagrange",
+    "product_rule",
 ]
 
 #: Hard ceiling on requested polynomial exactness of any quadrature rule.
@@ -483,3 +488,24 @@ def eval_lagrange(coef: np.ndarray, degree: int, inv: np.ndarray,
         outer = np.einsum("tda,tcb->tdcab", inv, inv).reshape(-1, 4, 4)
         hess = (ref[..., 3:] @ outer).reshape(lead + (Q, 2, 2))
     return val, grad, hess
+
+
+def product_rule(pv, pd, wv, wd, plap=None, wlap=None):
+    """Value, derivatives and Laplacian of u = phi * w from those of phi
+    and of w, the one place the product rule is written.
+
+    pv, wv : values; any shapes that broadcast against each other, such as
+        contracted fields, or basis functions laid out (..., m, 1) for phi
+        and (..., 1, n) for w.
+    pd, wd : derivatives, the values' shapes plus a last axis of any
+        number of columns (gradients, or one normal derivative).
+    plap, wlap : Laplacians, the values' shapes, or None.
+    Returns the value, the derivatives and, when both Laplacians are
+    given, lap(phi) w + 2 grad(phi) . grad(w) + phi lap(w), else None.
+    """
+    value = pv * wv
+    derivs = wv[..., None] * pd + pv[..., None] * wd
+    if plap is None or wlap is None:
+        return value, derivs, None
+    dot = (pd[..., None, :] @ wd[..., :, None])[..., 0, 0]
+    return value, derivs, plap * wv + 2.0 * dot + pv * wlap

@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fem_core import (DofMap, build_dof_map, eval_lagrange,
-                       make_reference_element, shape_maps)
+from .fem_core import (DofMap, _lattice_multi_indices, build_dof_map,
+                       eval_lagrange, shape_maps)
 from .mesh import BackgroundMesh, submesh_boundary_facets
 
 __all__ = [
@@ -115,13 +115,23 @@ class ActiveDomain:
 
 @lru_cache(maxsize=None)
 def _sign_lattice(degree: int) -> np.ndarray:
-    """Basis values on the sign-sampling lattice of order max(4*degree, 8)."""
+    """Basis values on the sign-sampling lattice of order max(4*degree, 8),
+    each rounded once from its exact value.
+
+    At lattice point c / order the basis function of node alpha is
+    prod_i prod_{j < alpha_i} (degree c_i - j order) / ((j + 1) order),
+    so its numerator and denominator are integers, multiplied exactly.
+    """
     order = max(4 * degree, 8)
-    pts = np.array([(order - i - j, i, j)
-                    for j in range(order + 1) for i in range(order + 1 - j)],
-                   dtype=float) / order
-    values, _, _ = make_reference_element(degree).tabulate(pts,
-                                                           need_hess=False)
+    points = _lattice_multi_indices(order)[:, None, :]        # (P, 1, 3)
+    nodes = _lattice_multi_indices(degree)                    # (n, 3)
+    num = np.ones((len(points), len(nodes)), dtype=np.int64)
+    den = np.ones(len(nodes), dtype=np.int64)
+    for j in range(degree):
+        factor = nodes > j
+        num *= np.where(factor, degree * points - j * order, 1).prod(axis=-1)
+        den *= np.where(factor, (j + 1) * order, 1).prod(axis=-1)
+    values = num / den
     values.setflags(write=False)
     return values
 

@@ -45,14 +45,12 @@ def test_product_kernel_reduces_to_stiffness():
     # mesh has vertices (0,0), (1,0), (1,1) with basis gradients
     # (-1,0), (1,-1), (0,1) and area 1/2.
     mesh = build_background_mesh(UNIT_BOX, (1, 1))
-    ref = make_reference_element(1)
-    quad = triangle_quadrature(quadrature_degrees(1, 1)["volume"])
     expected = 0.5 * np.array([[1.0, -1.0, 0.0],
                                [-1.0, 2.0, -1.0],
                                [0.0, -1.0, 1.0]])
     for value in (1.0, -1.0):
         field = _const_field(mesh, value)
-        local = element_product_kernel(np.array([0]), field, ref, quad)[0]
+        local = element_product_kernel(np.array([0]), field, 1)[0]
         np.testing.assert_allclose(local, expected, rtol=0, atol=1e-14)
 
 
@@ -66,10 +64,7 @@ def test_boundary_kernel_hand_integral():
     mesh = build_background_mesh(UNIT_BOX, (1, 1))
     field = interpolate_levelset(AnalyticField(value=lambda x, y: x - 0.6),
                                  mesh, 1)
-    ref = make_reference_element(1)
-    quad = edge_quadrature(quadrature_degrees(1, 1)["boundary_facet"])
-    local = boundary_term_kernel(np.array([0]), np.array([0]), field, ref,
-                                 quad)[0]
+    local = boundary_term_kernel(np.array([0]), np.array([0]), field, 1)[0]
     expected = np.array([[0.0, 19.0 / 300.0, -19.0 / 300.0],
                          [0.0, 3.0 / 100.0, -3.0 / 100.0],
                          [0.0, 0.0, 0.0]])
@@ -87,11 +82,6 @@ def test_full_system_matches_manual_assembly():
     assert domain.cut_triangles.size == 0
     assert domain.ghost_facets.size == 0
 
-    ref = make_reference_element(1)
-    degrees = quadrature_degrees(1, 1)
-    vol = triangle_quadrature(degrees["volume"])
-    data = triangle_quadrature(degrees["data"])
-    bnd = edge_quadrature(degrees["boundary_facet"])
     dofmap = system.dofmap
     n = dofmap.n_dofs
     a = np.zeros((n, n))
@@ -99,12 +89,12 @@ def test_full_system_matches_manual_assembly():
     for tri in domain.active_triangles:
         dofs = dofmap.cell_dofs[dofmap.rows_for(np.array([tri]))[0]]
         a[np.ix_(dofs, dofs)] += element_product_kernel(
-            np.array([tri]), field, ref, vol)[0]
-        b[dofs] += load_kernel(np.array([tri]), f, field, ref, data)[0]
+            np.array([tri]), field, 1)[0]
+        b[dofs] += load_kernel(np.array([tri]), f, field, 1)[0]
     for facet, owner in zip(domain.boundary_facets, domain.boundary_owners):
         dofs = dofmap.cell_dofs[dofmap.rows_for(np.array([owner]))[0]]
         a[np.ix_(dofs, dofs)] -= boundary_term_kernel(
-            np.array([facet]), np.array([owner]), field, ref, bnd)[0]
+            np.array([facet]), np.array([owner]), field, 1)[0]
     np.testing.assert_allclose(system.A.toarray(), a, rtol=1e-12,
                                atol=1e-14)
     np.testing.assert_allclose(system.b, b, rtol=1e-12, atol=1e-14)
@@ -126,10 +116,8 @@ def test_ghost_jump_kernel_hand_integral():
     # with m = (-1, 2, -1, -1, -1, 2).
     mesh = build_background_mesh(UNIT_BOX, (1, 1))
     field = _const_field(mesh, -1.0)
-    ref = make_reference_element(1)
-    quad = edge_quadrature(quadrature_degrees(1, 1)["ghost_facet"])
     assert mesh.h == np.sqrt(2.0)
-    tris, local = ghost_jump_kernel(np.array([4]), field, ref, quad)
+    tris, local = ghost_jump_kernel(np.array([4]), field, 1)
     tris, local = tris[0], 2.0 * local[0]
     np.testing.assert_array_equal(tris, [0, 1])
     m = np.array([-1.0, 2.0, -1.0, -1.0, -1.0, 2.0])
@@ -141,11 +129,9 @@ def test_ghost_jump_kernel_hand_integral():
 def test_ghost_jump_kernel_rejects_single_neighbour_facet():
     mesh = build_background_mesh(UNIT_BOX, (1, 1))
     field = _const_field(mesh, -1.0)
-    ref = make_reference_element(1)
-    quad = edge_quadrature(quadrature_degrees(1, 1)["ghost_facet"])
     assert mesh.facet_triangles[0, 1] < 0
     with pytest.raises(ValueError, match="single incident triangle"):
-        ghost_jump_kernel(np.array([0]), field, ref, quad)
+        ghost_jump_kernel(np.array([0]), field, 1)
 
 
 def test_ghost_jump_annihilates_global_polynomials():
@@ -161,11 +147,9 @@ def test_ghost_jump_annihilates_global_polynomials():
 
     for k in (2, 3):
         ref = make_reference_element(k)
-        quad = edge_quadrature(quadrature_degrees(k, 1)["ghost_facet"])
         interior = np.nonzero(mesh.facet_triangles[:, 1] >= 0)[0]
         for facet in interior[:6]:
-            tris, local = ghost_jump_kernel(np.array([facet]), field, ref,
-                                            quad)
+            tris, local = ghost_jump_kernel(np.array([facet]), field, k)
             tris, local = tris[0], local[0]
             verts = mesh.triangle_coords(tris)          # (2, 3, 2)
             nodes = np.einsum("nb,tbd->tnd", ref.nodes_bary, verts)
@@ -188,10 +172,8 @@ def test_ghost_laplacian_hand_integrals():
     field = interpolate_levelset(
         AnalyticField(value=lambda x, y: x * x + y * y - 0.5), mesh, 2)
     ref = make_reference_element(2)
-    quad = triangle_quadrature(quadrature_degrees(2, 2)["volume"])
     sigma, h = 3.0, mesh.h
-    local = sigma * ghost_laplacian_kernel(np.array([0]), field, ref,
-                                           quad)[0]
+    local = sigma * ghost_laplacian_kernel(np.array([0]), field, 2)[0]
     verts = mesh.triangle_coords(np.array([0]))[0]
     nodes = ref.nodes_bary @ verts
     ones = np.ones(ref.n_basis)
@@ -282,9 +264,11 @@ def test_zero_sets_along_mesh_lines(k, n):
     # The planted construction with phi = +-(x - 1/2), +-(y - 1/4) and
     # +-(x - y) on the unit box: u = phi w with w = 1 + x + y solves
     # -lap(u) = -2 grad(phi) . (1, 1), so w must be reproduced where the
-    # zero set runs along mesh facets.  At k = 1 each side of each line
-    # leaves the facets of one (shape, local facet) group on the boundary
-    # of the active set, and the six cases cover all six groups.
+    # zero set runs along mesh facets.  phi is affine, so a triangle with
+    # phi >= 0 at its three vertices lies outside and must stay inactive
+    # at every k.  At k = 1 each side of each line leaves the facets of
+    # one (shape, local facet) group on the boundary of the active set,
+    # and the six cases cover all six groups.
     w = AnalyticField(value=lambda x, y: 1.0 + x + y)
     mesh = build_background_mesh(UNIT_BOX, (n, n))
     seen = []
@@ -293,6 +277,9 @@ def test_zero_sets_along_mesh_lines(k, n):
         f = AnalyticField(value=lambda x, y: np.full_like(x, -2.0 * (a + b)))
         field = interpolate_levelset(phi, mesh, k)
         domain = classify_domain(field, mesh)
+        verts = mesh.triangle_coords(domain.active_triangles)
+        outside = (phi.value(verts[..., 0], verts[..., 1]) >= 0.0).all(1)
+        assert not outside.any()
         system = assemble_system(domain, field, f, k, 20.0, outer_data=w)
         nodes = system.dofmap.node_coords
         gap = solve(system).x - w.value(nodes[:, 0], nodes[:, 1])
@@ -416,12 +403,6 @@ def test_batched_assembly_matches_per_entity_kernels(n, k, radius, shift,
     assert domain.ghost_facets.size > 0
     system = assemble_system(domain, field, f, k, sigma)
 
-    ref = make_reference_element(k)
-    degrees = quadrature_degrees(k, k)
-    vol = triangle_quadrature(degrees["volume"])
-    data = triangle_quadrature(degrees["data"])
-    bnd = edge_quadrature(degrees["boundary_facet"])
-    edge = edge_quadrature(degrees["ghost_facet"])
     dofmap = system.dofmap
 
     def dofs_of(tris):
@@ -433,26 +414,24 @@ def test_batched_assembly_matches_per_entity_kernels(n, k, radius, shift,
     for tri in domain.active_triangles.tolist():
         dofs = dofs_of(tri)
         one = np.array([tri])
-        a[np.ix_(dofs, dofs)] += element_product_kernel(one, field, ref,
-                                                        vol)[0]
-        b[dofs] += load_kernel(one, f, field, ref, data)[0]
+        a[np.ix_(dofs, dofs)] += element_product_kernel(one, field, k)[0]
+        b[dofs] += load_kernel(one, f, field, k)[0]
         if tri in cut:
-            b[dofs] += sigma * load_correction_kernel(one, f, field, ref,
-                                                      data)[0]
+            b[dofs] += sigma * load_correction_kernel(one, f, field, k)[0]
     for facet, owner in zip(domain.boundary_facets.tolist(),
                             domain.boundary_owners.tolist()):
         dofs = dofs_of(owner)
         a[np.ix_(dofs, dofs)] -= boundary_term_kernel(
-            np.array([facet]), np.array([owner]), field, ref, bnd)[0]
+            np.array([facet]), np.array([owner]), field, k)[0]
     ghost = np.zeros_like(a)
     for facet in domain.ghost_facets.tolist():
-        tris, local = ghost_jump_kernel(np.array([facet]), field, ref, edge)
+        tris, local = ghost_jump_kernel(np.array([facet]), field, k)
         dofs = dofs_of(tris[0])
         np.add.at(ghost, np.ix_(dofs, dofs), sigma * local[0])
     for tri in cut:
         dofs = dofs_of(tri)
         ghost[np.ix_(dofs, dofs)] += sigma * ghost_laplacian_kernel(
-            np.array([tri]), field, ref, vol)[0]
+            np.array([tri]), field, k)[0]
     a += ghost
     scale = np.abs(a).max()
     np.testing.assert_allclose(system.A.toarray(), a, rtol=0,
@@ -495,12 +474,12 @@ def _plain_fields(degree, inv, bary):
     return values, grads @ inv, phys[..., 0, 0] + phys[..., 1, 1]
 
 
-def _plain_products(field, ref, tri, bary):
+def _plain_products(field, k, tri, bary):
     """phi psi_i, grad(phi psi_i) and lap(phi psi_i) at the points."""
     _, _, _, inv = _vertex_map(field.mesh, tri)
     coef = field.cell_coefficients(np.array([tri]))[0]
     cv, cg, cl = _plain_fields(field.degree, inv, bary)
-    bv, bg, bl = _plain_fields(ref.degree, inv, bary)
+    bv, bg, bl = _plain_fields(k, inv, bary)
     pv, pg, pl = cv @ coef, np.einsum("qmd,m->qd", cg, coef), cl @ coef
     value = pv[:, None] * bv
     grad = pg[:, None, :] * bv[..., None] + pv[:, None, None] * bg
@@ -538,7 +517,7 @@ def test_facet_frames_match_vertex_geometry():
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-def _plain_facet_traces(field, ref, facet, tri, normal, s):
+def _plain_facet_traces(field, k, facet, tri, normal, s):
     """Traces phi psi_i and d/dn(phi psi_i) of triangle `tri` on `facet`,
     at the points (1 - s) A + s B, A the lower-id end."""
     mesh = field.mesh
@@ -547,7 +526,7 @@ def _plain_facet_traces(field, ref, facet, tri, normal, s):
     v0, _, _, inv = _vertex_map(mesh, tri)
     lam = (pts - v0) @ inv.T
     bary = np.column_stack([1.0 - lam.sum(axis=1), lam])
-    value, grad, _ = _plain_products(field, ref, tri, bary)
+    value, grad, _ = _plain_products(field, k, tri, bary)
     return value, grad @ normal
 
 
@@ -571,7 +550,6 @@ def test_shape_kernels_match_plain_quadrature(k, l):
     field = interpolate_levelset(phi, mesh, l)
     domain = classify_domain(field, mesh)
     assert domain.cut_triangles.size and domain.ghost_facets.size
-    ref = make_reference_element(k)
     degrees = quadrature_degrees(k, l)
     vol = triangle_quadrature(degrees["volume"])
     data = triangle_quadrature(degrees["data"])
@@ -587,31 +565,30 @@ def test_shape_kernels_match_plain_quadrature(k, l):
     product, laplacian, load, correction = [], [], [], []
     for t in tris:
         v0, jac, det, _ = _vertex_map(mesh, t)
-        _, grad, lap = _plain_products(field, ref, t, vol.points)
+        _, grad, lap = _plain_products(field, k, t, vol.points)
         w = vol.weights * det
         product.append(np.einsum("q,qid,qjd->ij", w, grad, grad))
         laplacian.append(h * h * np.einsum("q,qi,qj->ij", w, lap, lap))
-        value, _, lap = _plain_products(field, ref, t, data.points)
+        value, _, lap = _plain_products(field, k, t, data.points)
         pts = v0 + data.points[:, 1:] @ jac.T
         wf = data.weights * det * f.value(pts[:, 0], pts[:, 1])
         load.append(wf @ value)
         correction.append(-h * h * (wf @ lap))
-    close(element_product_kernel(tris, field, ref, vol), np.array(product))
-    close(ghost_laplacian_kernel(tris, field, ref, vol), np.array(laplacian))
-    close(load_kernel(tris, f, field, ref, data), np.array(load))
-    close(load_correction_kernel(tris, f, field, ref, data),
-          np.array(correction))
+    close(element_product_kernel(tris, field, k), np.array(product))
+    close(ghost_laplacian_kernel(tris, field, k), np.array(laplacian))
+    close(load_kernel(tris, f, field, k), np.array(load))
+    close(load_correction_kernel(tris, f, field, k), np.array(correction))
 
     boundary = []
     s = bnd.points[:, 1]
     for facet, owner in zip(domain.boundary_facets, domain.boundary_owners):
         normal = _outward_normal(mesh, facet, owner)
-        value, dn = _plain_facet_traces(field, ref, facet, owner, normal, s)
+        value, dn = _plain_facet_traces(field, k, facet, owner, normal, s)
         length = np.linalg.norm(np.diff(mesh.facet_coords(facet), axis=0))
         boundary.append(np.einsum("q,qi,qj->ij", bnd.weights * length,
                                   value, dn))
     close(boundary_term_kernel(domain.boundary_facets, domain.boundary_owners,
-                               field, ref, bnd),
+                               field, k),
           np.array(boundary))
 
     jumps = []
@@ -619,11 +596,11 @@ def test_shape_kernels_match_plain_quadrature(k, l):
     for facet in domain.ghost_facets:
         lo, hi = mesh.facet_triangles[facet]
         normal = _outward_normal(mesh, facet, lo)   # out of the lower-id side
-        _, dn_lo = _plain_facet_traces(field, ref, facet, lo, normal, s)
-        _, dn_hi = _plain_facet_traces(field, ref, facet, hi, normal, s)
+        _, dn_lo = _plain_facet_traces(field, k, facet, lo, normal, s)
+        _, dn_hi = _plain_facet_traces(field, k, facet, hi, normal, s)
         jump = np.concatenate([dn_lo, -dn_hi], axis=1)
         a, b = mesh.facet_coords(facet)
         w = h * edge.weights * np.linalg.norm(b - a)
         jumps.append(np.einsum("q,qi,qj->ij", w, jump, jump))
-    _, local = ghost_jump_kernel(domain.ghost_facets, field, ref, edge)
+    _, local = ghost_jump_kernel(domain.ghost_facets, field, k)
     close(local, np.array(jumps))

@@ -339,6 +339,26 @@ def test_main_reports_empty_active_set(tmp_path, capsys):
     assert "EmptyActiveSet" in captured.err
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_main_rejects_unwritable_out_before_any_level(tmp_path, capsys,
+                                                      monkeypatch, where):
+    # the path is opened before the study runs, so a bad one exits 2 at
+    # once instead of after the whole study
+    def no_study(config):
+        raise AssertionError("the study ran despite an unwritable --out")
+
+    monkeypatch.setattr(cli, "run_case", no_study)
+    out = tmp_path / "missing" / "x.csv" if where == "missing-dir" \
+        else tmp_path
+    code = cli.main(["run", "--case", "circle", "--k", "1", "--n", "4",
+                     "--levels", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_main_sigma_sweep_requires_sigmas(capsys):
     code = cli.main(["sigma-sweep", "--case", "planted", "--n", "4",
                      "--levels", "1"])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from phifem.fem_core import (QUAD_DEGREE_CAP, build_dof_map, edge_quadrature,
                              eval_lagrange, eval_shapes,
                              make_reference_element, physical_tables,
-                             shape_maps,
+                             product_rule, shape_maps,
                              quadrature_degrees, triangle_quadrature)
 from phifem.mesh import build_background_mesh
 
@@ -312,3 +312,76 @@ def test_evaluator_point_shapes_agree(k, l, n_points, seed):
 
     hess = shared[2]
     _assert_close(hess, hess.swapaxes(-1, -2), 1e-15)
+
+
+# phi = x^2 - y + 0.3 and w = xy + y^2, with their product
+# u = x^3 y + x^2 y^2 - x y^2 - y^3 + 0.3 x y + 0.3 y^2 expanded by hand
+def _phi(x, y):
+    return x * x - y + 0.3, np.stack([2.0 * x, -np.ones_like(x)], -1), \
+        np.full_like(x, 2.0)
+
+
+def _w(x, y):
+    return x * y + y * y, np.stack([y, x + 2.0 * y], -1), np.full_like(x, 2.0)
+
+
+def _u(x, y):
+    value = (x ** 3 * y + x * x * y * y - x * y * y - y ** 3 + 0.3 * x * y
+             + 0.3 * y * y)
+    grad = np.stack([3.0 * x * x * y + 2.0 * x * y * y - y * y + 0.3 * y,
+                     x ** 3 + 2.0 * x * x * y - 2.0 * x * y - 3.0 * y * y
+                     + 0.3 * x + 0.6 * y], -1)
+    lap = 6.0 * x * y + 2.0 * y * y + 2.0 * x * x - 2.0 * x - 6.0 * y + 0.6
+    return value, grad, lap
+
+
+_POINTS = (np.array([0.0, 0.3, -0.7, 1.2, 0.45]),
+           np.array([0.0, -0.4, 0.9, 0.25, 1.1]))
+
+
+def test_product_rule_on_contracted_fields():
+    # the layout of the error pass: phi and w contracted at the points,
+    # several w stacked on a leading axis, gradients or one normal
+    # derivative as the derivative columns
+    pv, pg, plap = _phi(*_POINTS)
+    wv, wg, wlap = _w(*_POINTS)
+    uv, ug, ulap = _u(*_POINTS)
+    value, grad, lap = product_rule(pv, pg, np.stack([wv, 3.0 * wv]),
+                                    np.stack([wg, 3.0 * wg]), plap,
+                                    np.stack([wlap, 3.0 * wlap]))
+    for got, want in ((value, uv), (grad, ug), (lap, ulap)):
+        np.testing.assert_allclose(got, [want, 3.0 * want], rtol=1e-13,
+                                   atol=1e-14)
+    normal = np.array([0.6, 0.8])
+    value, dn, lap = product_rule(pv, pg @ normal[:, None], wv,
+                                  wg @ normal[:, None])
+    np.testing.assert_allclose(value, uv, rtol=1e-13, atol=1e-14)
+    np.testing.assert_allclose(dn[..., 0], ug @ normal, rtol=1e-13,
+                               atol=1e-14)
+    assert lap is None
+    assert product_rule(pv, pg, wv, wg, plap=plap)[2] is None
+
+
+def test_product_rule_on_basis_pairs():
+    # the layout of assembly: phi-side functions (phi, 1) on a (P, m, 1)
+    # axis and w-side functions (w, 1) on a (P, 1, n) axis give all four
+    # products phi w, phi, w and 1 in one call
+    x, y = _POINTS
+    one = (np.ones_like(x), np.zeros(x.shape + (2,)), np.zeros_like(x))
+    left = [np.stack(parts, axis=1) for parts in zip(_phi(x, y), one)]
+    right = [np.stack(parts, axis=1) for parts in zip(_w(x, y), one)]
+    value, grad, lap = product_rule(
+        left[0][:, :, None], left[1][:, :, None, :],
+        right[0][:, None, :], right[1][:, None, :, :],
+        left[2][:, :, None], right[2][:, None, :])
+    assert value.shape == lap.shape == (x.size, 2, 2)
+    assert grad.shape == (x.size, 2, 2, 2)
+    expected = [[_u(x, y), _phi(x, y)], [_w(x, y), one]]
+    for a in range(2):
+        for i in range(2):
+            for got, want in zip((value, grad, lap), expected[a][i]):
+                np.testing.assert_allclose(got[:, a, i], want, rtol=1e-13,
+                                           atol=1e-14)
+    assert product_rule(left[0][:, :, None], left[1][:, :, None, :],
+                        right[0][:, None, :], right[1][:, None, :, :])[2] \
+        is None
