@@ -9,24 +9,30 @@ inside the negative region of both the coarse and fine level sets.
 
 Errors are taken for all solutions of one level in one pass: the
 solutions of several penalty strengths share the mesh, the level set and
-the dof map, so only the coefficients of w differ between them, and a
-reference comparison locates the points and evaluates the fine phi once
-for every strength.  The quadrature points are v0 + offset[shape], and
-phi and w are one GEMM per triangle shape against the shape's tables.
+the dof map, so only the coefficients of w differ between them.  The
+quadrature points are v0 + offset[shape], and phi and w are one GEMM per
+triangle shape against the shape's tables.  The reference mesh refines
+every coarse cell into ratio x ratio fine cells, so each rule point of a
+coarse shape lands at a fixed fine triangle of its cell and a fixed
+barycentric point there: `_nested_map` finds them once per (ratio, rule,
+degree) and tabulates the fine basis there, and the fine phi and w are
+per-point contractions of the gathered fine coefficients with those
+tables.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .assembly import SparseSystem
-from .fem_core import (DofMap, eval_lagrange, eval_shapes,
-                       physical_points, physical_tables, product_rule,
-                       quadrature_degrees, rule_tables, shape_maps,
-                       triangle_quadrature)
+from .fem_core import (DofMap, _frozen, eval_lagrange, eval_shapes,
+                       make_reference_element, physical_points,
+                       physical_tables, product_rule, quadrature_degrees,
+                       rule_tables, shape_maps, triangle_quadrature)
 from .levelset import ActiveDomain, AnalyticField, LevelSetField
-from .mesh import locate_points
+from .mesh import build_background_mesh, locate_points
 
 __all__ = [
     "ProductSolution",
@@ -80,27 +86,17 @@ def _check_shared(solutions: list[ProductSolution]) -> None:
         raise ValueError("solutions must share one field and one dof map")
 
 
-def _product_field(solutions: list[ProductSolution], tris: np.ndarray,
-                   bary: np.ndarray):
-    """Values (S, nT, Q) and gradients (S, nT, Q, 2) of each u = phi * w
-    at barycentric points of the given active triangles; the solutions
-    share one field and one dof map, and `bary` is (Q, 3) or (nT, Q, 3)."""
-    field, dofmap = solutions[0].field, solutions[0].dofmap
-    inv = shape_maps(field.mesh)[2][tris % 2]
-    pv, pg, _ = eval_lagrange(field.cell_coefficients(tris), field.degree,
-                              inv, bary)
-    cells = dofmap.cell_dofs[dofmap.rows_for(tris)]
-    wcoef = np.stack([sol.coefficients[cells] for sol in solutions])
-    wv, wg, _ = eval_lagrange(wcoef, dofmap.degree, inv, bary)
-    return product_rule(pv, pg, wv, wg)[:2]
-
-
 def eval_solution(sol: ProductSolution, triangle: int, bary: np.ndarray
                   ) -> tuple[float, np.ndarray]:
     """Value and gradient of u = phi * w at one point of an active triangle."""
-    val, grad = _product_field([sol], np.array([triangle]),
-                               np.asarray(bary, dtype=float).reshape(1, 3))
-    return float(val[0, 0, 0]), grad[0, 0, 0]
+    field, dofmap = sol.field, sol.dofmap
+    inv = shape_maps(field.mesh.cell_size)[2][triangle % 2]
+    cells = dofmap.cell_dofs[dofmap.rows_for(triangle)]
+    pv, pg, _ = eval_lagrange(field.cell_coefficients(triangle),
+                              field.degree, inv, bary)
+    wv, wg, _ = eval_lagrange(sol.coefficients[cells], dofmap.degree, inv,
+                              bary)
+    return product_rule(pv, pg, wv, wg)[:2]
 
 
 # Triangles per chunk of the error pass.  Its temporaries scale with the
@@ -116,30 +112,30 @@ def _relative_errors(solutions: list[ProductSolution], tris: np.ndarray,
     points, the target, the weights, phi and the dof gather run once per
     chunk; only w and the error sums are per solution.  Every triangle
     of a shape shares the tables of phi and w, so each field is one GEMM
-    per shape.  `target(pts)` gives, at physical points (nT, Q, 2), the
-    target values (S, nT, Q), gradients (S, nT, Q, 2) and a (nT,) mask of
-    the triangles to keep; S is 1 (one target for every solution) or one
-    target per solution.  Raises ValueError(`vanishing`) when a target has
-    zero norm on the kept triangles.
+    per shape.  `target(tris, pts)` gives, at the rule's physical points
+    (nT, Q, 2) of the triangles `tris`, the target values (S, nT, Q) and
+    gradients (S, nT, Q, 2); S is 1 (one target for every solution) or
+    one target per solution.  Raises ValueError(`vanishing`) when a
+    target has zero norm on the triangles.
     """
     field, dofmap = solutions[0].field, solutions[0].dofmap
     mesh = field.mesh
     exactness = quadrature_degrees(dofmap.degree, field.degree)["data"]
     quad = triangle_quadrature(exactness)
-    _, det, inv = shape_maps(mesh)
+    _, det, inv = shape_maps(mesh.cell_size)
     phi_tables, w_tables = (rule_tables(degree, exactness, False)
                             for degree in (field.degree, dofmap.degree))
     phi_v, phi_g = phi_tables[0], physical_tables(phi_tables, inv)[0]
     w_v, w_g = w_tables[0], physical_tables(w_tables, inv)[0]
 
+    w = det * quad.weights[None, :]
     S = len(solutions)
     num_l2, num_h1 = np.zeros(S), np.zeros(S)
     den_l2 = den_h1 = 0.0
     for start in range(0, tris.size, _CHUNK):
         sel = tris[start:start + _CHUNK]
         shape = sel % 2
-        ex, ex_grad, keep = target(physical_points(mesh, sel, quad.points))
-        w = det * quad.weights[None, :] * keep[:, None]
+        ex, ex_grad = target(sel, physical_points(mesh, sel, quad.points))
         den_l2 = den_l2 + np.array([np.sum(w * e ** 2) for e in ex])
         den_h1 = den_h1 + np.array([np.sum(w * np.sum(g ** 2, axis=-1))
                                     for g in ex_grad])
@@ -179,14 +175,62 @@ def compute_errors(solutions: list[ProductSolution], exact: AnalyticField,
     if exact.gradient is None:
         raise ValueError("exact solution must provide a gradient")
 
-    def target(pts):
+    def target(tris, pts):
         x, y = pts[..., 0], pts[..., 1]
         return (np.asarray(exact.value(x, y), dtype=float)[None],
-                np.stack(exact.gradient(x, y), axis=-1)[None],
-                np.ones(len(pts), dtype=bool))
+                np.stack(exact.gradient(x, y), axis=-1)[None])
 
     return _relative_errors(solutions, domain.active_triangles, target,
                             "exact solution vanishes on the active submesh")
+
+
+@lru_cache(maxsize=None)
+def _nested_map(ratio: int, exactness: int, degree: int):
+    """Where the points of `triangle_quadrature(exactness)` on the two
+    coarse shapes land in a mesh `ratio` times finer, and the fine basis
+    there.
+
+    Returns, indexed by (coarse shape, point), the fine triangle's id in
+    the block of ratio x ratio fine cells that one coarse cell holds,
+    numbered like a mesh of that block, (2, Q); and the degree-`degree`
+    basis values and gradients at its barycentric point, (2, Q, n, 3),
+    the gradients in units of the fine cell size.  The points are
+    located once per key, in those units, by `locate_points`, so its
+    tie rule holds.
+    """
+    box = (0.0, 0.0, float(ratio), float(ratio))
+    pts = physical_points(build_background_mesh(box, (1, 1)), np.arange(2),
+                          triangle_quadrature(exactness).points)
+    tri, bary = locate_points(build_background_mesh(box, (ratio, ratio)), pts)
+    values, grads, _ = make_reference_element(degree).tabulate(
+        bary.reshape(-1, 3), False)
+    grads = grads @ shape_maps((1.0, 1.0))[2][tri.ravel() % 2]
+    tables = np.concatenate([values[..., None], grads], axis=-1)
+    return _frozen((tri, tables.reshape(tri.shape + tables.shape[1:])))
+
+
+def _point_fields(coef, shape, tables, cell_size):
+    """Values (nT, Q) and gradients (nT, Q, 2) of fields given per point:
+    coef (nT, Q, n) holds each point's nodal values, and tables (2, Q, n,
+    3) a `_nested_map` table, indexed by the coarse shapes `shape` (nT,),
+    whose gradients `cell_size` turns into physical ones."""
+    out = np.empty(coef.shape[:2] + (3,))
+    for s in (0, 1):
+        rows = np.flatnonzero(shape == s)
+        out[rows] = np.einsum("tqn,qnc->tqc", coef[rows], tables[s])
+    return out[..., 0], out[..., 1:] / cell_size
+
+
+def _fine_triangles(tris, nx, ratio, local):
+    """Fine triangle ids (nT, Q) of the rule points of the coarse
+    triangles `tris` of a mesh nx cells wide, in its refinement by
+    `ratio`; `local` (2, Q) holds the points' block ids (`_nested_map`).
+    """
+    fx = ratio * nx
+    cj, ci = np.divmod(tris // 2, nx)
+    # a block id is 2 (ratio * row + column) + fine shape
+    offset = local + 2 * (fx - ratio) * (local // (2 * ratio))
+    return (2 * ratio * (cj * fx + ci))[:, None] + offset[tris % 2]
 
 
 def compute_errors_vs_reference(solutions: list[ProductSolution],
@@ -195,44 +239,51 @@ def compute_errors_vs_reference(solutions: list[ProductSolution],
     """Errors against finer solves of the same problem, one report per
     solution: solutions[j] is measured against ref_solutions[j].
 
-    Norms run over coarse active triangles that are not cut (the level-set
-    interpolant stays negative on their whole sampling lattice).  A coarse
-    triangle is also dropped when any of its quadrature points lands
-    outside the fine active set, so that only points where the reference
-    is defined contribute.  The solutions share one coarse field and dof
-    map and the references one fine field and dof map, as the solves of
-    two levels for several penalty strengths do; the coarse points, phi,
-    the point location and the fine phi then run once for all of them,
-    and each report equals that of a one-solution call.
+    The reference mesh must be nested in the coarse one: the same box,
+    with each coarse cell split into ratio x ratio fine cells, one
+    integer ratio on both axes; ValueError otherwise.  Norms run over
+    coarse active triangles that are not cut (the level-set interpolant
+    stays negative on their whole sampling lattice).  A coarse triangle
+    is also dropped when any of its quadrature points lies in a fine
+    triangle outside the fine active set, so that only points where the
+    reference is defined contribute.  The fine triangle and barycentric
+    point of each rule point follow from the nesting (`_nested_map`), so
+    no point is located and no basis tabulated per call.  The solutions
+    share one coarse field and dof map and the references one fine field
+    and dof map, as the solves of two levels for several penalty
+    strengths do; the coarse points, phi and the fine phi then run once
+    for all of them, and each report equals that of a one-solution call.
     """
     _check_shared(solutions)
     _check_shared(ref_solutions)
     if len(solutions) != len(ref_solutions):
         raise ValueError("one reference per solution is needed")
+    coarse, fine = solutions[0].field.mesh, ref_solutions[0].field.mesh
+    (nx, ny), (fx, fy) = coarse.n_cells, fine.n_cells
+    ratio = fx // nx
+    if fine.box != coarse.box or (fx, fy) != (ratio * nx, ratio * ny):
+        raise ValueError("the reference mesh is not nested in the coarse one")
     interior = np.setdiff1d(domain.active_triangles, domain.cut_triangles)
-    if interior.size == 0:
-        raise ValueError("no uncut active triangles to compare on")
-    fine = ref_solutions[0].field.mesh
-    covered = ref_solutions[0].dofmap.triangles
+    field, dofmap = ref_solutions[0].field, ref_solutions[0].dofmap
+    exactness = quadrature_degrees(solutions[0].degree,
+                                   solutions[0].field.degree)["data"]
+    local, phi_tables = _nested_map(ratio, exactness, field.degree)
+    w_tables = _nested_map(ratio, exactness, dofmap.degree)[1]
 
-    def target(pts):
-        flat = pts.reshape(-1, 2)
-        tri, bary = locate_points(fine, flat)
-        pos = np.minimum(np.searchsorted(covered, tri), covered.size - 1)
-        inside = covered[pos] == tri
-        val, grad = _product_field(ref_solutions, tri[inside],
-                                   bary[inside, None])
-        values = np.zeros((len(ref_solutions), flat.shape[0]))
-        grads = np.zeros((len(ref_solutions), flat.shape[0], 2))
-        values[:, inside] = val[..., 0]
-        grads[:, inside] = grad[:, :, 0]
-        return (values.reshape((-1,) + pts.shape[:-1]),
-                grads.reshape((-1,) + pts.shape),
-                inside.reshape(pts.shape[:-1]).all(axis=1))
+    def target(tris, pts):
+        fine_tris, shape = _fine_triangles(tris, nx, ratio, local), tris % 2
+        pv, pg = _point_fields(field.cell_coefficients(fine_tris), shape,
+                               phi_tables, fine.cell_size)
+        cells = dofmap.cell_dofs[dofmap.rows_for(fine_tris)]
+        fields = [product_rule(pv, pg, *_point_fields(
+            ref.coefficients[cells], shape, w_tables, fine.cell_size))[:2]
+            for ref in ref_solutions]
+        return tuple(np.stack(parts) for parts in zip(*fields))
 
-    return _relative_errors(
-        solutions, interior, target,
-        "reference solution vanishes on the comparison set")
+    kept = np.isin(_fine_triangles(interior, nx, ratio, local),
+                   dofmap.triangles).all(axis=1)
+    return _relative_errors(solutions, interior[kept], target,
+                            "the reference vanishes on the comparison set")
 
 
 def estimated_orders(reports: list[ErrorReport]

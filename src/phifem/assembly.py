@@ -38,7 +38,8 @@ table with the conormal of `fem_core.facet_frames`, and each side of a
 ghost facet differentiates along its own outward normal.  The gradients
 and Laplacians of the basis products phi_a psi_i and the facet traces
 all come from `fem_core.product_rule`, the one place the product rule of
-u = phi * w is written.
+u = phi * w is written; the basis products depend only on the degrees,
+the rule and the cell size, so they are built once per such key.
 Both penalty terms and the load correction are linear in sigma, so
 their kernels and `assemble_ghost_part` return the sigma = 1 forms,
 with h read from the mesh; `assemble_parts` builds the core A0, b0 and
@@ -50,6 +51,7 @@ symmetric and can be inspected on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -112,12 +114,18 @@ def _rule(k, field, term):
     return triangle_quadrature(exactness)
 
 
-def _basis_products(field, k, exactness, need_lap=False):
-    """grad(phi_a psi_i), shape (2, Q, m, n, 2), and lap(phi_a psi_i),
-    shape (2, Q, m, n) or None unless `need_lap`, at the rule's points
-    for both shapes; phi_a is the level-set basis, psi_i that of w."""
-    inv = shape_maps(field.mesh)[2]
-    phi_tables = rule_tables(field.degree, exactness, need_lap)
+# one level asks for three keys (the volume gradients and Laplacians,
+# the data Laplacians); the levels of a study differ in cell size, so
+# older entries would only hold memory
+@lru_cache(maxsize=3)
+def _basis_products(l, k, exactness, need_lap, cell_size):
+    """grad(phi_a psi_i), shape (2, Q, m, n, 2), or, when `need_lap`,
+    lap(phi_a psi_i), shape (2, Q, m, n), at the points of
+    `triangle_quadrature(exactness)` for both shapes of a mesh with that
+    cell size; phi_a is the degree-l level-set basis, psi_i the degree-k
+    basis of w.  Built once per key, like `rule_tables`, and read-only."""
+    inv = shape_maps(cell_size)[2]
+    phi_tables = rule_tables(l, exactness, need_lap)
     w_tables = rule_tables(k, exactness, need_lap)
     pg, plap = physical_tables(phi_tables, inv, need_lap)
     bg, blap = physical_tables(w_tables, inv, need_lap)
@@ -126,7 +134,9 @@ def _basis_products(field, k, exactness, need_lap=False):
     _, grad, lap = product_rule(phi_tables[0][:, :, None], pg[..., None, :],
                                 w_tables[0][:, None, :], bg[..., None, :, :],
                                 plap, blap)
-    return grad, lap
+    out = lap if need_lap else grad
+    out.setflags(write=False)
+    return out
 
 
 def _pair_forms(coef, shape, terms, weights):
@@ -186,10 +196,11 @@ def element_product_kernel(triangles: np.ndarray, field: LevelSetField,
     One (n, n) matrix per triangle id in `triangles`: shape (nT, n, n).
     """
     quad = _rule(k, field, "volume")
-    grad, _ = _basis_products(field, k, quad.degree)
+    grad = _basis_products(field.degree, k, quad.degree, False,
+                           field.mesh.cell_size)
     _, Q, m, n, _ = grad.shape
     terms = grad.transpose(0, 1, 4, 2, 3).reshape(2, 2 * Q, m, n)
-    weights = np.repeat(shape_maps(field.mesh)[1] * quad.weights, 2)
+    weights = np.repeat(shape_maps(field.mesh.cell_size)[1] * quad.weights, 2)
     return _pair_forms(field.cell_coefficients(triangles), triangles % 2,
                        terms, weights)
 
@@ -203,8 +214,9 @@ def ghost_laplacian_kernel(triangles: np.ndarray, field: LevelSetField,
     """
     h = field.mesh.h
     quad = _rule(k, field, "volume")
-    _, lap = _basis_products(field, k, quad.degree, need_lap=True)
-    weights = h * h * shape_maps(field.mesh)[1] * quad.weights
+    lap = _basis_products(field.degree, k, quad.degree, True,
+                          field.mesh.cell_size)
+    weights = h * h * shape_maps(field.mesh.cell_size)[1] * quad.weights
     return _symmetrize(_pair_forms(field.cell_coefficients(triangles),
                                    triangles % 2, lap, weights))
 
@@ -213,7 +225,7 @@ def _source(f, mesh, triangles, quad):
     """f at the rule's points of each triangle, times the weights."""
     pts = physical_points(mesh, triangles, quad.points)
     fv = np.asarray(f.value(pts[..., 0], pts[..., 1]), dtype=float)
-    return fv * (shape_maps(mesh)[1] * quad.weights)
+    return fv * (shape_maps(mesh.cell_size)[1] * quad.weights)
 
 
 def load_kernel(triangles: np.ndarray, f: AnalyticField,
@@ -234,7 +246,8 @@ def load_correction_kernel(triangles: np.ndarray, f: AnalyticField,
     right-hand side adds them on cut triangles only."""
     h = field.mesh.h
     quad = _rule(k, field, "data")
-    _, terms = _basis_products(field, k, quad.degree, need_lap=True)
+    terms = _basis_products(field.degree, k, quad.degree, True,
+                            field.mesh.cell_size)
     Q, m, n = terms.shape[1:]
     wf = _source(f, field.mesh, triangles, quad)
     coef = field.cell_coefficients(triangles)

@@ -22,8 +22,8 @@ the six pairs by `facet_tables`; `physical_tables` maps triangle
 tables to physical gradients and Laplacians per shape, a facet table
 times its conormal gives the outward normal derivatives, and
 `eval_shapes` contracts per-entity coefficients against such tables
-with one GEMM per group.  `eval_lagrange` evaluates fields at arbitrary
-points (located points, a single point), which no fixed table covers.
+with one GEMM per group.  `eval_lagrange` evaluates one field at one
+point of one triangle, which no fixed table covers.
 `product_rule` turns the values and derivatives of phi and of w into
 those of u = phi * w, and the Laplacian on request; it is the only
 place that rule is written, and it serves both the basis products of
@@ -149,8 +149,7 @@ def make_reference_element(degree: int) -> ReferenceElement:
     y = nodes_bary[:, 2]
     vand = x[:, None] ** exps[:, 0] * y[:, None] ** exps[:, 1]
     coeffs = np.linalg.solve(vand, np.eye(len(multi)))
-    for arr in (nodes_bary, exps, coeffs):
-        arr.setflags(write=False)
+    _frozen((nodes_bary, exps, coeffs))
     return ReferenceElement(degree=degree, nodes_bary=nodes_bary,
                             _exponents=exps, _coeffs=coeffs)
 
@@ -192,8 +191,7 @@ def triangle_quadrature(exactness: int) -> QuadratureRule:
     Y = np.repeat(v, n)
     W = np.outer(wv, wu).ravel()
     points = np.column_stack([1.0 - X - Y, X, Y])
-    points.setflags(write=False)
-    W.setflags(write=False)
+    _frozen((points, W))
     return QuadratureRule(points=points, weights=W, degree=exactness)
 
 
@@ -210,8 +208,7 @@ def edge_quadrature(exactness: int) -> QuadratureRule:
     s = 0.5 * (x + 1.0)
     points = np.column_stack([1.0 - s, s])
     weights = 0.5 * w
-    points.setflags(write=False)
-    weights.setflags(write=False)
+    _frozen((points, weights))
     return QuadratureRule(points=points, weights=weights, degree=exactness)
 
 
@@ -307,8 +304,7 @@ def build_dof_map(mesh: BackgroundMesh, triangles: np.ndarray,
         xmin + uniq[:, 0] * (dx / degree),
         ymin + uniq[:, 1] * (dy / degree),
     ])
-    for arr in (tris, cell_dofs, node_coords, uniq):
-        arr.setflags(write=False)
+    _frozen((tris, cell_dofs, node_coords, uniq))
     return DofMap(mesh=mesh, degree=degree, triangles=tris,
                   cell_dofs=cell_dofs, node_coords=node_coords,
                   node_keys=uniq)
@@ -317,15 +313,16 @@ def build_dof_map(mesh: BackgroundMesh, triangles: np.ndarray,
 # ---------------------------------------------------------------------------
 # the two triangle shapes, their maps and their tables
 
-def shape_maps(mesh: BackgroundMesh):
-    """Affine maps of the mesh's two triangle shapes, in closed form.
+def shape_maps(cell_size: tuple[float, float]):
+    """Affine maps of a mesh's two triangle shapes, in closed form from
+    its cell size (dx, dy), `BackgroundMesh.cell_size`.
 
     Triangle t has shape t % 2: 0 for the lower triangle (v00, v10, v11)
     of its cell, 1 for the upper one (v00, v11, v01).  Returns (jac, det,
     inv): jac and inv are (2, 2, 2), indexed by shape, with the edge
     vectors as the columns of jac; det = dx dy = 2 * area is shared.
     """
-    dx, dy = mesh.cell_size
+    dx, dy = cell_size
     jac = np.array([[[dx, dx], [0.0, dy]],
                     [[dx, 0.0], [dy, dy]]])
     inv = np.array([[[1.0 / dx, -1.0 / dy], [0.0, 1.0 / dy]],
@@ -352,7 +349,7 @@ def facet_frames(mesh: BackgroundMesh):
     lengths = np.array([dx, dy, h])[kind]
     normals = np.array([[0.0, 1.0], [1.0, 0.0], [-dy / h, dx / h]])[kind]
     normals *= (1 - 2 * side)[:, None]
-    inv = np.repeat(shape_maps(mesh)[2], 3, axis=0)
+    inv = np.repeat(shape_maps(mesh.cell_size)[2], 3, axis=0)
     return lengths, (inv @ normals[:, :, None])[..., 0]
 
 
@@ -360,7 +357,7 @@ def physical_points(mesh: BackgroundMesh, tris: np.ndarray,
                     bary: np.ndarray) -> np.ndarray:
     """Physical coordinates (nT, Q, 2) of barycentric points (Q, 3) shared
     by every triangle: its first vertex plus the offset of its shape."""
-    jac, _, _ = shape_maps(mesh)
+    jac, _, _ = shape_maps(mesh.cell_size)
     offsets = bary[:, 1:] @ jac.swapaxes(1, 2)          # (2, Q, 2)
     v0 = mesh.vertices[mesh.triangles[tris, 0]]
     return v0[:, None, :] + offsets[tris % 2]
@@ -447,47 +444,17 @@ def eval_shapes(coef: np.ndarray, group: np.ndarray, values: np.ndarray,
 
 def eval_lagrange(coef: np.ndarray, degree: int, inv: np.ndarray,
                   bary: np.ndarray, need_hess: bool = False):
-    """Values and physical derivatives of per-triangle Lagrange fields at
-    arbitrary points, such as located points or a single point.
-
-    Parameters
-    ----------
-    coef : (..., nT, m) nodal values of degree-`degree` fields per
-        triangle; leading axes stack several fields on the same points.
-    inv : (nT, 2, 2) inverse Jacobians, `shape_maps`' of each
-        triangle's shape.
-    bary : (Q, 3) points shared by every triangle, or (nT, Q, 3).
-
-    Returns
-    -------
-    values (..., nT, Q), gradients (..., nT, Q, 2) and, when `need_hess`,
-    Hessians inv.T H_ref inv of shape (..., nT, Q, 2, 2), else None.
-
-    The points are tabulated once for every stacked field, and the
-    coefficients are contracted in reference coordinates first, so the
-    inverse Jacobian acts on one gradient per point, not one per basis
-    function.  The contraction is a fixed-order einsum, not a GEMM.
+    """Value, physical gradient (2,) and, when `need_hess`, physical
+    Hessian inv.T H_ref inv (2, 2), else None, of one degree-`degree`
+    Lagrange field at one point of one triangle: coef (m,) its nodal
+    values, inv (2, 2) the inverse Jacobian of its shape (`shape_maps`)
+    and bary (3,) the point, which no fixed table covers.
     """
-    bary = np.broadcast_to(np.asarray(bary, dtype=float),
-                           (len(inv),) + np.shape(bary)[-2:])
-    tab_v, tab_g, tab_h = make_reference_element(degree).tabulate(
-        bary.reshape(-1, 3), need_hess)
-    P, m = tab_v.shape
-    parts = [tab_v[..., None], tab_g]
+    values, grads, hess = make_reference_element(degree).tabulate(
+        np.reshape(bary, (1, 3)), need_hess)
     if need_hess:
-        parts.append(tab_h.reshape(P, m, 4))
-    tab = np.concatenate(parts, axis=-1)            # (P, m, c)
-    lead, Q, c = coef.shape[:-1], bary.shape[-2], tab.shape[-1]
-    ref = np.einsum("...tm,tqmc->...tqc", coef,
-                    tab.reshape(len(inv), Q, m, c))
-    val = ref[..., 0]
-    grad = ref[..., 1:3] @ inv
-    hess = None
-    if need_hess:
-        # (inv.T H inv)[a, b] = sum_dc inv[d, a] H[d, c] inv[c, b]
-        outer = np.einsum("tda,tcb->tdcab", inv, inv).reshape(-1, 4, 4)
-        hess = (ref[..., 3:] @ outer).reshape(lead + (Q, 2, 2))
-    return val, grad, hess
+        hess = inv.T @ np.tensordot(coef, hess[0], 1) @ inv
+    return coef @ values[0], (coef @ grads[0]) @ inv, hess
 
 
 def product_rule(pv, pd, wv, wd, plap=None, wlap=None):

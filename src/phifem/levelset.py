@@ -86,12 +86,9 @@ def eval_field(field: LevelSetField, triangle: int, bary: np.ndarray
     The point is given in barycentric coordinates of `triangle`; returned
     derivatives are in physical coordinates.
     """
-    tris = np.array([triangle])
-    inv = shape_maps(field.mesh)[2][tris % 2]
-    val, grad, hess = eval_lagrange(
-        field.cell_coefficients(tris), field.degree, inv,
-        np.asarray(bary, dtype=float).reshape(1, 3), need_hess=True)
-    return float(val[0, 0]), grad[0, 0], hess[0, 0]
+    inv = shape_maps(field.mesh.cell_size)[2][triangle % 2]
+    return eval_lagrange(field.cell_coefficients(triangle), field.degree,
+                         inv, bary, need_hess=True)
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phifem import analysis
 from phifem.analysis import (ErrorReport, ProductSolution, compute_errors,
                              compute_errors_vs_reference, estimated_orders,
                              eval_solution, make_solution)
 from phifem.assembly import assemble_system
 from phifem.cases import get_case
-from phifem.fem_core import build_dof_map
+from phifem.fem_core import (build_dof_map, physical_points,
+                             quadrature_degrees, triangle_quadrature)
 from phifem.levelset import AnalyticField, classify_domain, \
     interpolate_levelset
 from phifem.linalg import solve
-from phifem.mesh import build_background_mesh
+from phifem.mesh import build_background_mesh, locate_points
 
 
 def _solve_case(name, n, k, sigma=20.0):
@@ -130,6 +132,61 @@ def test_batched_reference_errors_equal_single_calls(k, count, seed):
         compute_errors_vs_reference([sols[0], refs[0]], refs[:2], domain)
     with pytest.raises(ValueError):
         compute_errors_vs_reference([], [], domain)
+
+
+_DATA_EXACTNESS = sorted({quadrature_degrees(k, l)["data"]
+                          for k in (1, 2, 3) for l in (1, 2, 3)})
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(ratio=st.sampled_from([1, 2, 4]),
+       exactness=st.sampled_from(_DATA_EXACTNESS),
+       box=st.sampled_from([(0.0, 0.0, 1.0, 1.0), (-0.3, 0.2, 1.1, 0.9)]),
+       nx=st.integers(1, 6), ny=st.integers(1, 6))
+def test_nested_map_matches_point_location(ratio, exactness, box, nx, ny):
+    # every rule point of every coarse triangle lands, by the nested map,
+    # in the fine triangle that locating its physical coordinates on the
+    # refined mesh finds, at the same barycentric point; the degree-1
+    # basis values are the barycentric coordinates
+    coarse = build_background_mesh(box, (nx, ny))
+    fine = build_background_mesh(box, (ratio * nx, ratio * ny))
+    tris = np.arange(coarse.n_triangles)
+    pts = physical_points(coarse, tris,
+                          triangle_quadrature(exactness).points)
+    want_tri, want_bary = locate_points(fine, pts)
+    local, tables = analysis._nested_map(ratio, exactness, 1)
+    np.testing.assert_array_equal(
+        analysis._fine_triangles(tris, nx, ratio, local), want_tri)
+    np.testing.assert_allclose(tables[tris % 2, :, :, 0], want_bary,
+                               rtol=0, atol=1e-13)
+
+
+def test_reference_comparison_rejects_meshes_that_do_not_nest():
+    # the nested map needs every coarse cell split into the same
+    # ratio x ratio block of fine cells on the same box
+    case = get_case("circle")
+    rng = np.random.default_rng(3)
+
+    def solution(box, n_cells):
+        mesh = build_background_mesh(box, n_cells)
+        field = interpolate_levelset(case.phi, mesh, 1)
+        dofmap = build_dof_map(mesh, classify_domain(field, mesh)
+                               .active_triangles, 1)
+        return field, ProductSolution(field, dofmap,
+                                      rng.standard_normal(dofmap.n_dofs))
+
+    field, coarse = solution(case.box, (4, 4))
+    domain = classify_domain(field, field.mesh)
+    shifted = tuple(x + 0.125 for x in case.box)
+    for box, n_cells in ((case.box, (6, 6)),      # no integer ratio
+                         (shifted, (8, 8)),       # another box
+                         (case.box, (8, 16)),     # two ratios
+                         (case.box, (2, 2))):     # coarser
+        with pytest.raises(ValueError, match="not nested"):
+            compute_errors_vs_reference([coarse], [solution(box, n_cells)[1]],
+                                        domain)
+    assert compute_errors_vs_reference(
+        [coarse], [solution(case.box, (8, 8))[1]], domain)
 
 
 def test_eval_solution_matches_exact():

@@ -178,12 +178,15 @@ def test_conditioning_study_factors_each_level_once(monkeypatch):
 def test_each_point_set_is_tabulated_once(monkeypatch, k):
     # the tables of a fixed rule are built once, however many levels and
     # chunks a study runs: each (degree, point set, need_hess) at most
-    # once, and as often with half the chunk size
+    # once, and as often with half the chunk size.  The rectangle has no
+    # closed form, so its study also runs the reference comparison,
+    # whose fine points and tables come from the nested map.
     real = fem_core.ReferenceElement.tabulate
 
-    def tabulations(chunk):
+    def tabulations(config, chunk):
         for cached in (fem_core.rule_tables, fem_core.facet_tables,
-                       levelset._sign_lattice):
+                       levelset._sign_lattice, assembly._basis_products,
+                       analysis._nested_map):
             cached.cache_clear()
         seen = collections.Counter()
 
@@ -194,12 +197,14 @@ def test_each_point_set_is_tabulated_once(monkeypatch, k):
         monkeypatch.setattr(fem_core.ReferenceElement, "tabulate", counting)
         monkeypatch.setattr(assembly, "_CHUNK", chunk)
         monkeypatch.setattr(analysis, "_CHUNK", chunk)
-        rows = run_case(RunConfig(case="circle", k=k, n=8, levels=3))
+        rows = run_case(config)
         assert all(row["status"] == "ok" for row in rows)
         assert max(seen.values()) == 1
         return sum(seen.values())
 
-    assert tabulations(256) == tabulations(128)
+    for config in (RunConfig(case="circle", k=k, n=8, levels=3),
+                   RunConfig(case="rectangle", k=k, n=4, levels=2)):
+        assert tabulations(config, 256) == tabulations(config, 128)
 
 
 def test_conditioning_without_penalty_runs_every_level():

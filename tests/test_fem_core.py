@@ -271,47 +271,31 @@ def _assert_close(got, want, rel):
 @given(k=st.integers(1, 3), l=st.integers(1, 3), n_points=st.integers(1, 7),
        seed=st.integers(0, 2**32 - 1))
 def test_evaluator_point_shapes_agree(k, l, n_points, seed):
-    # Shared points (Q, 3) and the same points given per triangle
-    # (nT, Q, 3) must give the same fields, and so must the per-shape
-    # tables.  The cells are not square, so the two triangle shapes have
+    # The per-shape tables, one GEMM per shape, give on every triangle
+    # the fields the one-point evaluator gives at each point, and their
+    # Laplacians, which assembly uses, are the traces of its Hessians.
+    # The cells are not square, so the two triangle shapes have
     # different inverse Jacobians.
     rng = np.random.default_rng(seed)
     mesh = build_background_mesh((-0.3, 0.2, 1.1, 0.9), (3, 2))
     tris = np.arange(mesh.n_triangles)
-    inv = shape_maps(mesh)[2][tris % 2]
-    coef = rng.standard_normal((tris.size, make_reference_element(l).n_basis))
+    inv = shape_maps(mesh.cell_size)[2]
     bary = random_bary(rng, n_points)
-    per_tri = np.broadcast_to(bary, (tris.size,) + bary.shape)
-
-    shared = eval_lagrange(coef, l, inv, bary, need_hess=True)
-    for got, want in zip(eval_lagrange(coef, l, inv, per_tri,
-                                       need_hess=True), shared):
-        _assert_close(got, want, 1e-13)
-    # the per-shape tables give the same fields, one GEMM per shape, and
-    # their Laplacians, which assembly uses, are the traces of the Hessians
     for degree in (k, l):
         c = rng.standard_normal(
             (tris.size, make_reference_element(degree).n_basis))
         tables = make_reference_element(degree).tabulate(bary)
-        grads, laps = physical_tables(tables, shape_maps(mesh)[2],
-                                      need_lap=True)
-        want = eval_lagrange(c, degree, inv, bary, need_hess=True)
+        grads, laps = physical_tables(tables, inv, need_lap=True)
+        one = [[eval_lagrange(c[t], degree, inv[t % 2], point,
+                              need_hess=True) for point in bary]
+               for t in tris]
+        want = [np.array([[field[i] for field in row] for row in one])
+                for i in range(3)]
         for got, w in zip(eval_shapes(c, tris % 2, tables[0], grads), want):
             _assert_close(got, w, 1e-13)
         _assert_close(np.einsum("tqm,tm->tq", laps[tris % 2], c),
                       want[2][..., 0, 0] + want[2][..., 1, 1], 1e-13)
-
-    # distinct points per triangle match one shared call per triangle
-    own = rng.dirichlet([2.0, 2.0, 2.0], size=(tris.size, n_points))
-    each = eval_lagrange(coef, l, inv, own, need_hess=True)
-    for t in tris:
-        one = eval_lagrange(coef[t:t + 1], l, inv[t:t + 1], own[t],
-                            need_hess=True)
-        for got, want in zip(each, one):
-            _assert_close(got[t:t + 1], want, 1e-13)
-
-    hess = shared[2]
-    _assert_close(hess, hess.swapaxes(-1, -2), 1e-15)
+        _assert_close(want[2], want[2].swapaxes(-1, -2), 1e-15)
 
 
 # phi = x^2 - y + 0.3 and w = xy + y^2, with their product
