@@ -123,7 +123,7 @@ def _relative_errors(solutions: list[ProductSolution], tris: np.ndarray,
     exactness = quadrature_degrees(dofmap.degree, field.degree)["data"]
     quad = triangle_quadrature(exactness)
     _, det, inv = shape_maps(mesh.cell_size)
-    phi_tables, w_tables = (rule_tables(degree, exactness, False)
+    phi_tables, w_tables = (rule_tables(degree, exactness)
                             for degree in (field.degree, dofmap.degree))
     phi_v, phi_g = phi_tables[0], physical_tables(phi_tables, inv)[0]
     w_v, w_g = w_tables[0], physical_tables(w_tables, inv)[0]
@@ -203,7 +203,7 @@ def _nested_map(ratio: int, exactness: int, degree: int):
                           triangle_quadrature(exactness).points)
     tri, bary = locate_points(build_background_mesh(box, (ratio, ratio)), pts)
     values, grads, _ = make_reference_element(degree).tabulate(
-        bary.reshape(-1, 3), False)
+        bary.reshape(-1, 3))
     grads = grads @ shape_maps((1.0, 1.0))[2][tri.ravel() % 2]
     tables = np.concatenate([values[..., None], grads], axis=-1)
     return _frozen((tri, tables.reshape(tri.shape + tables.shape[1:])))

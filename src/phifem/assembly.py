@@ -30,16 +30,19 @@ never per triangle (`fem_core.shape_maps`, `rule_tables`,
 `facet_tables`).  Only the level-set coefficients c of a triangle vary.
 The two volume forms are quadratic in c, so each is the pair product
 (c_a c_b)_{a<=b} @ T_shape with a pair tensor T_shape[ab, ij] built by
-one matmul per shape from the tables; the load and its correction are
-one GEMM per shape against the tables at v0 + offset[shape] points.  A
-facet trace takes the values and outward normal derivatives of its
-triangle's shape and local facet, the latter one matmul of the facet
-table with the conormal of `fem_core.facet_frames`, and each side of a
-ghost facet differentiates along its own outward normal.  The gradients
-and Laplacians of the basis products phi_a psi_i and the facet traces
-all come from `fem_core.product_rule`, the one place the product rule of
-u = phi * w is written; the basis products depend only on the degrees,
-the rule and the cell size, so they are built once per such key.
+one matmul per shape from the tables; the load is one GEMM against the
+values the shapes share, at v0 + offset[shape] points, and its
+correction one GEMM per shape, as are the pair products
+(`fem_core.group_matmul`).  A facet trace takes the values and outward
+normal derivatives of its triangle's shape and local facet, the latter
+one matmul of the facet table with the conormal of
+`fem_core.facet_frames`, and each side of a ghost facet differentiates
+along its own outward normal.  The gradients and Laplacians of the basis
+products phi_a psi_i and the facet traces all come from
+`fem_core.product_rule`, the one place the product rule of u = phi * w
+is written.  A kernel call builds both basis products of its rule in
+one such call from the cached rule tables; they depend on the cell
+size, which every level of a study changes, so nothing keeps them.
 Both penalty terms and the load correction are linear in sigma, so
 their kernels and `assemble_ghost_part` return the sigma = 1 forms,
 with h read from the mesh; `assemble_parts` builds the core A0, b0 and
@@ -51,15 +54,15 @@ symmetric and can be inspected on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .fem_core import (DofMap, build_dof_map, edge_quadrature, eval_shapes,
-                       facet_frames, facet_tables, physical_points,
-                       physical_tables, product_rule, quadrature_degrees,
-                       rule_tables, shape_maps, triangle_quadrature)
+                       facet_frames, facet_tables, group_matmul,
+                       physical_points, physical_tables, product_rule,
+                       quadrature_degrees, rule_tables, shape_maps,
+                       triangle_quadrature)
 from .levelset import ActiveDomain, AnalyticField, LevelSetField
 
 __all__ = [
@@ -114,29 +117,20 @@ def _rule(k, field, term):
     return triangle_quadrature(exactness)
 
 
-# one level asks for three keys (the volume gradients and Laplacians,
-# the data Laplacians); the levels of a study differ in cell size, so
-# older entries would only hold memory
-@lru_cache(maxsize=3)
-def _basis_products(l, k, exactness, need_lap, cell_size):
-    """grad(phi_a psi_i), shape (2, Q, m, n, 2), or, when `need_lap`,
-    lap(phi_a psi_i), shape (2, Q, m, n), at the points of
-    `triangle_quadrature(exactness)` for both shapes of a mesh with that
-    cell size; phi_a is the degree-l level-set basis, psi_i the degree-k
-    basis of w.  Built once per key, like `rule_tables`, and read-only."""
+def _basis_products(l, k, exactness, cell_size):
+    """grad(phi_a psi_i), shape (2, Q, m, n, 2), and lap(phi_a psi_i),
+    shape (2, Q, m, n), at the points of `triangle_quadrature(exactness)`
+    for both shapes of a mesh with that cell size; phi_a is the degree-l
+    level-set basis, psi_i the degree-k basis of w.  Built per call from
+    the cached `rule_tables`, in one `product_rule` call."""
     inv = shape_maps(cell_size)[2]
-    phi_tables = rule_tables(l, exactness, need_lap)
-    w_tables = rule_tables(k, exactness, need_lap)
-    pg, plap = physical_tables(phi_tables, inv, need_lap)
-    bg, blap = physical_tables(w_tables, inv, need_lap)
-    if need_lap:
-        plap, blap = plap[..., :, None], blap[..., None, :]
-    _, grad, lap = product_rule(phi_tables[0][:, :, None], pg[..., None, :],
-                                w_tables[0][:, None, :], bg[..., None, :, :],
-                                plap, blap)
-    out = lap if need_lap else grad
-    out.setflags(write=False)
-    return out
+    phi_tables = rule_tables(l, exactness)
+    w_tables = rule_tables(k, exactness)
+    pg, plap = physical_tables(phi_tables, inv)
+    bg, blap = physical_tables(w_tables, inv)
+    return product_rule(phi_tables[0][:, :, None], pg[..., None, :],
+                        w_tables[0][:, None, :], bg[..., None, :, :],
+                        plap[..., :, None], blap[..., None, :])[1:]
 
 
 def _pair_forms(coef, shape, terms, weights):
@@ -151,16 +145,13 @@ def _pair_forms(coef, shape, terms, weights):
     m, n = terms.shape[-2:]
     ia, ib = np.triu_indices(m)
     off = (ia != ib)[:, None, None]
-    pairs = coef[:, ia] * coef[:, ib]
-    out = np.empty((len(coef), n, n))
-    for s in (0, 1):
-        x = terms[s].reshape(-1, m * n)
+    tables = []
+    for x in terms.reshape(2, -1, m * n):
         t = ((x * weights[:, None]).T @ x).reshape(m, n, m, n)
         t = t.transpose(0, 2, 1, 3)                     # (a, b, i, j)
-        table = t[ia, ib] + off * t[ib, ia]
-        rows = np.flatnonzero(shape == s)
-        out[rows] = (pairs[rows] @ table.reshape(-1, n * n)).reshape(-1, n, n)
-    return out
+        tables.append((t[ia, ib] + off * t[ib, ia]).reshape(-1, n * n))
+    pairs = coef[:, ia] * coef[:, ib]
+    return group_matmul(pairs, shape, np.stack(tables)).reshape(-1, n, n)
 
 
 def _facet_traces(field, k, facets, tris, exactness):
@@ -196,8 +187,8 @@ def element_product_kernel(triangles: np.ndarray, field: LevelSetField,
     One (n, n) matrix per triangle id in `triangles`: shape (nT, n, n).
     """
     quad = _rule(k, field, "volume")
-    grad = _basis_products(field.degree, k, quad.degree, False,
-                           field.mesh.cell_size)
+    grad = _basis_products(field.degree, k, quad.degree,
+                           field.mesh.cell_size)[0]
     _, Q, m, n, _ = grad.shape
     terms = grad.transpose(0, 1, 4, 2, 3).reshape(2, 2 * Q, m, n)
     weights = np.repeat(shape_maps(field.mesh.cell_size)[1] * quad.weights, 2)
@@ -214,8 +205,8 @@ def ghost_laplacian_kernel(triangles: np.ndarray, field: LevelSetField,
     """
     h = field.mesh.h
     quad = _rule(k, field, "volume")
-    lap = _basis_products(field.degree, k, quad.degree, True,
-                          field.mesh.cell_size)
+    lap = _basis_products(field.degree, k, quad.degree,
+                          field.mesh.cell_size)[1]
     weights = h * h * shape_maps(field.mesh.cell_size)[1] * quad.weights
     return _symmetrize(_pair_forms(field.cell_coefficients(triangles),
                                    triangles % 2, lap, weights))
@@ -235,8 +226,8 @@ def load_kernel(triangles: np.ndarray, f: AnalyticField,
     quad = _rule(k, field, "data")
     wf = _source(f, field.mesh, triangles, quad)
     pv = field.cell_coefficients(triangles) @ rule_tables(
-        field.degree, quad.degree, False)[0].T
-    return (wf * pv) @ rule_tables(k, quad.degree, False)[0]
+        field.degree, quad.degree)[0].T
+    return (wf * pv) @ rule_tables(k, quad.degree)[0]
 
 
 def load_correction_kernel(triangles: np.ndarray, f: AnalyticField,
@@ -246,18 +237,13 @@ def load_correction_kernel(triangles: np.ndarray, f: AnalyticField,
     right-hand side adds them on cut triangles only."""
     h = field.mesh.h
     quad = _rule(k, field, "data")
-    terms = _basis_products(field.degree, k, quad.degree, True,
-                            field.mesh.cell_size)
+    terms = _basis_products(field.degree, k, quad.degree,
+                            field.mesh.cell_size)[1]
     Q, m, n = terms.shape[1:]
     wf = _source(f, field.mesh, triangles, quad)
-    coef = field.cell_coefficients(triangles)
-    shape = triangles % 2
-    out = np.empty((len(triangles), n))
-    for s in (0, 1):
-        rows = np.flatnonzero(shape == s)
-        x = wf[rows, :, None] * coef[rows, None, :]        # (nT, Q, m)
-        out[rows] = x.reshape(-1, Q * m) @ terms[s].reshape(Q * m, n)
-    return -h * h * out
+    x = wf[:, :, None] * field.cell_coefficients(triangles)[:, None, :]
+    return -h * h * group_matmul(x.reshape(-1, Q * m), triangles % 2,
+                                 terms.reshape(2, Q * m, n))
 
 
 def boundary_term_kernel(facets: np.ndarray, owners: np.ndarray,

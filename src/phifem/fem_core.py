@@ -15,14 +15,16 @@ geometric truth.  The shapes have six (shape, local facet) pairs but
 only three facet kinds, and `mesh.LOCAL_FACETS` is the one source of
 their convention: `facet_frames` reads each pair's kind and side to give
 its length and its conormal inv @ n, n the unit normal out of the
-triangle, in closed form too, and `facet_tables` reads its ends.  A
-quadrature rule's basis tables are tabulated once per (degree, rule
-exactness, need_hess) by `rule_tables`, and those of the edge rules on
-the six pairs by `facet_tables`; `physical_tables` maps triangle
-tables to physical gradients and Laplacians per shape, a facet table
-times its conormal gives the outward normal derivatives, and
-`eval_shapes` contracts per-entity coefficients against such tables
-with one GEMM per group.  `eval_lagrange` evaluates one field at one
+triangle, in closed form too, and `facet_tables` reads its ends.  Basis
+tables are always tabulated whole, Hessians included, since a rule has
+at most 49 points and an element 10 functions: those of a quadrature
+rule once per (degree, rule exactness) by `rule_tables`, and those of
+the edge rules on the six pairs by `facet_tables`.  `physical_tables`
+maps triangle tables to physical gradients and Laplacians per shape, and
+a facet table times its conormal gives the outward normal derivatives.
+`group_matmul` contracts per-entity coefficients against the table of
+each entity's group with one GEMM per group; `eval_shapes` and the
+assembly kernels call it.  `eval_lagrange` evaluates one field at one
 point of one triangle, which no fixed table covers.
 `product_rule` turns the values and derivatives of phi and of w into
 those of u = phi * w, and the Laplacian on request; it is the only
@@ -55,6 +57,7 @@ __all__ = [
     "rule_tables",
     "facet_tables",
     "physical_tables",
+    "group_matmul",
     "eval_shapes",
     "eval_lagrange",
     "product_rule",
@@ -88,21 +91,19 @@ class ReferenceElement:
     def n_basis(self) -> int:
         return self.nodes_bary.shape[0]
 
-    def tabulate(self, points_bary: np.ndarray, need_hess: bool = True
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    def tabulate(self, points_bary: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Values, reference gradients and reference Hessians at given points.
 
         Parameters
         ----------
         points_bary : (Q, 3) barycentric coordinates.
-        need_hess : build the Hessians; without them the result has None
-            in their place.
 
         Returns
         -------
         values : (Q, n_basis)
         grads : (Q, n_basis, 2), derivatives in reference coordinates.
-        hessians : (Q, n_basis, 2, 2), or None unless `need_hess`.
+        hessians : (Q, n_basis, 2, 2)
         """
         pts = np.asarray(points_bary, dtype=float)
         x = pts[:, 1]
@@ -128,8 +129,6 @@ class ReferenceElement:
         C = self._coeffs
         values = mono(0, 0) @ C
         grads = np.stack([mono(1, 0) @ C, mono(0, 1) @ C], axis=-1)
-        if not need_hess:
-            return values, grads, None
         hess = np.empty((len(x), self.n_basis, 2, 2))
         hess[:, :, 0, 0] = mono(2, 0) @ C
         hess[:, :, 0, 1] = hess[:, :, 1, 0] = mono(1, 1) @ C
@@ -167,6 +166,17 @@ class QuadratureRule:
     degree: int
 
 
+def _gauss_size(exactness: int) -> int:
+    """Number n of Gauss points per direction, whose exactness 2n - 1
+    covers `exactness`; ValueError unless 0 <= exactness <= the cap."""
+    if exactness < 0:
+        raise ValueError("exactness must be nonnegative")
+    if exactness > QUAD_DEGREE_CAP:
+        raise ValueError(
+            f"exactness {exactness} exceeds cap {QUAD_DEGREE_CAP}")
+    return max(1, (exactness + 2) // 2)
+
+
 @lru_cache(maxsize=None)
 def triangle_quadrature(exactness: int) -> QuadratureRule:
     """Positive-weight triangle rule exact for polynomials up to `exactness`.
@@ -175,12 +185,7 @@ def triangle_quadrature(exactness: int) -> QuadratureRule:
     Gauss-Jacobi (weight 1 - t) in the other, collapsed onto the triangle.
     All nodes are strictly interior and all weights positive.
     """
-    if exactness < 0:
-        raise ValueError("exactness must be nonnegative")
-    if exactness > QUAD_DEGREE_CAP:
-        raise ValueError(
-            f"exactness {exactness} exceeds cap {QUAD_DEGREE_CAP}")
-    n = max(1, (exactness + 2) // 2)        # Gauss exactness 2n-1 >= exactness
+    n = _gauss_size(exactness)
     xl, wl = roots_legendre(n)
     xj, wj = roots_jacobi(n, 1.0, 0.0)
     u = 0.5 * (xl + 1.0)                    # [0, 1]
@@ -198,13 +203,7 @@ def triangle_quadrature(exactness: int) -> QuadratureRule:
 @lru_cache(maxsize=None)
 def edge_quadrature(exactness: int) -> QuadratureRule:
     """Gauss-Legendre rule on the reference edge, barycentric (1-s, s)."""
-    if exactness < 0:
-        raise ValueError("exactness must be nonnegative")
-    if exactness > QUAD_DEGREE_CAP:
-        raise ValueError(
-            f"exactness {exactness} exceeds cap {QUAD_DEGREE_CAP}")
-    n = max(1, (exactness + 2) // 2)
-    x, w = roots_legendre(n)
+    x, w = roots_legendre(_gauss_size(exactness))
     s = 0.5 * (x + 1.0)
     points = np.column_stack([1.0 - s, s])
     weights = 0.5 * w
@@ -365,19 +364,18 @@ def physical_points(mesh: BackgroundMesh, tris: np.ndarray,
 
 def _frozen(arrays: tuple) -> tuple:
     for arr in arrays:
-        if arr is not None:
-            arr.setflags(write=False)
+        arr.setflags(write=False)
     return arrays
 
 
 @lru_cache(maxsize=None)
-def rule_tables(degree: int, exactness: int, need_hess: bool):
+def rule_tables(degree: int, exactness: int):
     """Reference values (Q, n), gradients (Q, n, 2) and Hessians
-    (Q, n, 2, 2), or None unless `need_hess`, of the degree-`degree`
-    basis at the points of `triangle_quadrature(exactness)`.  Tabulated
-    once per key; every triangle of both shapes shares them."""
+    (Q, n, 2, 2) of the degree-`degree` basis at the points of
+    `triangle_quadrature(exactness)`.  Tabulated once per key; every
+    triangle of both shapes shares them."""
     return _frozen(make_reference_element(degree).tabulate(
-        triangle_quadrature(exactness).points, need_hess))
+        triangle_quadrature(exactness).points))
 
 
 @lru_cache(maxsize=None)
@@ -395,28 +393,39 @@ def facet_tables(degree: int, exactness: int):
         bary[row, :, lo] = 1.0 - s
         bary[row, :, hi] = s
     values, grads, _ = make_reference_element(degree).tabulate(
-        bary.reshape(-1, 3), need_hess=False)
+        bary.reshape(-1, 3))
     n = values.shape[-1]
     return _frozen((values.reshape(6, s.size, n),
                     grads.reshape(6, s.size, n, 2)))
 
 
-def physical_tables(tables: tuple, inv: np.ndarray, need_lap: bool = False):
+def physical_tables(tables: tuple, inv: np.ndarray):
     """Physical gradients and Laplacians of a triangle rule's reference
     tables (`rule_tables`), which every shape shares; `inv` is (S, 2, 2),
     the two shapes' inverse Jacobians.  Returns gradients (S, Q, n, 2)
-    and Laplacians (S, Q, n), or None unless `need_lap`.
+    and Laplacians (S, Q, n).
     """
     _, tab_g, tab_h = tables
     Q, n = tab_g.shape[:2]
     S = len(inv)
     grads = (tab_g.reshape(Q * n, 2) @ inv).reshape(S, Q, n, 2)
-    lap = None
-    if need_lap:
-        # the trace of inv.T H_ref inv: sum_dc H_ref[d, c] (inv inv.T)[d, c]
-        metric = (inv @ inv.swapaxes(1, 2)).reshape(S, 4, 1)
-        lap = (tab_h.reshape(Q * n, 4) @ metric).reshape(S, Q, n)
+    # the trace of inv.T H_ref inv: sum_dc H_ref[d, c] (inv inv.T)[d, c]
+    metric = (inv @ inv.swapaxes(1, 2)).reshape(S, 4, 1)
+    lap = (tab_h.reshape(Q * n, 4) @ metric).reshape(S, Q, n)
     return grads, lap
+
+
+def group_matmul(coef: np.ndarray, group: np.ndarray, tables: np.ndarray
+                 ) -> np.ndarray:
+    """out[e] = coef[e] @ tables[group[e]] for entities whose table
+    depends only on a group, such as the shape of a triangle: coef
+    (N, m), group (N,) ids into tables (S, m, p).  Returns (N, p), one
+    GEMM per group over its rows in their order."""
+    out = np.empty((len(coef), tables.shape[-1]))
+    for s in range(len(tables)):
+        rows = np.flatnonzero(group == s)
+        out[rows] = coef[rows] @ tables[s]
+    return out
 
 
 def eval_shapes(coef: np.ndarray, group: np.ndarray, values: np.ndarray,
@@ -429,32 +438,28 @@ def eval_shapes(coef: np.ndarray, group: np.ndarray, values: np.ndarray,
     values : (Q, m), shared by every group, or (S, Q, m).
     derivs : (S, Q, m, c), any c derivative columns: the gradients from
         `physical_tables`, or a facet table's outward normal derivatives.
-    Returns values (N, Q) and derivatives (N, Q, c), one GEMM per group.
+    Returns values (N, Q) and derivatives (N, Q, c), by `group_matmul`.
     """
     S, Q, m, c = derivs.shape
     table = np.concatenate(
         [np.broadcast_to(values, (S, Q, m))[..., None], derivs], axis=-1)
     table = table.transpose(0, 2, 1, 3).reshape(S, m, Q * (c + 1))
-    out = np.empty((len(coef), Q, c + 1))
-    for s in range(S):
-        rows = np.nonzero(group == s)[0]
-        out[rows] = (coef[rows] @ table[s]).reshape(-1, Q, c + 1)
+    out = group_matmul(coef, group, table).reshape(-1, Q, c + 1)
     return out[..., 0], out[..., 1:]
 
 
 def eval_lagrange(coef: np.ndarray, degree: int, inv: np.ndarray,
-                  bary: np.ndarray, need_hess: bool = False):
-    """Value, physical gradient (2,) and, when `need_hess`, physical
-    Hessian inv.T H_ref inv (2, 2), else None, of one degree-`degree`
-    Lagrange field at one point of one triangle: coef (m,) its nodal
-    values, inv (2, 2) the inverse Jacobian of its shape (`shape_maps`)
-    and bary (3,) the point, which no fixed table covers.
+                  bary: np.ndarray):
+    """Value, physical gradient (2,) and physical Hessian inv.T H_ref inv
+    (2, 2) of one degree-`degree` Lagrange field at one point of one
+    triangle: coef (m,) its nodal values, inv (2, 2) the inverse Jacobian
+    of its shape (`shape_maps`) and bary (3,) the point, which no fixed
+    table covers.
     """
     values, grads, hess = make_reference_element(degree).tabulate(
-        np.reshape(bary, (1, 3)), need_hess)
-    if need_hess:
-        hess = inv.T @ np.tensordot(coef, hess[0], 1) @ inv
-    return coef @ values[0], (coef @ grads[0]) @ inv, hess
+        np.reshape(bary, (1, 3)))
+    return (coef @ values[0], (coef @ grads[0]) @ inv,
+            inv.T @ np.tensordot(coef, hess[0], 1) @ inv)
 
 
 def product_rule(pv, pd, wv, wd, plap=None, wlap=None):

@@ -88,7 +88,7 @@ def eval_field(field: LevelSetField, triangle: int, bary: np.ndarray
     """
     inv = shape_maps(field.mesh.cell_size)[2][triangle % 2]
     return eval_lagrange(field.cell_coefficients(triangle), field.degree,
-                         inv, bary, need_hess=True)
+                         inv, bary)
 
 
 @dataclass(frozen=True)

@@ -177,22 +177,22 @@ def test_conditioning_study_factors_each_level_once(monkeypatch):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_each_point_set_is_tabulated_once(monkeypatch, k):
     # the tables of a fixed rule are built once, however many levels and
-    # chunks a study runs: each (degree, point set, need_hess) at most
-    # once, and as often with half the chunk size.  The rectangle has no
-    # closed form, so its study also runs the reference comparison,
-    # whose fine points and tables come from the nested map.
+    # chunks a study runs: each (degree, point set) at most once, values,
+    # gradients and Hessians together, and as often with half the chunk
+    # size.  The rectangle has no closed form, so its study also runs the
+    # reference comparison, whose fine points and tables come from the
+    # nested map.
     real = fem_core.ReferenceElement.tabulate
 
     def tabulations(config, chunk):
         for cached in (fem_core.rule_tables, fem_core.facet_tables,
-                       levelset._sign_lattice, assembly._basis_products,
-                       analysis._nested_map):
+                       levelset._sign_lattice, analysis._nested_map):
             cached.cache_clear()
         seen = collections.Counter()
 
-        def counting(self, points, need_hess=True):
-            seen[self.degree, np.asarray(points).tobytes(), need_hess] += 1
-            return real(self, points, need_hess)
+        def counting(self, points):
+            seen[self.degree, np.asarray(points).tobytes()] += 1
+            return real(self, points)
 
         monkeypatch.setattr(fem_core.ReferenceElement, "tabulate", counting)
         monkeypatch.setattr(assembly, "_CHUNK", chunk)

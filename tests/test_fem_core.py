@@ -1,15 +1,18 @@
 """Tests for reference elements, quadrature rules and dof numbering."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phifem import analysis, levelset
 from phifem.fem_core import (QUAD_DEGREE_CAP, build_dof_map, edge_quadrature,
-                             eval_lagrange, eval_shapes,
-                             make_reference_element, physical_tables,
-                             product_rule, shape_maps,
-                             quadrature_degrees, triangle_quadrature)
+                             eval_lagrange, eval_shapes, facet_tables,
+                             group_matmul, make_reference_element,
+                             physical_tables, product_rule, rule_tables,
+                             shape_maps, quadrature_degrees,
+                             triangle_quadrature)
 from phifem.mesh import build_background_mesh
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
@@ -285,10 +288,9 @@ def test_evaluator_point_shapes_agree(k, l, n_points, seed):
         c = rng.standard_normal(
             (tris.size, make_reference_element(degree).n_basis))
         tables = make_reference_element(degree).tabulate(bary)
-        grads, laps = physical_tables(tables, inv, need_lap=True)
-        one = [[eval_lagrange(c[t], degree, inv[t % 2], point,
-                              need_hess=True) for point in bary]
-               for t in tris]
+        grads, laps = physical_tables(tables, inv)
+        one = [[eval_lagrange(c[t], degree, inv[t % 2], point)
+                for point in bary] for t in tris]
         want = [np.array([[field[i] for field in row] for row in one])
                 for i in range(3)]
         for got, w in zip(eval_shapes(c, tris % 2, tables[0], grads), want):
@@ -296,6 +298,41 @@ def test_evaluator_point_shapes_agree(k, l, n_points, seed):
         _assert_close(np.einsum("tqm,tm->tq", laps[tris % 2], c),
                       want[2][..., 0, 0] + want[2][..., 1, 1], 1e-13)
         _assert_close(want[2], want[2].swapaxes(-1, -2), 1e-15)
+
+
+def test_group_matmul_rows():
+    # group ids out of order, and group 1 empty, as in a chunk of
+    # triangles of one shape
+    rng = np.random.default_rng(7)
+    tables = rng.standard_normal((3, 4, 5))
+    coef = rng.standard_normal((6, 4))
+    group = np.array([2, 0, 2, 2, 0, 2])
+    out = group_matmul(coef, group, tables)
+    assert out.shape == (6, 5)
+    for e in range(len(coef)):
+        _assert_close(out[e], coef[e] @ tables[group[e]], 1e-14)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_cached_builders_hand_out_read_only_arrays(degree):
+    # every call of a cached builder shares its arrays, so none may be
+    # written through
+    built = [make_reference_element(degree), triangle_quadrature(2 * degree),
+             edge_quadrature(2 * degree), rule_tables(degree, 2 * degree),
+             facet_tables(degree, 2 * degree), levelset._sign_lattice(degree),
+             analysis._nested_map(2, 2 * degree, degree)]
+    arrays = []
+    for result in built:
+        if isinstance(result, np.ndarray):
+            result = (result,)
+        elif dataclasses.is_dataclass(result):
+            result = [getattr(result, f.name)
+                      for f in dataclasses.fields(result)]
+        arrays += [a for a in result if isinstance(a, np.ndarray)]
+    assert len(arrays) == 3 + 2 + 2 + 3 + 2 + 1 + 2
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[...] = arr
 
 
 # phi = x^2 - y + 0.3 and w = xy + y^2, with their product
