@@ -285,16 +285,10 @@ def build_dof_map(mesh: BackgroundMesh, triangles: np.ndarray,
     codes = vertex_codes[mesh.triangles[tris]] @ multi.T    # (nT, n_local)
     # ids number the codes in use in ascending order, read off a mask of
     # the whole node lattice, so no sort is needed
-    n_codes = (degree * mesh.n_cells[0] + 1) * stride
-    if tris.size == mesh.n_triangles:
-        # every lattice node is in use: the ids are the codes themselves
-        cell_dofs = codes
-        used = np.arange(n_codes)
-    else:
-        in_use = np.zeros(n_codes, dtype=bool)
-        in_use[codes.ravel()] = True
-        cell_dofs = (np.cumsum(in_use) - 1)[codes]
-        used = np.flatnonzero(in_use)
+    in_use = np.zeros((degree * mesh.n_cells[0] + 1) * stride, dtype=bool)
+    in_use[codes.ravel()] = True
+    cell_dofs = (np.cumsum(in_use) - 1)[codes]
+    used = np.flatnonzero(in_use)
     uniq = np.column_stack([used // stride, used % stride])
 
     xmin, ymin, _, _ = mesh.box

@@ -155,11 +155,9 @@ def classify_domain(field: LevelSetField, mesh: BackgroundMesh
     active = np.nonzero(active_mask)[0]
     cut = np.nonzero(active_mask & (maxs >= 0.0))[0]
 
-    ft = mesh.facet_triangles
-    interior = ft[:, 1] >= 0
-    both_active = interior.copy()
-    both_active[interior] = (active_mask[ft[interior, 0]]
-                             & active_mask[ft[interior, 1]])
+    # one slot more than triangles: a missing neighbour (-1) reads False
+    both_active = np.append(active_mask, False)[mesh.facet_triangles].all(
+        axis=1)
     touches_cut = np.zeros(mesh.n_facets, dtype=bool)
     touches_cut[mesh.triangle_facets[cut].ravel()] = True
     ghost = np.nonzero(both_active & touches_cut)[0]

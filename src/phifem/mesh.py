@@ -207,15 +207,14 @@ def submesh_boundary_facets(mesh: BackgroundMesh,
         raise ValueError("active triangle set is empty")
     if active.min() < 0 or active.max() >= mesh.n_triangles:
         raise ValueError("active triangle ids out of range")
-    mask = np.zeros(mesh.n_triangles, dtype=bool)
+    # one slot more than triangles: a missing neighbour (-1) reads False
+    mask = np.zeros(mesh.n_triangles + 1, dtype=bool)
     mask[active] = True
 
     ft = mesh.facet_triangles
-    in0 = mask[ft[:, 0]]
-    in1 = (ft[:, 1] >= 0) & mask[np.where(ft[:, 1] >= 0, ft[:, 1], 0)]
-    count = in0.astype(np.int64) + in1.astype(np.int64)
-    ids = np.nonzero(count == 1)[0]
-    owners = np.where(in0[ids], ft[ids, 0], ft[ids, 1])
+    inside = mask[ft]                                     # (n_facets, 2)
+    ids = np.nonzero(inside[:, 0] != inside[:, 1])[0]
+    owners = np.where(inside[ids, 0], ft[ids, 0], ft[ids, 1])
     return BoundaryFacets(facets=ids, owners=owners)
 
 

@@ -364,6 +364,39 @@ def test_parts_form_each_penalty_system():
         parts.system(-1.0)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_parts_do_not_depend_on_chunk_size(monkeypatch, k):
+    # Every mesh here fits in one chunk of the volume kernels; a chunk of
+    # 7 triangles forces several chunks and a ragged last one.  phi = -1
+    # has no cut triangle and no ghost facet, so its penalty part is
+    # assembled from empty sets.
+    circle = get_case("circle")
+    circle_mesh = build_background_mesh(circle.box, (10, 10))
+    minus_one_mesh = build_background_mesh(UNIT_BOX, (4, 4))
+    f = AnalyticField(value=lambda x, y: x + 2.0 * y)
+    problems = [(interpolate_levelset(circle.phi, circle_mesh, k), circle.f),
+                (_const_field(minus_one_mesh, -1.0, k), f)]
+
+    def parts(field, source):
+        return assemble_parts(classify_domain(field, field.mesh), field,
+                              source, k, [0.0, 1.0])
+
+    for field, source in problems:
+        whole = parts(field, source)
+        with monkeypatch.context() as patch:
+            patch.setattr(assembly, "_CHUNK", 7)
+            chunked = parts(field, source)
+        for a, b in ((whole.A0, chunked.A0), (whole.G, chunked.G)):
+            np.testing.assert_array_equal(a.indptr, b.indptr)
+            np.testing.assert_array_equal(a.indices, b.indices)
+            np.testing.assert_allclose(
+                a.data, b.data, rtol=0,
+                atol=1e-14 * np.abs(a.data).max(initial=0.0))
+        for a, b in ((whole.b0, chunked.b0), (whole.g, chunked.g)):
+            np.testing.assert_allclose(a, b, rtol=0,
+                                       atol=1e-14 * np.abs(a).max())
+
+
 def test_assemble_validation():
     case = get_case("circle")
     mesh = build_background_mesh(case.box, (6, 6))
