@@ -37,6 +37,7 @@ from .mesh import build_background_mesh, locate_points
 __all__ = [
     "ProductSolution",
     "ErrorReport",
+    "VanishingNormError",
     "make_solution",
     "eval_solution",
     "compute_errors",
@@ -66,6 +67,11 @@ class ErrorReport:
     n_dofs: int
     rel_l2: float
     rel_h1_semi: float
+
+
+class VanishingNormError(ValueError):
+    """The target of a relative error is zero on the triangles measured,
+    for instance because there are none."""
 
 
 def make_solution(system: SparseSystem, field: LevelSetField,
@@ -115,8 +121,8 @@ def _relative_errors(solutions: list[ProductSolution], tris: np.ndarray,
     per shape.  `target(tris, pts)` gives, at the rule's physical points
     (nT, Q, 2) of the triangles `tris`, the target values (S, nT, Q) and
     gradients (S, nT, Q, 2); S is 1 (one target for every solution) or
-    one target per solution.  Raises ValueError(`vanishing`) when a
-    target has zero norm on the triangles.
+    one target per solution.  Raises VanishingNormError(`vanishing`)
+    when a target has zero norm on the triangles.
     """
     field, dofmap = solutions[0].field, solutions[0].dofmap
     mesh = field.mesh
@@ -153,7 +159,7 @@ def _relative_errors(solutions: list[ProductSolution], tris: np.ndarray,
     den_l2 = np.broadcast_to(den_l2, (S,))
     den_h1 = np.broadcast_to(den_h1, (S,))
     if (den_l2 <= 0.0).any() or (den_h1 <= 0.0).any():
-        raise ValueError(vanishing)
+        raise VanishingNormError(vanishing)
     return [ErrorReport(h=mesh.h, n_dofs=dofmap.n_dofs,
                         rel_l2=float(np.sqrt(num_l2[j] / den_l2[j])),
                         rel_h1_semi=float(np.sqrt(num_h1[j] / den_h1[j])))

@@ -43,9 +43,10 @@ one matmul of the facet table with the conormal of
 along its own outward normal.  The gradients and Laplacians of the basis
 products phi_a psi_i and the facet traces all come from
 `fem_core.product_rule`, the one place the product rule of u = phi * w
-is written.  A kernel call builds both basis products of its rule in
-one such call from the cached rule tables; they depend on the cell
-size, which every level of a study changes, so nothing keeps them.
+is written.  A volume kernel builds only the basis product it reads,
+gradients or Laplacians, in one such call from the cached rule tables;
+they depend on the cell size, which every level of a study changes, so
+nothing keeps them.
 Both penalty terms and the load correction are linear in sigma, so
 their kernels and `assemble_ghost_part` return the sigma = 1 forms,
 with h read from the mesh; `assemble_parts` builds the core A0, b0 and
@@ -125,19 +126,21 @@ def _rule(k, field, term):
 
 
 def _basis_products(l, k, exactness, cell_size):
-    """grad(phi_a psi_i), shape (2, Q, m, n, 2), and lap(phi_a psi_i),
-    shape (2, Q, m, n), at the points of `triangle_quadrature(exactness)`
-    for both shapes of a mesh with that cell size; phi_a is the degree-l
-    level-set basis, psi_i the degree-k basis of w.  Built per call from
-    the cached `rule_tables`, in one `product_rule` call."""
+    """The `product_rule` inputs of the basis products phi_a psi_i at the
+    points of `triangle_quadrature(exactness)`, for both shapes of a mesh
+    with that cell size: values, physical gradients and Laplacians of
+    the degree-l level-set basis phi_a laid out (2, Q, m, 1), and of the
+    degree-k basis psi_i of w laid out (2, Q, 1, n), the gradients with
+    a last axis of 2.  Built per call from the cached `rule_tables`;
+    each kernel passes `product_rule` only what it reads."""
     inv = shape_maps(cell_size)[2]
     phi_tables = rule_tables(l, exactness)
     w_tables = rule_tables(k, exactness)
     pg, plap = physical_tables(phi_tables, inv)
     bg, blap = physical_tables(w_tables, inv)
-    return product_rule(phi_tables[0][:, :, None], pg[..., None, :],
-                        w_tables[0][:, None, :], bg[..., None, :, :],
-                        plap[..., :, None], blap[..., None, :])[1:]
+    return (phi_tables[0][:, :, None], pg[..., None, :],
+            w_tables[0][:, None, :], bg[..., None, :, :],
+            plap[..., :, None], blap[..., None, :])
 
 
 def _pair_forms(coef, shape, terms, weights):
@@ -194,8 +197,8 @@ def element_product_kernel(triangles: np.ndarray, field: LevelSetField,
     One (n, n) matrix per triangle id in `triangles`: shape (nT, n, n).
     """
     quad = _rule(k, field, "volume")
-    grad = _basis_products(field.degree, k, quad.degree,
-                           field.mesh.cell_size)[0]
+    grad = product_rule(*_basis_products(field.degree, k, quad.degree,
+                                         field.mesh.cell_size)[:4])[1]
     _, Q, m, n, _ = grad.shape
     terms = grad.transpose(0, 1, 4, 2, 3).reshape(2, 2 * Q, m, n)
     weights = np.repeat(shape_maps(field.mesh.cell_size)[1] * quad.weights, 2)
@@ -212,8 +215,8 @@ def ghost_laplacian_kernel(triangles: np.ndarray, field: LevelSetField,
     """
     h = field.mesh.h
     quad = _rule(k, field, "volume")
-    lap = _basis_products(field.degree, k, quad.degree,
-                          field.mesh.cell_size)[1]
+    lap = product_rule(*_basis_products(field.degree, k, quad.degree,
+                                        field.mesh.cell_size))[2]
     weights = h * h * shape_maps(field.mesh.cell_size)[1] * quad.weights
     return _symmetrize(_pair_forms(field.cell_coefficients(triangles),
                                    triangles % 2, lap, weights))
@@ -244,8 +247,8 @@ def load_correction_kernel(triangles: np.ndarray, f: AnalyticField,
     right-hand side adds them on cut triangles only."""
     h = field.mesh.h
     quad = _rule(k, field, "data")
-    terms = _basis_products(field.degree, k, quad.degree,
-                            field.mesh.cell_size)[1]
+    terms = product_rule(*_basis_products(field.degree, k, quad.degree,
+                                          field.mesh.cell_size))[2]
     Q, m, n = terms.shape[1:]
     wf = _source(f, field.mesh, triangles, quad)
     x = wf[:, :, None] * field.cell_coefficients(triangles)[:, None, :]

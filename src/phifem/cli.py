@@ -20,7 +20,9 @@ files.  Exit code 0 means success, 2 a configuration problem (an `--out`
 path that cannot be opened included; it is opened before any level
 runs), 3 at least one failed solve (failed rows still appear, flagged
 in `status`: a singular matrix, no convergence, or factors that ran out
-of memory).
+of memory) or a level with nothing to compare with its reference
+(`no-comparison`: no uncut coarse triangle where the reference is
+defined; its errors stay blank).
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (ErrorReport, compute_errors,
+from .analysis import (ErrorReport, VanishingNormError, compute_errors,
                        compute_errors_vs_reference, estimated_orders,
                        make_solution)
 # assemble_system is not called here, but perfbench/spans.py wraps it
@@ -248,7 +250,9 @@ def _fill_orders(rows: list[dict]) -> None:
 def _compare(coarse: list, domain, fine: list) -> None:
     """Errors of one level's rows against the same strengths two levels
     finer; `coarse` and `fine` hold one (row, solution) per strength.
-    Every strength is measured in one pass."""
+    Every strength is measured in one pass.  A level with nothing to
+    compare (no uncut triangle where the reference is defined) keeps
+    blank errors, and its measured rows read `no-comparison`."""
     measured = []
     for (row, solution), (ref_row, ref_solution) in zip(coarse, fine):
         if solution is None:
@@ -260,8 +264,14 @@ def _compare(coarse: list, domain, fine: list) -> None:
             measured.append((row, solution, ref_solution))
     if measured:
         rows, solutions, references = zip(*measured)
-        reports = compute_errors_vs_reference(list(solutions),
-                                              list(references), domain)
+        try:
+            reports = compute_errors_vs_reference(list(solutions),
+                                                  list(references), domain)
+        except VanishingNormError:
+            for row in rows:
+                if row["status"] == "ok":
+                    row["status"] = "no-comparison"
+            return
         for row, report in zip(rows, reports):
             _set_errors(row, report)
 

@@ -3,9 +3,11 @@ that turn reference tabulations into physical values.
 
 Reference triangle: vertices (0,0), (1,0), (0,1); barycentric coordinates
 (1 - x - y, x, y).  Lagrange nodes of degree p sit on the barycentric
-lattice {(a, b, c)/p : a + b + c = p}, enumerated bottom row first.  Basis
-coefficients come from inverting the monomial Vandermonde matrix at the
-nodes, which is exact to rounding for p <= 3.
+lattice {(a, b, c)/p : a + b + c = p}, enumerated bottom row first.  The
+basis function of node alpha has the closed form prod_i prod_{j < alpha_i}
+(p lambda_i - j) / (j + 1) in the barycentric coordinates lambda, so
+`ReferenceElement.tabulate` evaluates it and its derivatives directly,
+with no coefficient matrix; it is exactly 0 or 1 at the nodes.
 
 The background mesh has two triangle shapes and one cell area: triangle
 t is the lower (t even) or upper (t odd) half of its cell.  `shape_maps`
@@ -67,15 +69,14 @@ __all__ = [
 QUAD_DEGREE_CAP = 12
 
 
-def _monomial_exponents(p: int) -> np.ndarray:
-    return np.array([(a, b) for a in range(p + 1) for b in range(p + 1 - a)],
-                    dtype=np.int64)
-
-
 def _lattice_multi_indices(p: int) -> np.ndarray:
     """Barycentric multi-indices (a0, a1, a2), a0+a1+a2 = p, bottom row first."""
     out = [(p - i - j, i, j) for j in range(p + 1) for i in range(p + 1 - j)]
     return np.array(out, dtype=np.int64)
+
+
+# reference gradients of the barycentric coordinates (1 - x - y, x, y)
+_BARY_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,6 @@ class ReferenceElement:
 
     degree: int
     nodes_bary: np.ndarray   # (n_basis, 3) barycentric node coordinates
-    _exponents: np.ndarray   # (n_basis, 2) monomial exponents
-    _coeffs: np.ndarray      # (n_basis, n_basis) monomial-to-nodal coefficients
 
     @property
     def n_basis(self) -> int:
@@ -94,6 +93,13 @@ class ReferenceElement:
     def tabulate(self, points_bary: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Values, reference gradients and reference Hessians at given points.
+
+        The basis function of node alpha is the product over i and
+        j < alpha_i of the factors (p lambda_i - j) / (j + 1), p the
+        degree and lambda the barycentric coordinates of the point, all
+        three read as given.  The gradient and the Hessian are carried
+        through the factors by the product rule; each factor is linear
+        in (x, y), so it adds no Hessian of its own.
 
         Parameters
         ----------
@@ -105,34 +111,22 @@ class ReferenceElement:
         grads : (Q, n_basis, 2), derivatives in reference coordinates.
         hessians : (Q, n_basis, 2, 2)
         """
-        pts = np.asarray(points_bary, dtype=float)
-        x = pts[:, 1]
-        y = pts[:, 2]
-        a = self._exponents[:, 0]
-        b = self._exponents[:, 1]
-
-        def mono(da: int, db: int) -> np.ndarray:
-            ea = a - da
-            eb = b - db
-            coef = np.ones_like(a, dtype=float)
-            for s in range(da):
-                coef *= a - s
-            for s in range(db):
-                coef *= b - s
-            valid = (ea >= 0) & (eb >= 0)
-            out = np.zeros((len(x), len(a)))
-            xa = x[:, None] ** np.where(valid, ea, 0)
-            yb = y[:, None] ** np.where(valid, eb, 0)
-            out[:, valid] = (coef * xa * yb)[:, valid]
-            return out
-
-        C = self._coeffs
-        values = mono(0, 0) @ C
-        grads = np.stack([mono(1, 0) @ C, mono(0, 1) @ C], axis=-1)
-        hess = np.empty((len(x), self.n_basis, 2, 2))
-        hess[:, :, 0, 0] = mono(2, 0) @ C
-        hess[:, :, 0, 1] = hess[:, :, 1, 0] = mono(1, 1) @ C
-        hess[:, :, 1, 1] = mono(0, 2) @ C
+        lam = np.asarray(points_bary, dtype=float)
+        p = self.degree
+        alpha = _lattice_multi_indices(p)
+        values = np.ones((len(lam), self.n_basis))
+        grads = np.zeros(values.shape + (2,))
+        hess = np.zeros(values.shape + (2, 2))
+        for j in range(p):
+            for i in range(3):
+                on = alpha[:, i] > j
+                f = np.where(on, (p * lam[:, i:i + 1] - j) / (j + 1), 1.0)
+                df = np.outer(on, _BARY_GRADS[i] * p / (j + 1))    # (n, 2)
+                cross = grads[..., :, None] * df[:, None, :]
+                hess = (hess * f[..., None, None] + cross
+                        + cross.swapaxes(-1, -2))
+                grads = grads * f[..., None] + values[..., None] * df
+                values = values * f
         return values, grads, hess
 
 
@@ -141,16 +135,9 @@ def make_reference_element(degree: int) -> ReferenceElement:
     """Construct (and cache) the P_degree reference element, degree in 1..3."""
     if degree not in (1, 2, 3):
         raise ValueError(f"unsupported polynomial degree {degree}")
-    multi = _lattice_multi_indices(degree)
-    nodes_bary = multi / float(degree)
-    exps = _monomial_exponents(degree)
-    x = nodes_bary[:, 1]
-    y = nodes_bary[:, 2]
-    vand = x[:, None] ** exps[:, 0] * y[:, None] ** exps[:, 1]
-    coeffs = np.linalg.solve(vand, np.eye(len(multi)))
-    _frozen((nodes_bary, exps, coeffs))
-    return ReferenceElement(degree=degree, nodes_bary=nodes_bary,
-                            _exponents=exps, _coeffs=coeffs)
+    nodes_bary = _lattice_multi_indices(degree) / float(degree)
+    _frozen((nodes_bary,))
+    return ReferenceElement(degree=degree, nodes_bary=nodes_bary)
 
 
 @dataclass(frozen=True)

@@ -115,7 +115,9 @@ def _sign_lattice(degree: int) -> np.ndarray:
     """Basis values on the sign-sampling lattice of order max(4*degree, 8),
     each rounded once from its exact value.
 
-    At lattice point c / order the basis function of node alpha is
+    This is the closed form that `ReferenceElement.tabulate` evaluates
+    in floating point, evaluated exactly: at lattice point c / order the
+    basis function of node alpha is
     prod_i prod_{j < alpha_i} (degree c_i - j order) / ((j + 1) order),
     so its numerator and denominator are integers, multiplied exactly.
     """

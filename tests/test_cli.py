@@ -422,3 +422,29 @@ def test_main_flags_failed_hidden_reference(tmp_path, capsys, monkeypatch):
     assert rows[0]["status"] == "no-convergence"
     # errors still come from the best iterate of the reference
     assert float(rows[0]["err_l2_rel"]) > 0
+
+
+@pytest.mark.parametrize("command,n_sigmas", [
+    (["run"], 1), (["sigma-sweep", "--sigmas", "1,20"], 2)],
+    ids=["run", "sigma-sweep"])
+def test_main_flags_level_with_nothing_to_compare(tmp_path, capsys, command,
+                                                  n_sigmas):
+    # the rectangle's n=2 level has no uncut triangle to measure against
+    # its reference; n=4 and n=8 have, and must still be measured
+    out = tmp_path / "rows.csv"
+    code = cli.main(command + ["--case", "rectangle", "--k", "1", "--n", "2",
+                               "--levels", "3", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "no-comparison" in captured.err
+    rows = _read_rows(out)
+    assert len(rows) == 3 * n_sigmas
+    for first, *rest in (rows[i:i + 3] for i in range(0, len(rows), 3)):
+        assert first["n_cells"] == "2"
+        assert first["status"] == "no-comparison"
+        assert first["err_l2_rel"] == first["err_h1_rel"] == ""
+        for row in rest:
+            assert row["status"] == "ok"
+            assert float(row["err_l2_rel"]) > 0
+            assert float(row["err_h1_rel"]) > 0
+        assert rest[-1]["eoc_l2"] != ""
