@@ -4,16 +4,14 @@ on a simple background mesh."""
 
 from .analysis import (ErrorReport, ProductSolution, compute_errors,
                        compute_errors_vs_reference, estimated_orders,
-                       eval_solution, make_solution)
+                       make_solution)
 from .assembly import SparseSystem, assemble_ghost_part, assemble_system
 from .cases import CASES, Case, get_case
-from .fem_core import (DofMap, QuadratureRule, ReferenceElement,
-                       build_dof_map, edge_quadrature,
-                       make_reference_element, quadrature_degrees,
+from .fem_core import (DofMap, QuadratureRule, build_dof_map,
+                       edge_quadrature, quadrature_degrees, tabulate,
                        triangle_quadrature)
 from .levelset import (ActiveDomain, AnalyticField, EmptyActiveSetError,
-                       LevelSetField, classify_domain, eval_field,
-                       interpolate_levelset)
+                       LevelSetField, classify_domain, interpolate_levelset)
 from .linalg import (ConditionEstimate, NoConvergenceError, SingularMatrixError,
                      SolverReport, estimate_condition_number, solve)
 from .mesh import (BackgroundMesh, BoundaryFacets, build_background_mesh,

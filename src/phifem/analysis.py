@@ -27,10 +27,9 @@ from functools import lru_cache
 import numpy as np
 
 from .assembly import SparseSystem
-from .fem_core import (DofMap, _frozen, eval_lagrange, eval_shapes,
-                       make_reference_element, physical_points,
+from .fem_core import (DofMap, _frozen, eval_shapes, physical_points,
                        physical_tables, product_rule, quadrature_degrees,
-                       rule_tables, shape_maps, triangle_quadrature)
+                       rule_tables, shape_maps, tabulate, triangle_quadrature)
 from .levelset import ActiveDomain, AnalyticField, LevelSetField
 from .mesh import build_background_mesh, locate_points
 
@@ -39,7 +38,6 @@ __all__ = [
     "ErrorReport",
     "VanishingNormError",
     "make_solution",
-    "eval_solution",
     "compute_errors",
     "compute_errors_vs_reference",
     "estimated_orders",
@@ -90,19 +88,6 @@ def _check_shared(solutions: list[ProductSolution]) -> None:
     if any(s.field is not first.field or s.dofmap is not first.dofmap
            for s in solutions):
         raise ValueError("solutions must share one field and one dof map")
-
-
-def eval_solution(sol: ProductSolution, triangle: int, bary: np.ndarray
-                  ) -> tuple[float, np.ndarray]:
-    """Value and gradient of u = phi * w at one point of an active triangle."""
-    field, dofmap = sol.field, sol.dofmap
-    inv = shape_maps(field.mesh.cell_size)[2][triangle % 2]
-    cells = dofmap.cell_dofs[dofmap.rows_for(triangle)]
-    pv, pg, _ = eval_lagrange(field.cell_coefficients(triangle),
-                              field.degree, inv, bary)
-    wv, wg, _ = eval_lagrange(sol.coefficients[cells], dofmap.degree, inv,
-                              bary)
-    return product_rule(pv, pg, wv, wg)[:2]
 
 
 # Triangles per chunk of the error pass.  Its temporaries scale with the
@@ -208,8 +193,7 @@ def _nested_map(ratio: int, exactness: int, degree: int):
     pts = physical_points(build_background_mesh(box, (1, 1)), np.arange(2),
                           triangle_quadrature(exactness).points)
     tri, bary = locate_points(build_background_mesh(box, (ratio, ratio)), pts)
-    values, grads, _ = make_reference_element(degree).tabulate(
-        bary.reshape(-1, 3))
+    values, grads, _ = tabulate(degree, bary.reshape(-1, 3))
     grads = grads @ shape_maps((1.0, 1.0))[2][tri.ravel() % 2]
     tables = np.concatenate([values[..., None], grads], axis=-1)
     return _frozen((tri, tables.reshape(tri.shape + tables.shape[1:])))

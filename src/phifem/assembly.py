@@ -311,13 +311,19 @@ def _in_chunks(kernel, triangles, *args):
 
 def _sparse(blocks, n: int) -> sp.csr_matrix:
     """The n x n CSR matrix summing the (dofs, local) blocks: local[e, i, j]
-    goes to row dofs[e, i] and column dofs[e, j]."""
-    rows = [np.broadcast_to(d[:, :, None], m.shape).ravel() for d, m in blocks]
-    cols = [np.broadcast_to(d[:, None, :], m.shape).ravel() for d, m in blocks]
-    vals = [m.ravel() for _, m in blocks]
-    return sp.coo_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n)).tocsr()
+    goes to row dofs[e, i] and column dofs[e, j].  The COO arrays are
+    allocated once and each block fills its slice of them in place."""
+    size = sum(m.size for _, m in blocks)
+    rows, cols = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    vals = np.empty(size)
+    start = 0
+    for d, m in blocks:
+        part = slice(start, start + m.size)
+        rows[part].reshape(m.shape)[...] = d[:, :, None]
+        cols[part].reshape(m.shape)[...] = d[:, None, :]
+        vals[part].reshape(m.shape)[...] = m
+        start = part.stop
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def assemble_ghost_part(domain: ActiveDomain, field: LevelSetField,

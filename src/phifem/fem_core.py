@@ -1,13 +1,15 @@
-"""Reference Lagrange elements, quadrature rules, dof maps and the maps
-that turn reference tabulations into physical values.
+"""The Lagrange basis, quadrature rules, dof maps and the maps that turn
+reference tabulations into physical values.
 
 Reference triangle: vertices (0,0), (1,0), (0,1); barycentric coordinates
 (1 - x - y, x, y).  Lagrange nodes of degree p sit on the barycentric
 lattice {(a, b, c)/p : a + b + c = p}, enumerated bottom row first.  The
 basis function of node alpha has the closed form prod_i prod_{j < alpha_i}
 (p lambda_i - j) / (j + 1) in the barycentric coordinates lambda, so
-`ReferenceElement.tabulate` evaluates it and its derivatives directly,
-with no coefficient matrix; it is exactly 0 or 1 at the nodes.
+`tabulate(p, points)` evaluates it and its derivatives directly, with no
+coefficient matrix; it is exactly 0 or 1 at the nodes.  It is the one
+evaluator of the basis: the package only ever needs it at fixed point
+sets, each tabulated once per key.
 
 The background mesh has two triangle shapes and one cell area: triangle
 t is the lower (t even) or upper (t odd) half of its cell.  `shape_maps`
@@ -26,8 +28,7 @@ maps triangle tables to physical gradients and Laplacians per shape, and
 a facet table times its conormal gives the outward normal derivatives.
 `group_matmul` contracts per-entity coefficients against the table of
 each entity's group with one GEMM per group; `eval_shapes` and the
-assembly kernels call it.  `eval_lagrange` evaluates one field at one
-point of one triangle, which no fixed table covers.
+assembly kernels call it.
 `product_rule` turns the values and derivatives of phi and of w into
 those of u = phi * w, and the Laplacian on request; it is the only
 place that rule is written, and it serves both the basis products of
@@ -45,10 +46,9 @@ from .mesh import LOCAL_FACETS, BackgroundMesh
 
 __all__ = [
     "QUAD_DEGREE_CAP",
-    "ReferenceElement",
     "QuadratureRule",
     "DofMap",
-    "make_reference_element",
+    "tabulate",
     "triangle_quadrature",
     "edge_quadrature",
     "quadrature_degrees",
@@ -61,7 +61,6 @@ __all__ = [
     "physical_tables",
     "group_matmul",
     "eval_shapes",
-    "eval_lagrange",
     "product_rule",
 ]
 
@@ -79,65 +78,47 @@ def _lattice_multi_indices(p: int) -> np.ndarray:
 _BARY_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-@dataclass(frozen=True)
-class ReferenceElement:
-    """Nodal Lagrange basis of total degree `degree` on the reference triangle."""
+def tabulate(degree: int, points_bary: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, reference gradients and reference Hessians of the nodal
+    Lagrange basis of total degree `degree`, 1..3, at given points;
+    ValueError for any other degree.
 
-    degree: int
-    nodes_bary: np.ndarray   # (n_basis, 3) barycentric node coordinates
+    The basis function of node alpha is the product over i and
+    j < alpha_i of the factors (degree lambda_i - j) / (j + 1), lambda
+    the barycentric coordinates of the point, all three read as given.
+    The gradient and the Hessian are carried through the factors by the
+    product rule; each factor is linear in (x, y), so it adds no Hessian
+    of its own.
 
-    @property
-    def n_basis(self) -> int:
-        return self.nodes_bary.shape[0]
+    Parameters
+    ----------
+    points_bary : (Q, 3) barycentric coordinates.
 
-    def tabulate(self, points_bary: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Values, reference gradients and reference Hessians at given points.
-
-        The basis function of node alpha is the product over i and
-        j < alpha_i of the factors (p lambda_i - j) / (j + 1), p the
-        degree and lambda the barycentric coordinates of the point, all
-        three read as given.  The gradient and the Hessian are carried
-        through the factors by the product rule; each factor is linear
-        in (x, y), so it adds no Hessian of its own.
-
-        Parameters
-        ----------
-        points_bary : (Q, 3) barycentric coordinates.
-
-        Returns
-        -------
-        values : (Q, n_basis)
-        grads : (Q, n_basis, 2), derivatives in reference coordinates.
-        hessians : (Q, n_basis, 2, 2)
-        """
-        lam = np.asarray(points_bary, dtype=float)
-        p = self.degree
-        alpha = _lattice_multi_indices(p)
-        values = np.ones((len(lam), self.n_basis))
-        grads = np.zeros(values.shape + (2,))
-        hess = np.zeros(values.shape + (2, 2))
-        for j in range(p):
-            for i in range(3):
-                on = alpha[:, i] > j
-                f = np.where(on, (p * lam[:, i:i + 1] - j) / (j + 1), 1.0)
-                df = np.outer(on, _BARY_GRADS[i] * p / (j + 1))    # (n, 2)
-                cross = grads[..., :, None] * df[:, None, :]
-                hess = (hess * f[..., None, None] + cross
-                        + cross.swapaxes(-1, -2))
-                grads = grads * f[..., None] + values[..., None] * df
-                values = values * f
-        return values, grads, hess
-
-
-@lru_cache(maxsize=None)
-def make_reference_element(degree: int) -> ReferenceElement:
-    """Construct (and cache) the P_degree reference element, degree in 1..3."""
+    Returns
+    -------
+    values : (Q, n), n the number of nodes.
+    grads : (Q, n, 2), derivatives in reference coordinates.
+    hessians : (Q, n, 2, 2)
+    """
     if degree not in (1, 2, 3):
         raise ValueError(f"unsupported polynomial degree {degree}")
-    nodes_bary = _lattice_multi_indices(degree) / float(degree)
-    _frozen((nodes_bary,))
-    return ReferenceElement(degree=degree, nodes_bary=nodes_bary)
+    lam = np.asarray(points_bary, dtype=float)
+    alpha = _lattice_multi_indices(degree)
+    values = np.ones((len(lam), len(alpha)))
+    grads = np.zeros(values.shape + (2,))
+    hess = np.zeros(values.shape + (2, 2))
+    for j in range(degree):
+        for i in range(3):
+            on = alpha[:, i] > j
+            f = np.where(on, (degree * lam[:, i:i + 1] - j) / (j + 1), 1.0)
+            df = np.outer(on, _BARY_GRADS[i] * degree / (j + 1))   # (n, 2)
+            cross = grads[..., :, None] * df[:, None, :]
+            hess = (hess * f[..., None, None] + cross
+                    + cross.swapaxes(-1, -2))
+            grads = grads * f[..., None] + values[..., None] * df
+            values = values * f
+    return values, grads, hess
 
 
 @dataclass(frozen=True)
@@ -355,8 +336,7 @@ def rule_tables(degree: int, exactness: int):
     (Q, n, 2, 2) of the degree-`degree` basis at the points of
     `triangle_quadrature(exactness)`.  Tabulated once per key; every
     triangle of both shapes shares them."""
-    return _frozen(make_reference_element(degree).tabulate(
-        triangle_quadrature(exactness).points))
+    return _frozen(tabulate(degree, triangle_quadrature(exactness).points))
 
 
 @lru_cache(maxsize=None)
@@ -373,8 +353,7 @@ def facet_tables(degree: int, exactness: int):
         lo, hi = facet.ends
         bary[row, :, lo] = 1.0 - s
         bary[row, :, hi] = s
-    values, grads, _ = make_reference_element(degree).tabulate(
-        bary.reshape(-1, 3))
+    values, grads, _ = tabulate(degree, bary.reshape(-1, 3))
     n = values.shape[-1]
     return _frozen((values.reshape(6, s.size, n),
                     grads.reshape(6, s.size, n, 2)))
@@ -427,20 +406,6 @@ def eval_shapes(coef: np.ndarray, group: np.ndarray, values: np.ndarray,
     table = table.transpose(0, 2, 1, 3).reshape(S, m, Q * (c + 1))
     out = group_matmul(coef, group, table).reshape(-1, Q, c + 1)
     return out[..., 0], out[..., 1:]
-
-
-def eval_lagrange(coef: np.ndarray, degree: int, inv: np.ndarray,
-                  bary: np.ndarray):
-    """Value, physical gradient (2,) and physical Hessian inv.T H_ref inv
-    (2, 2) of one degree-`degree` Lagrange field at one point of one
-    triangle: coef (m,) its nodal values, inv (2, 2) the inverse Jacobian
-    of its shape (`shape_maps`) and bary (3,) the point, which no fixed
-    table covers.
-    """
-    values, grads, hess = make_reference_element(degree).tabulate(
-        np.reshape(bary, (1, 3)))
-    return (coef @ values[0], (coef @ grads[0]) @ inv,
-            inv.T @ np.tensordot(coef, hess[0], 1) @ inv)
 
 
 def product_rule(pv, pd, wv, wd, plap=None, wlap=None):

@@ -16,8 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fem_core import (DofMap, _lattice_multi_indices, build_dof_map,
-                       eval_lagrange, shape_maps)
+from .fem_core import DofMap, _lattice_multi_indices, build_dof_map
 from .mesh import BackgroundMesh, submesh_boundary_facets
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "ActiveDomain",
     "EmptyActiveSetError",
     "interpolate_levelset",
-    "eval_field",
     "classify_domain",
 ]
 
@@ -79,18 +77,6 @@ def interpolate_levelset(phi: AnalyticField, mesh: BackgroundMesh,
                          coefficients=coeffs)
 
 
-def eval_field(field: LevelSetField, triangle: int, bary: np.ndarray
-               ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value, gradient and Hessian of the interpolant at one point.
-
-    The point is given in barycentric coordinates of `triangle`; returned
-    derivatives are in physical coordinates.
-    """
-    inv = shape_maps(field.mesh.cell_size)[2][triangle % 2]
-    return eval_lagrange(field.cell_coefficients(triangle), field.degree,
-                         inv, bary)
-
-
 @dataclass(frozen=True)
 class ActiveDomain:
     """Sign classification of the mesh against a level-set interpolant.
@@ -115,8 +101,8 @@ def _sign_lattice(degree: int) -> np.ndarray:
     """Basis values on the sign-sampling lattice of order max(4*degree, 8),
     each rounded once from its exact value.
 
-    This is the closed form that `ReferenceElement.tabulate` evaluates
-    in floating point, evaluated exactly: at lattice point c / order the
+    This is the closed form that `fem_core.tabulate` evaluates in
+    floating point, evaluated exactly: at lattice point c / order the
     basis function of node alpha is
     prod_i prod_{j < alpha_i} (degree c_i - j order) / ((j + 1) order),
     so its numerator and denominator are integers, multiplied exactly.

@@ -108,18 +108,6 @@ class BackgroundMesh:
         nx, ny = self.n_cells
         return (xmax - xmin) / nx, (ymax - ymin) / ny
 
-    def triangle_coords(self, tris: np.ndarray) -> np.ndarray:
-        """Vertex coordinates of the given triangles, shape (..., 3, 2)."""
-        return self.vertices[self.triangles[tris]]
-
-    def facet_coords(self, facets: np.ndarray) -> np.ndarray:
-        """Endpoint coordinates of the given facets, shape (..., 2, 2)."""
-        return self.vertices[self.facets[facets]]
-
-    def interior_facets_mask(self) -> np.ndarray:
-        """True for facets with two incident triangles."""
-        return self.facet_triangles[:, 1] >= 0
-
 
 class BoundaryFacets(NamedTuple):
     """Facets bounding a triangle subset, with their owners."""

@@ -19,11 +19,11 @@ from phifem import cli
 from phifem.assembly import assemble_ghost_part, assemble_system
 from phifem.cases import get_case
 from phifem.cli import RunConfig, conditioning_study, run_case, sigma_sweep
-from phifem.fem_core import (QUAD_DEGREE_CAP, build_dof_map,
-                             make_reference_element, triangle_quadrature)
+from phifem.fem_core import (QUAD_DEGREE_CAP, _lattice_multi_indices,
+                             build_dof_map, tabulate, triangle_quadrature)
 from phifem.levelset import classify_domain, interpolate_levelset
 from phifem.linalg import estimate_condition_number, solve
-from phifem.mesh import build_background_mesh
+from phifem.mesh import build_background_mesh, locate_points
 
 
 def _check(item, ok, detail):
@@ -50,11 +50,18 @@ def disk_sweeps():
 
 
 @pytest.fixture(scope="module")
+def disk_exact_geometry():
+    # k=1 on the sizes of the k=1 sweep above, at level-set degree l=2:
+    # the circle's phi is quadratic, so its P2 interpolant is exact
+    return run_case(_disk_config(1, l=2, levels=5))
+
+
+@pytest.fixture(scope="module")
 def disk_unstabilized():
     return run_case(_disk_config(1, levels=5, sigma=0.0))
 
 
-def test_01_disk_convergence_orders(disk_sweeps):
+def test_01_disk_convergence_orders(disk_sweeps, disk_exact_geometry):
     ranges = {1: ((0.8, 1.2), (1.7, 2.3)),
               2: ((1.7, 2.3), (2.6, 3.4)),
               3: ((2.6, 3.4), (3.5, 4.5))}
@@ -81,7 +88,35 @@ def test_01_disk_convergence_orders(disk_sweeps):
     print("acceptance 1 note: k=1 " + "; ".join(
         f"n={row['n_cells']}: eoc_h1={row['eoc_h1']:.3f} "
         f"eoc_l2={row['eoc_l2']:.3f}" for row in fine[1:]))
+    # the test's own sizes with the zero set interpolated exactly: the
+    # polygonal level set of l = k = 1 is what lifts the L2 order
+    print("acceptance 1 note: k=1 l=2 " + "; ".join(
+        f"n={row['n_cells']}: eoc_h1={row['eoc_h1']:.3f} "
+        f"eoc_l2={row['eoc_l2']:.3f}" for row in disk_exact_geometry[1:]))
     _check(1, not bad, "; ".join(parts + bad))
+
+
+def test_disk_orders_with_exact_level_set(disk_exact_geometry):
+    # Why acceptance 1 fails at k=1: at l = k = 1 the zero set is a
+    # polygon, and its geometric error dominates at the test's sizes.
+    # The circle's phi is quadratic, so its P2 and P3 interpolants equal
+    # it to rounding (its P1 interpolant does not), and at l=2 the k=1
+    # orders of the last pair land in acceptance 1's windows.
+    disk = get_case("circle")
+    mesh = build_background_mesh(disk.box, (10, 10))
+    pts = np.random.default_rng(20261020).random((200, 2))
+    tri, bary = locate_points(mesh, pts)
+    want = disk.phi.value(pts[:, 0], pts[:, 1])
+    for degree in (1, 2, 3):
+        field = interpolate_levelset(disk.phi, mesh, degree)
+        got = np.einsum("pn,pn->p", field.cell_coefficients(tri),
+                        tabulate(degree, bary)[0])
+        gap = np.abs(got - want).max()
+        assert gap > 1e-3 if degree == 1 else gap <= 1e-15, (degree, gap)
+    last = disk_exact_geometry[-1]
+    assert last["n_cells"] == 160
+    assert 1.7 <= last["eoc_l2"] <= 2.3
+    assert 0.8 <= last["eoc_h1"] <= 1.2
 
 
 def test_02_disk_error_anchors(disk_sweeps):
@@ -227,12 +262,11 @@ def test_06_property_suite(tmp_path):
     bary = rng.random((50, 3))
     bary /= bary.sum(axis=1, keepdims=True)
     for degree in (1, 2, 3):
-        ref = make_reference_element(degree)
-        values, _, _ = ref.tabulate(bary)
+        values, _, _ = tabulate(degree, bary)
         if np.abs(values.sum(axis=1) - 1.0).max() > 1e-13:
             bad.append(f"partition of unity broken at degree {degree}")
-        nodal, _, _ = ref.tabulate(ref.nodes_bary)
-        if np.abs(nodal - np.eye(ref.n_basis)).max() > 1e-13:
+        nodal, _, _ = tabulate(degree, _lattice_multi_indices(degree) / degree)
+        if np.abs(nodal - np.eye(len(nodal))).max() > 1e-13:
             bad.append(f"Kronecker property broken at degree {degree}")
 
     # classification oracle on the 2x2 mesh cut near a grid line

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from phifem import analysis
 from phifem.analysis import (ErrorReport, ProductSolution, compute_errors,
                              compute_errors_vs_reference, estimated_orders,
-                             eval_solution, make_solution)
+                             make_solution)
 from phifem.assembly import assemble_system
 from phifem.cases import get_case
 from phifem.fem_core import (build_dof_map, physical_points,
@@ -187,17 +187,6 @@ def test_reference_comparison_rejects_meshes_that_do_not_nest():
                                         domain)
     assert compute_errors_vs_reference(
         [coarse], [solution(case.box, (8, 8))[1]], domain)
-
-
-def test_eval_solution_matches_exact():
-    case, domain, system, sol = _solve_case("planted", 8, 1)
-    bary = np.array([0.3, 0.4, 0.3])
-    verts = sol.field.mesh.triangle_coords(np.array([0]))[0]
-    x, y = bary @ verts
-    val, grad = eval_solution(sol, 0, bary)
-    assert abs(val - case.u_exact.value(x, y)) <= 1e-12
-    gx, gy = case.u_exact.gradient(x, y)
-    np.testing.assert_allclose(grad, [gx, gy], rtol=0, atol=1e-11)
 
 
 def test_make_solution_rejects_wrong_size():

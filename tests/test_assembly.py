@@ -22,8 +22,8 @@ from phifem.assembly import (assemble_ghost_part, assemble_parts,
                              ghost_laplacian_kernel, load_correction_kernel,
                              load_kernel)
 from phifem.cases import get_case
-from phifem.fem_core import (build_dof_map, edge_quadrature,
-                             make_reference_element, quadrature_degrees,
+from phifem.fem_core import (_lattice_multi_indices, build_dof_map,
+                             edge_quadrature, quadrature_degrees, tabulate,
                              triangle_quadrature)
 from phifem.levelset import AnalyticField, classify_domain, \
     interpolate_levelset
@@ -146,13 +146,13 @@ def test_ghost_jump_annihilates_global_polynomials():
         return x * x - 0.3 * x * y + y - 0.2
 
     for k in (2, 3):
-        ref = make_reference_element(k)
         interior = np.nonzero(mesh.facet_triangles[:, 1] >= 0)[0]
         for facet in interior[:6]:
             tris, local = ghost_jump_kernel(np.array([facet]), field, k)
             tris, local = tris[0], local[0]
-            verts = mesh.triangle_coords(tris)          # (2, 3, 2)
-            nodes = np.einsum("nb,tbd->tnd", ref.nodes_bary, verts)
+            verts = mesh.vertices[mesh.triangles[tris]]      # (2, 3, 2)
+            nodes = np.einsum("nb,tbd->tnd", _lattice_multi_indices(k) / k,
+                              verts)
             stacked = w(nodes[..., 0], nodes[..., 1]).ravel()
             residual = local @ stacked
             assert np.abs(residual).max() <= 1e-11 * np.abs(local).max()
@@ -171,12 +171,11 @@ def test_ghost_laplacian_hand_integrals():
     mesh = build_background_mesh(UNIT_BOX, (1, 1))
     field = interpolate_levelset(
         AnalyticField(value=lambda x, y: x * x + y * y - 0.5), mesh, 2)
-    ref = make_reference_element(2)
     sigma, h = 3.0, mesh.h
     local = sigma * ghost_laplacian_kernel(np.array([0]), field, 2)[0]
-    verts = mesh.triangle_coords(np.array([0]))[0]
-    nodes = ref.nodes_bary @ verts
-    ones = np.ones(ref.n_basis)
+    verts = mesh.vertices[mesh.triangles[0]]
+    nodes = _lattice_multi_indices(2) / 2 @ verts
+    ones = np.ones(len(nodes))
     xs = nodes[:, 0]
     factor = sigma * h * h
     assert abs(ones @ local @ ones - factor * 8.0) <= 1e-12
@@ -277,7 +276,7 @@ def test_zero_sets_along_mesh_lines(k, n):
         f = AnalyticField(value=lambda x, y: np.full_like(x, -2.0 * (a + b)))
         field = interpolate_levelset(phi, mesh, k)
         domain = classify_domain(field, mesh)
-        verts = mesh.triangle_coords(domain.active_triangles)
+        verts = mesh.vertices[mesh.triangles[domain.active_triangles]]
         outside = (phi.value(verts[..., 0], verts[..., 1]) >= 0.0).all(1)
         assert not outside.any()
         system = assemble_system(domain, field, f, k, 20.0, outer_data=w)
@@ -285,7 +284,7 @@ def test_zero_sets_along_mesh_lines(k, n):
         gap = solve(system).x - w.value(nodes[:, 0], nodes[:, 1])
         assert np.abs(gap).max() <= 1e-9
         if k == 1:
-            ends = mesh.facet_coords(domain.boundary_facets)
+            ends = mesh.vertices[mesh.facets[domain.boundary_facets]]
             on_line = (phi.value(ends[..., 0], ends[..., 1]) == 0.0).all(1)
             facets = domain.boundary_facets[on_line]
             owners = domain.boundary_owners[on_line]
@@ -494,15 +493,15 @@ _SKEW_CELLS = (7, 5)
 
 def _vertex_map(mesh, tri):
     """v0, Jacobian, |det| and inverse of one triangle, from its vertices."""
-    verts = mesh.triangle_coords(np.array([tri]))[0]
+    verts = mesh.vertices[mesh.triangles[tri]]
     jac = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
     return verts[0], jac, abs(np.linalg.det(jac)), np.linalg.inv(jac)
 
 
 def _plain_fields(degree, inv, bary):
     """Basis values (Q, n), physical gradients (Q, n, 2) and Laplacians
-    (Q, n) at barycentric points, through `ReferenceElement.tabulate`."""
-    values, grads, hess = make_reference_element(degree).tabulate(bary)
+    (Q, n) at barycentric points, through `fem_core.tabulate`."""
+    values, grads, hess = tabulate(degree, bary)
     phys = np.einsum("da,qndc,cb->qnab", inv, hess, inv)
     return values, grads @ inv, phys[..., 0, 0] + phys[..., 1, 1]
 
@@ -524,9 +523,9 @@ def _plain_products(field, k, tri, bary):
 def _outward_normal(mesh, facet, tri):
     """Unit normal of `facet` from its endpoints, pointing away from the
     centroid of the incident triangle `tri`."""
-    a, b = mesh.facet_coords(facet)
+    a, b = mesh.vertices[mesh.facets[facet]]
     normal = np.array([b[1] - a[1], a[0] - b[0]]) / np.linalg.norm(b - a)
-    centroid = mesh.triangle_coords(np.array([tri]))[0].mean(axis=0)
+    centroid = mesh.vertices[mesh.triangles[tri]].mean(axis=0)
     return normal if normal @ (0.5 * (a + b) - centroid) > 0.0 else -normal
 
 
@@ -542,7 +541,7 @@ def test_facet_frames_match_vertex_geometry():
         _, _, _, inv = _vertex_map(mesh, t)
         for local, facet in enumerate(mesh.triangle_facets[t]):
             group = 3 * (t % 2) + local
-            a, b = mesh.facet_coords(facet)
+            a, b = mesh.vertices[mesh.facets[facet]]
             length = np.linalg.norm(b - a)
             assert abs(lengths[group] - length) <= 1e-15 * length
             want = inv @ _outward_normal(mesh, facet, t)
@@ -617,7 +616,8 @@ def test_shape_kernels_match_plain_quadrature(k, l):
     for facet, owner in zip(domain.boundary_facets, domain.boundary_owners):
         normal = _outward_normal(mesh, facet, owner)
         value, dn = _plain_facet_traces(field, k, facet, owner, normal, s)
-        length = np.linalg.norm(np.diff(mesh.facet_coords(facet), axis=0))
+        length = np.linalg.norm(np.diff(mesh.vertices[mesh.facets[facet]],
+                                        axis=0))
         boundary.append(np.einsum("q,qi,qj->ij", bnd.weights * length,
                                   value, dn))
     close(boundary_term_kernel(domain.boundary_facets, domain.boundary_owners,
@@ -632,7 +632,7 @@ def test_shape_kernels_match_plain_quadrature(k, l):
         _, dn_lo = _plain_facet_traces(field, k, facet, lo, normal, s)
         _, dn_hi = _plain_facet_traces(field, k, facet, hi, normal, s)
         jump = np.concatenate([dn_lo, -dn_hi], axis=1)
-        a, b = mesh.facet_coords(facet)
+        a, b = mesh.vertices[mesh.facets[facet]]
         w = h * edge.weights * np.linalg.norm(b - a)
         jumps.append(np.einsum("q,qi,qj->ij", w, jump, jump))
     _, local = ghost_jump_kernel(domain.ghost_facets, field, k)

@@ -5,9 +5,11 @@ under a second while still exercising assembly, solve and the error
 pipeline end to end.
 """
 import collections
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -16,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import phifem
 from phifem import analysis, assembly, cli, fem_core, levelset, linalg
 from phifem.cli import (CSV_HEADER, RunConfig, conditioning_study, run_case,
                         sigma_sweep, write_csv)
@@ -181,8 +184,15 @@ def test_each_point_set_is_tabulated_once(monkeypatch, k):
     # gradients and Hessians together, and as often with half the chunk
     # size.  The rectangle has no closed form, so its study also runs the
     # reference comparison, whose fine points and tables come from the
-    # nested map.
-    real = fem_core.ReferenceElement.tabulate
+    # nested map.  Every phifem module that binds `fem_core.tabulate` is
+    # patched, so a new importer cannot escape the count.
+    real = fem_core.tabulate
+    modules = [phifem] + [
+        importlib.import_module(f"phifem.{info.name}")
+        for info in pkgutil.iter_modules(phifem.__path__)
+        if not info.name.startswith("_")]
+    importers = [m for m in modules if getattr(m, "tabulate", None) is real]
+    assert {fem_core, analysis} <= set(importers)
 
     def tabulations(config, chunk):
         for cached in (fem_core.rule_tables, fem_core.facet_tables,
@@ -190,11 +200,12 @@ def test_each_point_set_is_tabulated_once(monkeypatch, k):
             cached.cache_clear()
         seen = collections.Counter()
 
-        def counting(self, points):
-            seen[self.degree, np.asarray(points).tobytes()] += 1
-            return real(self, points)
+        def counting(degree, points):
+            seen[degree, np.asarray(points).tobytes()] += 1
+            return real(degree, points)
 
-        monkeypatch.setattr(fem_core.ReferenceElement, "tabulate", counting)
+        for module in importers:
+            monkeypatch.setattr(module, "tabulate", counting)
         monkeypatch.setattr(assembly, "_CHUNK", chunk)
         monkeypatch.setattr(analysis, "_CHUNK", chunk)
         rows = run_case(config)

@@ -1,4 +1,4 @@
-"""Tests for reference elements, quadrature rules and dof numbering."""
+"""Tests for the Lagrange basis, quadrature rules and dof numbering."""
 import dataclasses
 import math
 from fractions import Fraction
@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phifem import analysis, levelset
-from phifem.fem_core import (QUAD_DEGREE_CAP, build_dof_map, edge_quadrature,
-                             eval_lagrange, eval_shapes, facet_tables,
-                             group_matmul, make_reference_element,
-                             physical_tables, product_rule, rule_tables,
-                             shape_maps, quadrature_degrees,
+from phifem.fem_core import (QUAD_DEGREE_CAP, _lattice_multi_indices,
+                             build_dof_map, edge_quadrature, eval_shapes,
+                             facet_tables, group_matmul, physical_tables,
+                             product_rule, rule_tables, shape_maps,
+                             quadrature_degrees, tabulate,
                              triangle_quadrature)
 from phifem.mesh import build_background_mesh
 
@@ -25,19 +25,25 @@ def random_bary(rng, n):
     return q
 
 
+def nodes(degree):
+    """Barycentric coordinates of the degree-`degree` Lagrange nodes."""
+    return _lattice_multi_indices(degree) / degree
+
+
 def test_basis_sizes():
-    assert make_reference_element(1).n_basis == 3
-    assert make_reference_element(2).n_basis == 6
-    assert make_reference_element(3).n_basis == 10
+    point = np.array([[1.0, 0.0, 0.0]])
+    for degree, n in ((1, 3), (2, 6), (3, 10)):
+        values, grads, hess = tabulate(degree, point)
+        assert (values.shape, grads.shape, hess.shape) == \
+            ((1, n), (1, n, 2), (1, n, 2, 2))
 
 
 def test_kronecker_property():
     for degree in (1, 2, 3):
-        ref = make_reference_element(degree)
-        values, _, _ = ref.tabulate(ref.nodes_bary)
+        values, _, _ = tabulate(degree, nodes(degree))
         # each factor of the closed form is exactly 0 or a ratio of small
         # integers at a node, so the identity comes out exact
-        np.testing.assert_array_equal(values, np.eye(ref.n_basis))
+        np.testing.assert_array_equal(values, np.eye(len(values)))
 
 
 def _exact_basis(degree, alpha, lam):
@@ -61,12 +67,11 @@ def test_tabulate_matches_exact_rational_evaluation(degree):
     # the closed form leaves only the rounding of a few products: values
     # within 1e-15 and gradients within 4e-15 of the exact ones, at the
     # points of the finest triangle rule and at random points
-    ref = make_reference_element(degree)
-    alphas = np.rint(ref.nodes_bary * degree).astype(int)
+    alphas = _lattice_multi_indices(degree)
     rng = np.random.default_rng(20261019)
     pts = np.vstack([triangle_quadrature(QUAD_DEGREE_CAP).points,
                      random_bary(rng, 30)])
-    values, grads, _ = ref.tabulate(pts)
+    values, grads, _ = tabulate(degree, pts)
     exact = [[_exact_basis(degree, alpha, q) for alpha in alphas]
              for q in pts]
     np.testing.assert_allclose(values, [[v for v, _ in row] for row in exact],
@@ -79,8 +84,7 @@ def test_partition_of_unity():
     rng = np.random.default_rng(20240905)
     pts = random_bary(rng, 50)
     for degree in (1, 2, 3):
-        ref = make_reference_element(degree)
-        values, grads, hess = ref.tabulate(pts)
+        values, grads, hess = tabulate(degree, pts)
         np.testing.assert_allclose(values.sum(axis=1), 1.0, atol=1e-13)
         # constants have zero derivatives of every order
         np.testing.assert_allclose(grads.sum(axis=1), 0.0, atol=1e-12)
@@ -89,15 +93,13 @@ def test_partition_of_unity():
 
 def test_tabulate_reproduces_polynomial():
     # interpolate x^2 y + 3 x with P3 and evaluate it elsewhere exactly
-    ref = make_reference_element(3)
-
     def f(x, y):
         return x ** 2 * y + 3.0 * x
 
-    nodal = f(ref.nodes_bary[:, 1], ref.nodes_bary[:, 2])
+    nodal = f(nodes(3)[:, 1], nodes(3)[:, 2])
     rng = np.random.default_rng(20240906)
     pts = random_bary(rng, 20)
-    values, grads, _ = ref.tabulate(pts)
+    values, grads, _ = tabulate(3, pts)
     x, y = pts[:, 1], pts[:, 2]
     np.testing.assert_allclose(values @ nodal, f(x, y), atol=1e-13)
     np.testing.assert_allclose(grads[:, :, 0] @ nodal, 2.0 * x * y + 3.0,
@@ -106,10 +108,9 @@ def test_tabulate_reproduces_polynomial():
 
 
 def test_tabulate_quadratic_hessian():
-    ref = make_reference_element(2)
-    nodal = ref.nodes_bary[:, 1] * ref.nodes_bary[:, 2]   # f = x y
+    nodal = nodes(2)[:, 1] * nodes(2)[:, 2]   # f = x y
     rng = np.random.default_rng(20240907)
-    _, _, hess = ref.tabulate(random_bary(rng, 10))
+    _, _, hess = tabulate(2, random_bary(rng, 10))
     h = np.einsum("qnab,n->qab", hess, nodal)
     expected = np.broadcast_to(np.array([[0.0, 1.0], [1.0, 0.0]]), h.shape)
     np.testing.assert_allclose(h, expected, atol=1e-12)
@@ -118,7 +119,7 @@ def test_tabulate_quadratic_hessian():
 def test_reference_element_rejects_degree():
     for bad in (0, 4, -1):
         with pytest.raises(ValueError):
-            make_reference_element(bad)
+            tabulate(bad, np.array([[1.0, 0.0, 0.0]]))
 
 
 def exact_triangle_monomial(p, q):
@@ -213,7 +214,7 @@ def test_dof_numbering_deterministic_and_shared():
     np.testing.assert_array_equal(dm.cell_dofs, dm_rev.cell_dofs)
     np.testing.assert_allclose(dm.node_coords, dm_rev.node_coords)
     # every interior facet shares degree+1 nodes between its two triangles
-    interior = np.nonzero(mesh.interior_facets_mask())[0]
+    interior = np.nonzero(mesh.facet_triangles[:, 1] >= 0)[0]
     ft = mesh.facet_triangles[interior]
     for (t0, t1) in ft:
         common = np.intersect1d(dm.cell_dofs[dm.rows_for(np.array([t0]))[0]],
@@ -241,8 +242,7 @@ def test_dof_numbering_is_x_first_key_order_on_non_square_grid():
                     for y in range(3 * degree + 1)]
         np.testing.assert_array_equal(dm.node_keys, expected)
         # every local node maps to the global node with its own key
-        multi = np.rint(make_reference_element(degree).nodes_bary
-                        * degree).astype(np.int64)
+        multi = _lattice_multi_indices(degree)
         vkeys = mesh.vertex_lattice[mesh.triangles]
         keys = np.einsum("la,tad->tld", multi, vkeys)
         np.testing.assert_array_equal(dm.node_keys[dm.cell_dofs], keys)
@@ -261,8 +261,7 @@ def test_dof_ids_equal_sorted_key_numbering(nx, ny, degree, full, seed):
         tris = rng.choice(tris, rng.integers(1, tris.size + 1),
                           replace=False)
     dm = build_dof_map(mesh, tris, degree)
-    multi = np.rint(make_reference_element(degree).nodes_bary
-                    * degree).astype(np.int64)
+    multi = _lattice_multi_indices(degree)
     keys = np.einsum("la,tad->tld", multi,
                      mesh.vertex_lattice[mesh.triangles[dm.triangles]])
     uniq, inverse = np.unique(keys.reshape(-1, 2), axis=0,
@@ -279,19 +278,17 @@ def test_nodal_interpolation_reproduces_polynomial():
     rng = np.random.default_rng(20240908)
     for degree in (1, 2, 3):
         dm = build_dof_map(mesh, tris, degree)
-        ref = make_reference_element(degree)
 
         def f(x, y):
             return (x + 0.5 * y) ** degree
 
         coeffs = f(dm.node_coords[:, 0], dm.node_coords[:, 1])
         pts = rng.dirichlet([1.5, 1.5, 1.5], size=8)
-        values, _, _ = ref.tabulate(pts)
+        values, _, _ = tabulate(degree, pts)
         for t in rng.choice(tris, 5, replace=False):
             row = dm.rows_for(np.array([t]))[0]
             local = coeffs[dm.cell_dofs[row]]
-            coords = mesh.triangle_coords(np.array([t]))[0]
-            phys = pts @ coords
+            phys = pts @ mesh.vertices[mesh.triangles[t]]
             np.testing.assert_allclose(values @ local,
                                        f(phys[:, 0], phys[:, 1]), atol=1e-12)
 
@@ -308,12 +305,22 @@ def _assert_close(got, want, rel):
                                atol=rel * np.abs(want).max())
 
 
+def _one_point(coef, degree, inv, bary):
+    """Value, physical gradient (2,) and physical Hessian inv.T H_ref inv
+    (2, 2) of one Lagrange field at one point of one triangle: coef (m,)
+    its nodal values, inv (2, 2) its shape's inverse Jacobian and bary
+    (3,) the point."""
+    values, grads, hess = tabulate(degree, np.reshape(bary, (1, 3)))
+    return (coef @ values[0], (coef @ grads[0]) @ inv,
+            inv.T @ np.tensordot(coef, hess[0], 1) @ inv)
+
+
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(k=st.integers(1, 3), l=st.integers(1, 3), n_points=st.integers(1, 7),
        seed=st.integers(0, 2**32 - 1))
 def test_evaluator_point_shapes_agree(k, l, n_points, seed):
     # The per-shape tables, one GEMM per shape, give on every triangle
-    # the fields the one-point evaluator gives at each point, and their
+    # the fields a one-point evaluation gives at each point, and their
     # Laplacians, which assembly uses, are the traces of its Hessians.
     # The cells are not square, so the two triangle shapes have
     # different inverse Jacobians.
@@ -323,11 +330,10 @@ def test_evaluator_point_shapes_agree(k, l, n_points, seed):
     inv = shape_maps(mesh.cell_size)[2]
     bary = random_bary(rng, n_points)
     for degree in (k, l):
-        c = rng.standard_normal(
-            (tris.size, make_reference_element(degree).n_basis))
-        tables = make_reference_element(degree).tabulate(bary)
+        tables = tabulate(degree, bary)
+        c = rng.standard_normal((tris.size, tables[0].shape[1]))
         grads, laps = physical_tables(tables, inv)
-        one = [[eval_lagrange(c[t], degree, inv[t % 2], point)
+        one = [[_one_point(c[t], degree, inv[t % 2], point)
                 for point in bary] for t in tris]
         want = [np.array([[field[i] for field in row] for row in one])
                 for i in range(3)]
@@ -355,7 +361,7 @@ def test_group_matmul_rows():
 def test_cached_builders_hand_out_read_only_arrays(degree):
     # every call of a cached builder shares its arrays, so none may be
     # written through
-    built = [make_reference_element(degree), triangle_quadrature(2 * degree),
+    built = [triangle_quadrature(2 * degree),
              edge_quadrature(2 * degree), rule_tables(degree, 2 * degree),
              facet_tables(degree, 2 * degree), levelset._sign_lattice(degree),
              analysis._nested_map(2, 2 * degree, degree)]
@@ -367,7 +373,7 @@ def test_cached_builders_hand_out_read_only_arrays(degree):
             result = [getattr(result, f.name)
                       for f in dataclasses.fields(result)]
         arrays += [a for a in result if isinstance(a, np.ndarray)]
-    assert len(arrays) == 1 + 2 + 2 + 3 + 2 + 1 + 2
+    assert len(arrays) == 2 + 2 + 3 + 2 + 1 + 2
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[...] = arr

@@ -7,9 +7,10 @@ lower triangle first.
 import numpy as np
 import pytest
 
+from phifem.fem_core import (eval_shapes, physical_tables, shape_maps,
+                             tabulate)
 from phifem.levelset import (AnalyticField, EmptyActiveSetError,
-                             classify_domain, eval_field,
-                             interpolate_levelset)
+                             classify_domain, interpolate_levelset)
 from phifem.mesh import build_background_mesh, locate_points
 
 UNIT_BOX = (0.0, 0.0, 1.0, 1.0)
@@ -46,32 +47,44 @@ def test_coefficients_are_read_only():
         field.coefficients[0] = 7.0
 
 
-def test_eval_field_affine_exact():
+def _interpolant_at(field, tri, bary):
+    """Value, physical gradient and Laplacian of the interpolant at one
+    barycentric point of triangle `tri`, through the per-shape tables."""
+    tables = tabulate(field.degree, bary[None])
+    grads, laps = physical_tables(tables, shape_maps(field.mesh.cell_size)[2])
+    val, derivs = eval_shapes(field.cell_coefficients(np.array([tri])),
+                              np.array([tri % 2]), tables[0],
+                              np.concatenate([grads, laps[..., None]], -1))
+    return val[0, 0], derivs[0, 0, :2], derivs[0, 0, 2]
+
+
+def test_interpolant_tables_affine_exact():
     mesh = build_background_mesh(UNIT_BOX, (2, 2))
     phi = AnalyticField(value=lambda x, y: 1.0 + 2.0 * x - y)
     field = interpolate_levelset(phi, mesh, 1)
     # triangle 3 is the upper triangle of cell (1, 0): (v1, v5, v4)
     bary = np.array([0.2, 0.5, 0.3])
-    point = bary @ mesh.triangle_coords(np.array([3]))[0]
+    point = bary @ mesh.vertices[mesh.triangles[3]]
     np.testing.assert_allclose(point, [0.75, 0.40], atol=1e-15)
-    val, grad, hess = eval_field(field, 3, bary)
+    val, grad, lap = _interpolant_at(field, 3, bary)
     assert abs(val - 2.1) <= 1e-13
     np.testing.assert_allclose(grad, [2.0, -1.0], atol=1e-13)
-    np.testing.assert_allclose(hess, np.zeros((2, 2)), atol=1e-12)
+    assert abs(lap) <= 1e-12
 
 
-def test_eval_field_reproduces_quadratic():
+def test_interpolant_tables_reproduce_quadratic():
     # A degree-2 interpolant reproduces a quadratic exactly, so value,
-    # gradient and Hessian at the paraboloid apex are known in closed form.
+    # gradient and Laplacian at the paraboloid apex are known in closed
+    # form.
     mesh = build_background_mesh(UNIT_BOX, (4, 4))
     phi = AnalyticField(
         value=lambda x, y: 0.125 - (x - 0.5) ** 2 - (y - 0.5) ** 2)
     field = interpolate_levelset(phi, mesh, 2)
     tri, bary = locate_points(mesh, np.array([[0.5, 0.5]]))
-    val, grad, hess = eval_field(field, int(tri[0]), bary[0])
+    val, grad, lap = _interpolant_at(field, int(tri[0]), bary[0])
     assert abs(val - 0.125) <= 1e-12
     np.testing.assert_allclose(grad, [0.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(hess, [[-2.0, 0.0], [0.0, -2.0]], atol=1e-11)
+    assert abs(lap + 4.0) <= 2e-11
 
 
 def test_classification_hand_oracle_2x2():

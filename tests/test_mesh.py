@@ -10,7 +10,7 @@ UNIT = (0.0, 0.0, 1.0, 1.0)
 
 
 def triangle_signed_areas(mesh):
-    coords = mesh.triangle_coords(np.arange(mesh.n_triangles))
+    coords = mesh.vertices[mesh.triangles]
     a = coords[:, 1] - coords[:, 0]
     b = coords[:, 2] - coords[:, 0]
     return 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
@@ -98,7 +98,7 @@ def test_facet_vertex_pairs_sorted():
 
 def test_interior_facet_count():
     mesh = build_background_mesh(UNIT, (4, 5))
-    interior = mesh.interior_facets_mask().sum()
+    interior = (mesh.facet_triangles[:, 1] >= 0).sum()
     assert interior == mesh.n_facets - 2 * (4 + 5)
 
 
@@ -107,7 +107,7 @@ def test_boundary_facets_whole_mesh():
     bnd = submesh_boundary_facets(mesh, np.arange(mesh.n_triangles))
     assert bnd.facets.size == 8
     # all boundary facets lie on the unit-square edge
-    ends = mesh.facet_coords(bnd.facets)
+    ends = mesh.vertices[mesh.facets[bnd.facets]]
     on_edge = ((ends == 0.0) | (ends == 1.0)).any(axis=2).all(axis=1)
     assert on_edge.all()
 
@@ -117,7 +117,7 @@ def test_boundary_facets_single_cell():
     # both triangles of cell (0, 0): the cell perimeter, diagonal interior
     bnd = submesh_boundary_facets(mesh, np.array([0, 1]))
     assert bnd.facets.size == 4
-    ends = mesh.facet_coords(bnd.facets)
+    ends = mesh.vertices[mesh.facets[bnd.facets]]
     lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
     np.testing.assert_allclose(lengths, 0.5, rtol=1e-15)
 
@@ -130,7 +130,7 @@ def test_boundary_facets_left_column():
     active = np.array([0, 1, 4, 5])
     bnd = submesh_boundary_facets(mesh, active)
     assert bnd.facets.size == 6
-    mids = mesh.facet_coords(bnd.facets).mean(axis=1)
+    mids = mesh.vertices[mesh.facets[bnd.facets]].mean(axis=1)
     on_perimeter = (np.isin(mids[:, 0], (0.0, 0.5))
                     | np.isin(mids[:, 1], (0.0, 1.0)))
     assert on_perimeter.all()
@@ -154,12 +154,12 @@ def test_boundary_facets_rejects_bad_input():
 def test_locate_points_recovers_barycenters():
     mesh = build_background_mesh((0.0, 0.0, 2.0, 1.0), (4, 3))
     tris = np.arange(mesh.n_triangles)
-    centers = mesh.triangle_coords(tris).mean(axis=1)
+    centers = mesh.vertices[mesh.triangles[tris]].mean(axis=1)
     found, bary = locate_points(mesh, centers)
     np.testing.assert_array_equal(found, tris)
     np.testing.assert_allclose(bary, 1.0 / 3.0, atol=1e-12)
     # barycentric coordinates reproduce the points
-    coords = mesh.triangle_coords(found)
+    coords = mesh.vertices[mesh.triangles[found]]
     rebuilt = np.einsum("pv,pvd->pd", bary, coords)
     np.testing.assert_allclose(rebuilt, centers, atol=1e-14)
 

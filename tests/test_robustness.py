@@ -18,10 +18,18 @@ is compared as it is: at these sizes it has not reached its h^-2 rate
 (it still falls from n=20 to n=40), and dividing by s^-2 widened its
 spread.  For the same reason every property compares geometries at one
 (k, n) only.
+
+The default circle passes exactly through four vertices of every grid
+whose n is a multiple of 4, and within rounding of eight more at n = 20,
+40 and 80, so the acceptance studies cut through vertices.  Two named
+cases test the bands there: the zero set through those vertices, and
+the same set moved by 1e-9 cell, which leaves tiny negative parts on
+triangles that only touched it at a vertex.
 """
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from phifem.analysis import compute_errors, make_solution
@@ -123,3 +131,72 @@ def test_unpenalized_conditioning_depends_on_where_the_boundary_cuts():
         kappa = [measure(k, shift, CIRCLE_RADIUS, 0.0, errors=False)
                  ["kappa_h2"] for shift in shifts]
         assert max(kappa) / min(kappa) >= 10.0, (k, kappa)
+
+
+# the four vertices on the default circle, in vertex id order, and the
+# move, in cells, that takes the zero set just off them
+ZERO_VERTICES = [(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)]
+OFF_VERTICES = (1e-9, 0.0)
+
+
+def zero_vertices(mesh, case):
+    """Ids of the vertices where phi is exactly 0, and of those where it
+    is within 1e-12 of 0."""
+    phi = case.phi.value(mesh.vertices[:, 0], mesh.vertices[:, 1])
+    return np.flatnonzero(phi == 0.0), np.flatnonzero(np.abs(phi) <= 1e-12)
+
+
+def assert_in_bands(k, shift_cells):
+    medians = reference_medians(k)
+    measured = measure(k, shift_cells, CIRCLE_RADIUS, SIGMA)
+    for key, (lo, hi) in BANDS.items():
+        ratio = measured[key] / medians[key]
+        assert lo <= ratio <= hi, (key, k, shift_cells, ratio)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_zero_set_through_vertices(k):
+    through = shifted_disk((0.0, 0.0), CIRCLE_RADIUS)
+    for n in (20, 40, 80):
+        mesh = build_background_mesh(CIRCLE.box, (n, n))
+        for case in (CIRCLE, through):
+            exact, near = zero_vertices(mesh, case)
+            np.testing.assert_array_equal(mesh.vertices[exact],
+                                          ZERO_VERTICES)
+            assert len(near) == 12
+    # the interpolant is exactly 0 at those vertices, so a triangle that
+    # touches the zero set there from outside has a lattice minimum of
+    # exactly 0 and stays inactive, and one inside is cut
+    mesh = build_background_mesh(CIRCLE.box, (N, N))
+    domain = classify_domain(interpolate_levelset(through.phi, mesh, k),
+                             mesh)
+    touching = np.flatnonzero(
+        np.isin(mesh.triangles, zero_vertices(mesh, through)[0]).any(axis=1))
+    active = np.isin(touching, domain.active_triangles)
+    assert active.any() and not active.all()
+    assert np.isin(touching[active], domain.cut_triangles).all()
+    assert_in_bands(k, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_zero_set_moved_off_vertices(k):
+    # moved by 1e-9 cell, phi is about 1e-11 away from 0 at the twelve
+    # vertices: triangles that touched the zero set only there turn active
+    # and cut, and nothing changes away from them
+    mesh = build_background_mesh(CIRCLE.box, (N, N))
+    cases = (shifted_disk((0.0, 0.0), CIRCLE_RADIUS),
+             shifted_disk(np.asarray(OFF_VERTICES) / N, CIRCLE_RADIUS))
+    beside = np.isin(mesh.triangles,
+                     zero_vertices(mesh, cases[0])[1]).any(axis=1)
+    active, cut = [], []
+    for case in cases:
+        domain = classify_domain(interpolate_levelset(case.phi, mesh, k),
+                                 mesh)
+        active.append(np.isin(np.arange(mesh.n_triangles),
+                              domain.active_triangles))
+        cut.append(np.isin(np.arange(mesh.n_triangles), domain.cut_triangles))
+    turned_active = active[1] & ~active[0]
+    assert turned_active.any()
+    assert (cut[1] & ~cut[0])[turned_active].all()
+    assert beside[(active[0] != active[1]) | (cut[0] != cut[1])].all()
+    assert_in_bands(k, OFF_VERTICES)

@@ -8,19 +8,23 @@ break only a traced benchmark run, so every binding and every reader of
 a linalg result is checked here, and a traced study must record the
 facet-kernel spans.  The file is loaded by path and never modified.
 The README's library example is run as written, so an API edit cannot
-silently break it.
+silently break it, and every exported name must resolve, so a deletion
+cannot leave a stale entry that only a star import would trip over.
 """
 import contextlib
 import importlib
 import importlib.util
 import io
+import pkgutil
 import re
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import phifem
 from phifem import cli
 from phifem.assembly import SparseSystem
 from phifem.linalg import (NoConvergenceError, estimate_condition_number,
@@ -39,6 +43,10 @@ def _load_spans():
 
 _SPANS_MODULE = _load_spans()
 _BINDINGS = _SPANS_MODULE.BINDINGS
+# the package's modules; `__main__` runs the command line when imported
+_MODULES = [importlib.import_module(f"phifem.{info.name}")
+            for info in pkgutil.iter_modules(phifem.__path__)
+            if not info.name.startswith("_")]
 
 
 def _laplacian_system(n):
@@ -55,6 +63,25 @@ def test_tracer_binding_resolves(module_name, attr):
     module = importlib.import_module(module_name)
     assert callable(getattr(module, attr, None)), \
         f"{module_name}.{attr} is bound by perfbench/spans.py but missing"
+
+
+@pytest.mark.parametrize("module", _MODULES, ids=lambda m: m.__name__)
+def test_every_name_in_all_resolves(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, f"{module.__name__}.__all__ lists missing {missing}"
+    exec(f"from {module.__name__} import *", {})
+
+
+def test_top_level_exports_are_public_names_of_their_modules():
+    public = {(name, id(getattr(module, name)))
+              for module in _MODULES for name in module.__all__}
+    exports = [name for name, value in vars(phifem).items()
+               if not name.startswith("_")
+               and not isinstance(value, types.ModuleType)]
+    assert exports
+    stale = [name for name in exports
+             if (name, id(getattr(phifem, name))) not in public]
+    assert not stale, f"phifem exports {stale} that no module lists"
 
 
 def test_condition_reader_reads_estimates_and_capped_errors():
