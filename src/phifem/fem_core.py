@@ -11,6 +11,15 @@ coefficient matrix; it is exactly 0 or 1 at the nodes.  It is the one
 evaluator of the basis: the package only ever needs it at fixed point
 sets, each tabulated once per key.
 
+The quadrature rules are Gauss rules: a collapsed product of
+Gauss-Legendre and Gauss-Jacobi (weight 1 - t) on the triangle, and
+Gauss-Legendre on an edge.  Both one-dimensional rules come from
+`_gauss_jacobi`, by Golub-Welsch: the nodes are the eigenvalues of the
+symmetric tridiagonal Jacobi matrix of the orthogonal polynomials'
+three-term recurrence, and the weights come from the first entries of
+its eigenvectors.  numpy's `eigh` does the work, so scipy is needed only
+for the sparse matrices and their solver.
+
 The background mesh has two triangle shapes and one cell area: triangle
 t is the lower (t even) or upper (t odd) half of its cell.  `shape_maps`
 gives both affine maps in closed form from the cell size, and a
@@ -40,7 +49,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .mesh import LOCAL_FACETS, BackgroundMesh
 
@@ -134,6 +142,25 @@ class QuadratureRule:
     degree: int
 
 
+def _gauss_jacobi(n: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss rule for the weight (1 - x)^a on [-1, 1], a in
+    {0, 1}: nodes in ascending order and their weights, by Golub-Welsch.
+
+    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi
+    matrix of the monic Jacobi(a, 0) recurrence, and each weight is
+    mu0 v0^2, v0 the first entry of the node's unit eigenvector and
+    mu0 = 2^(a+1) / (a + 1) the integral of the weight.
+    """
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + a
+    diag = np.zeros(n) if a == 0 else -a * a / (s * (s + 2.0))
+    k, s = k[1:], s[1:]
+    off = np.sqrt(4.0 * k * k * (k + a) ** 2 / (s * s * (s * s - 1.0)))
+    nodes, vecs = np.linalg.eigh(
+        np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 ** (a + 1) / (a + 1) * vecs[0] ** 2
+
+
 def _gauss_size(exactness: int) -> int:
     """Number n of Gauss points per direction, whose exactness 2n - 1
     covers `exactness`; ValueError unless 0 <= exactness <= the cap."""
@@ -150,12 +177,14 @@ def triangle_quadrature(exactness: int) -> QuadratureRule:
     """Positive-weight triangle rule exact for polynomials up to `exactness`.
 
     Built as a conical product rule: Gauss-Legendre in one direction and
-    Gauss-Jacobi (weight 1 - t) in the other, collapsed onto the triangle.
-    All nodes are strictly interior and all weights positive.
+    Gauss-Jacobi (weight 1 - t) in the other, collapsed onto the triangle,
+    both with the same number of points from `_gauss_jacobi`
+    (Golub-Welsch).  All nodes are strictly interior and all weights
+    positive.
     """
     n = _gauss_size(exactness)
-    xl, wl = roots_legendre(n)
-    xj, wj = roots_jacobi(n, 1.0, 0.0)
+    xl, wl = _gauss_jacobi(n, 0)
+    xj, wj = _gauss_jacobi(n, 1)
     u = 0.5 * (xl + 1.0)                    # [0, 1]
     v = 0.5 * (xj + 1.0)
     wu = 0.5 * wl
@@ -170,8 +199,9 @@ def triangle_quadrature(exactness: int) -> QuadratureRule:
 
 @lru_cache(maxsize=None)
 def edge_quadrature(exactness: int) -> QuadratureRule:
-    """Gauss-Legendre rule on the reference edge, barycentric (1-s, s)."""
-    x, w = roots_legendre(_gauss_size(exactness))
+    """Gauss-Legendre rule on the reference edge, barycentric (1-s, s),
+    from `_gauss_jacobi` (Golub-Welsch) with the weight 1."""
+    x, w = _gauss_jacobi(_gauss_size(exactness), 0)
     s = 0.5 * (x + 1.0)
     points = np.column_stack([1.0 - s, s])
     weights = 0.5 * w

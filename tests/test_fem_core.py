@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phifem import analysis, levelset
-from phifem.fem_core import (QUAD_DEGREE_CAP, _lattice_multi_indices,
-                             build_dof_map, edge_quadrature, eval_shapes,
-                             facet_tables, group_matmul, physical_tables,
-                             product_rule, rule_tables, shape_maps,
+from phifem.fem_core import (QUAD_DEGREE_CAP, _gauss_jacobi,
+                             _lattice_multi_indices, build_dof_map,
+                             edge_quadrature, eval_shapes, facet_tables,
+                             group_matmul, physical_tables, product_rule,
+                             rule_tables, shape_maps,
                              quadrature_degrees, tabulate,
                              triangle_quadrature)
 from phifem.mesh import build_background_mesh
@@ -168,6 +169,18 @@ def test_edge_quadrature_exactness():
     rule = edge_quadrature(6)
     got = np.sum(rule.weights * rule.points[:, 1] ** 6)
     assert got == pytest.approx(1.0 / 7.0, rel=1e-14)
+
+
+def test_gauss_rules_match_scipy_special():
+    # scipy.special is the oracle only: the package builds its rules by
+    # Golub-Welsch (measured at most 1.9e-15 off, n = 1..7)
+    from scipy.special import roots_jacobi, roots_legendre
+    for n in range(1, 8):
+        for a, (x_ref, w_ref) in ((0, roots_legendre(n)),
+                                  (1, roots_jacobi(n, 1.0, 0.0))):
+            x, w = _gauss_jacobi(n, a)
+            np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=4e-15)
+            np.testing.assert_allclose(w, w_ref, rtol=0.0, atol=4e-15)
 
 
 def test_quadrature_rejects_out_of_range():

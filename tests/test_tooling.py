@@ -10,13 +10,18 @@ facet-kernel spans.  The file is loaded by path and never modified.
 The README's library example is run as written, so an API edit cannot
 silently break it, and every exported name must resolve, so a deletion
 cannot leave a stale entry that only a star import would trip over.
+A fresh interpreter that imports the command line must not load
+`scipy.special`, whose import the quadrature rules no longer need.
 """
 import contextlib
 import importlib
 import importlib.util
 import io
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -131,3 +136,17 @@ def test_readme_library_example_prints_an_error_report():
     with contextlib.redirect_stdout(out):
         exec(compile(blocks[0], "README.md", "exec"), {})
     assert re.fullmatch(r"ErrorReport\(.*\)\n", out.getvalue(), flags=re.S)
+
+
+def test_package_import_leaves_scipy_special_unloaded():
+    # a fresh process, so no other test's imports count; the package is
+    # found where this one was imported from
+    src = str(Path(phifem.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, phifem.cli; "
+             "print(sorted(m for m in ('scipy.sparse.linalg', "
+             "'scipy.special') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "['scipy.sparse.linalg']"
