@@ -106,8 +106,11 @@ def _relative_errors(solutions: list[ProductSolution], tris: np.ndarray,
     per shape.  `target(tris, pts)` gives, at the rule's physical points
     (nT, Q, 2) of the triangles `tris`, the target values (S, nT, Q) and
     gradients (S, nT, Q, 2); S is 1 (one target for every solution) or
-    one target per solution.  Raises VanishingNormError(`vanishing`)
-    when a target has zero norm on the triangles.
+    one target per solution.  The gradients may be any view of that
+    shape, such as a transposed (S, 2, nT, Q) array whose components are
+    planes, the layout of the fields of phi and w (`eval_shapes`).
+    Raises VanishingNormError(`vanishing`) when a target has zero norm
+    on the triangles.
     """
     field, dofmap = solutions[0].field, solutions[0].dofmap
     mesh = field.mesh
@@ -168,8 +171,9 @@ def compute_errors(solutions: list[ProductSolution], exact: AnalyticField,
 
     def target(tris, pts):
         x, y = pts[..., 0], pts[..., 1]
-        return (np.asarray(exact.value(x, y), dtype=float)[None],
-                np.stack(exact.gradient(x, y), axis=-1)[None])
+        # the gradient's components stay planes, seen as (1, nT, Q, 2)
+        grad = np.moveaxis(np.stack(exact.gradient(x, y)), 0, -1)
+        return np.asarray(exact.value(x, y), dtype=float)[None], grad[None]
 
     return _relative_errors(solutions, domain.active_triangles, target,
                             "exact solution vanishes on the active submesh")
@@ -203,12 +207,16 @@ def _point_fields(coef, shape, tables, cell_size):
     """Values (nT, Q) and gradients (nT, Q, 2) of fields given per point:
     coef (nT, Q, n) holds each point's nodal values, and tables (2, Q, n,
     3) a `_nested_map` table, indexed by the coarse shapes `shape` (nT,),
-    whose gradients `cell_size` turns into physical ones."""
-    out = np.empty(coef.shape[:2] + (3,))
+    whose gradients `cell_size` turns into physical ones.
+
+    The contraction writes (nT, 3, Q) planes, value then d/dx and d/dy,
+    as `fem_core.eval_shapes` does, and the gradients are a transposed
+    view of the last two, unit-stride along Q."""
+    out = np.empty((coef.shape[0], 3, coef.shape[1]))
     for s in (0, 1):
         rows = np.flatnonzero(shape == s)
-        out[rows] = np.einsum("tqn,qnc->tqc", coef[rows], tables[s])
-    return out[..., 0], out[..., 1:] / cell_size
+        out[rows] = np.einsum("tqn,qnc->tcq", coef[rows], tables[s])
+    return out[:, 0], out[:, 1:].transpose(0, 2, 1) / cell_size
 
 
 def _fine_triangles(tris, nx, ratio, local):

@@ -37,7 +37,13 @@ maps triangle tables to physical gradients and Laplacians per shape, and
 a facet table times its conormal gives the outward normal derivatives.
 `group_matmul` contracts per-entity coefficients against the table of
 each entity's group with one GEMM per group; `eval_shapes` and the
-assembly kernels call it.
+assembly kernels call it.  `eval_shapes` orders its tables so that the
+GEMM writes each entity's values and derivatives as component planes of
+Q points each, [values | d_1 | ... | d_c], and returns the derivatives
+as a transposed view of them: the same (N, Q, c) shape as interleaved
+columns, but numpy's ufuncs iterate in memory order, so every product
+and error sum downstream runs along unit-stride rows instead of every
+(c + 1)-th element.
 `product_rule` turns the values and derivatives of phi and of w into
 those of u = phi * w, and the Laplacian on request; it is the only
 place that rule is written, and it serves both the basis products of
@@ -429,13 +435,20 @@ def eval_shapes(coef: np.ndarray, group: np.ndarray, values: np.ndarray,
     derivs : (S, Q, m, c), any c derivative columns: the gradients from
         `physical_tables`, or a facet table's outward normal derivatives.
     Returns values (N, Q) and derivatives (N, Q, c), by `group_matmul`.
+
+    Each group's table is laid out (m, (c + 1) Q), so the one GEMM writes
+    each entity's row as the planes [values | d_1 | ... | d_c] of Q
+    points each.  The derivatives are a transposed view of those planes:
+    each column runs with unit stride along Q, so the ufuncs that
+    consume them (`product_rule`, the error sums) iterate unit-stride
+    rows rather than every (c + 1)-th element.
     """
     S, Q, m, c = derivs.shape
-    table = np.concatenate(
-        [np.broadcast_to(values, (S, Q, m))[..., None], derivs], axis=-1)
-    table = table.transpose(0, 2, 1, 3).reshape(S, m, Q * (c + 1))
-    out = group_matmul(coef, group, table).reshape(-1, Q, c + 1)
-    return out[..., 0], out[..., 1:]
+    table = np.concatenate([np.broadcast_to(values, (S, Q, m))[:, None],
+                            derivs.transpose(0, 3, 1, 2)], axis=1)
+    table = table.transpose(0, 3, 1, 2).reshape(S, m, (c + 1) * Q)
+    out = group_matmul(coef, group, table).reshape(-1, c + 1, Q)
+    return out[:, 0], out[:, 1:].transpose(0, 2, 1)
 
 
 def product_rule(pv, pd, wv, wd, plap=None, wlap=None):

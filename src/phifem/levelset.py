@@ -133,9 +133,11 @@ def classify_domain(field: LevelSetField, mesh: BackgroundMesh
         raise ValueError("level-set field was interpolated on a different mesh")
     basis = _sign_lattice(field.degree)
     coeffs = field.cell_coefficients(np.arange(mesh.n_triangles))
-    samples = coeffs @ basis.T                     # (n_triangles, n_lattice)
-    mins = samples.min(axis=1)
-    maxs = samples.max(axis=1)
+    # one row per lattice point, (n_lattice, n_triangles): the extremes
+    # fold long unit-stride rows, not each triangle's short row
+    samples = basis @ coeffs.T
+    mins = samples.min(axis=0)
+    maxs = samples.max(axis=0)
 
     active_mask = mins < 0.0
     if not active_mask.any():

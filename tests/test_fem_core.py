@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from phifem import analysis, levelset
 from phifem.fem_core import (QUAD_DEGREE_CAP, _gauss_jacobi,
                              _lattice_multi_indices, build_dof_map,
-                             edge_quadrature, eval_shapes, facet_tables,
-                             group_matmul, physical_tables, product_rule,
-                             rule_tables, shape_maps,
+                             edge_quadrature, eval_shapes, facet_frames,
+                             facet_tables, group_matmul, physical_tables,
+                             product_rule, rule_tables, shape_maps,
                              quadrature_degrees, tabulate,
                              triangle_quadrature)
 from phifem.mesh import build_background_mesh
@@ -355,6 +355,45 @@ def test_evaluator_point_shapes_agree(k, l, n_points, seed):
         _assert_close(np.einsum("tqm,tm->tq", laps[tris % 2], c),
                       want[2][..., 0, 0] + want[2][..., 1, 1], 1e-13)
         _assert_close(want[2], want[2].swapaxes(-1, -2), 1e-15)
+
+
+@pytest.mark.parametrize("term", ["triangle", "facet"])
+def test_eval_shapes_writes_component_planes(term):
+    # eval_shapes lays values and derivatives out as planes of Q points:
+    # each derivative column runs with unit stride along Q, and the
+    # numbers are bitwise those of the interleaved layout, one GEMM per
+    # group against (m, Q (c + 1)) tables whose columns run point by
+    # point, value then derivatives.
+    rng = np.random.default_rng(23)
+    mesh = build_background_mesh((-0.3, 0.2, 1.1, 0.9), (3, 2))
+    if term == "triangle":
+        tables = rule_tables(3, 12)
+        values = tables[0]
+        derivs = physical_tables(tables, shape_maps(mesh.cell_size)[2])[0]
+    else:
+        values, grads = facet_tables(2, 6)
+        conormals = facet_frames(mesh)[1]
+        derivs = grads @ conormals[:, None, :, None]
+    S, Q, m, c = derivs.shape
+    coef = rng.standard_normal((40, m))
+    group = rng.integers(0, S, len(coef))
+    got_values, got_derivs = eval_shapes(coef, group, values, derivs)
+
+    assert got_values.shape == (len(coef), Q)
+    assert got_derivs.shape == (len(coef), Q, c)
+    assert got_values.strides[1] == got_values.itemsize
+    for j in range(c):
+        assert got_derivs[:, :, j].strides[1] == got_derivs.itemsize
+
+    interleaved = np.concatenate(
+        [np.broadcast_to(values, (S, Q, m))[..., None], derivs], axis=-1)
+    interleaved = interleaved.transpose(0, 2, 1, 3).reshape(S, m, -1)
+    want = np.empty((len(coef), Q, c + 1))
+    for s in range(S):
+        rows = group == s
+        want[rows] = (coef[rows] @ interleaved[s]).reshape(-1, Q, c + 1)
+    np.testing.assert_array_equal(got_values, want[..., 0])
+    np.testing.assert_array_equal(got_derivs, want[..., 1:])
 
 
 def test_group_matmul_rows():

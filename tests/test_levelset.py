@@ -10,8 +10,10 @@ import pytest
 from phifem.fem_core import (eval_shapes, physical_tables, shape_maps,
                              tabulate)
 from phifem.levelset import (AnalyticField, EmptyActiveSetError,
-                             classify_domain, interpolate_levelset)
+                             _sign_lattice, classify_domain,
+                             interpolate_levelset)
 from phifem.mesh import build_background_mesh, locate_points
+from test_robustness import CIRCLE_RADIUS, OFF_VERTICES, shifted_disk
 
 UNIT_BOX = (0.0, 0.0, 1.0, 1.0)
 
@@ -175,3 +177,35 @@ def test_classification_deterministic():
     np.testing.assert_array_equal(a.cut_triangles, b.cut_triangles)
     np.testing.assert_array_equal(a.ghost_facets, b.ghost_facets)
     np.testing.assert_array_equal(a.boundary_facets, b.boundary_facets)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_classification_matches_rowwise_sampling(degree):
+    # classify_domain samples the lattice as (lattice point, triangle)
+    # rows; its sets must be bitwise those of sampling each triangle's
+    # row of lattice points, on the disk whose zero set runs through
+    # vertices (where a sample of exactly 0 decides), that disk moved
+    # just off them, and disks that cut the grid elsewhere
+    n = 20
+    mesh = build_background_mesh(UNIT_BOX, (n, n))
+    tris = np.arange(mesh.n_triangles)
+    geometries = [((0.0, 0.0), CIRCLE_RADIUS), (OFF_VERTICES, CIRCLE_RADIUS),
+                  ((0.3, -0.2), 0.33), ((-0.45, 0.15), 0.38),
+                  ((0.5, 0.5), 0.30)]
+    for shift, radius in geometries:
+        case = shifted_disk(np.asarray(shift) / n, radius)
+        field = interpolate_levelset(case.phi, mesh, degree)
+        domain = classify_domain(field, mesh)
+
+        samples = field.cell_coefficients(tris) @ _sign_lattice(degree).T
+        active = samples.min(axis=1) < 0.0
+        cut = active & (samples.max(axis=1) >= 0.0)
+        # a missing neighbour (-1) reads the appended False
+        both_active = np.append(active, False)[mesh.facet_triangles].all(1)
+        by_cut = np.append(cut, False)[mesh.facet_triangles].any(1)
+        np.testing.assert_array_equal(domain.active_triangles,
+                                      np.flatnonzero(active))
+        np.testing.assert_array_equal(domain.cut_triangles,
+                                      np.flatnonzero(cut))
+        np.testing.assert_array_equal(domain.ghost_facets,
+                                      np.flatnonzero(both_active & by_cut))
