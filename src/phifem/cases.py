@@ -1,8 +1,10 @@
 """Built-in benchmark problems.
 
 Each case bundles a level set, a source term, an optional closed-form
-solution and a default background box.  Gradients and sources are written
-out by hand; the test suite checks them against finite differences.
+solution and a default background box.  The solution gradients and the
+sources are written out by hand; the test suite checks them against
+finite differences.  A level set needs no gradient: phi enters the
+method only through its nodal interpolant.
 """
 from __future__ import annotations
 
@@ -47,9 +49,6 @@ def _circle_case() -> Case:
     def phi(x, y):
         return (x - 0.5) ** 2 + (y - 0.5) ** 2 - 0.125
 
-    def phi_grad(x, y):
-        return 2.0 * (x - 0.5), 2.0 * (y - 0.5)
-
     def g(x, y):
         return np.exp(x) * np.sin(two_pi * y)
 
@@ -76,7 +75,7 @@ def _circle_case() -> Case:
     return Case(
         name="circle",
         box=(0.0, 0.0, 1.0, 1.0),
-        phi=AnalyticField(value=phi, gradient=phi_grad),
+        phi=AnalyticField(value=phi),
         f=AnalyticField(value=f),
         u_exact=AnalyticField(value=u, gradient=u_grad),
     )
@@ -96,23 +95,9 @@ def _rectangle_case() -> Case:
     solution is not pinned by the level set.
     """
 
-    def lines(x, y):
-        return (y - np.pi * x - np.pi,
-                y + x / np.pi - np.pi,
-                y - np.pi * x + np.pi,
-                y + x / np.pi + np.pi)
-
     def phi(x, y):
-        l1, l2, l3, l4 = lines(x, y)
-        return -(l1 * l2 * l3 * l4)
-
-    def phi_grad(x, y):
-        l1, l2, l3, l4 = lines(x, y)
-        # line gradients: (-pi, 1) for l1, l3; (1/pi, 1) for l2, l4
-        gx = -(-np.pi * l2 * l3 * l4 + l1 * (1.0 / np.pi) * l3 * l4
-               - np.pi * l1 * l2 * l4 + l1 * l2 * l3 * (1.0 / np.pi))
-        gy = -(l2 * l3 * l4 + l1 * l3 * l4 + l1 * l2 * l4 + l1 * l2 * l3)
-        return gx, gy
+        return -((y - np.pi * x - np.pi) * (y + x / np.pi - np.pi)
+                 * (y - np.pi * x + np.pi) * (y + x / np.pi + np.pi))
 
     def f(x, y):
         return np.ones_like(np.asarray(x, dtype=float))
@@ -121,7 +106,7 @@ def _rectangle_case() -> Case:
     return Case(
         name="rectangle",
         box=(-half_width, -np.pi, half_width, np.pi),
-        phi=AnalyticField(value=phi, gradient=phi_grad),
+        phi=AnalyticField(value=phi),
         f=AnalyticField(value=f),
         u_exact=None,
     )
@@ -137,10 +122,6 @@ def _planted_case() -> Case:
 
     def phi(x, y):
         return x - 0.51
-
-    def phi_grad(x, y):
-        one = np.ones_like(np.asarray(x, dtype=float))
-        return one, np.zeros_like(one)
 
     def u(x, y):
         return (x - 0.51) * (1.0 + x + y)
@@ -158,7 +139,7 @@ def _planted_case() -> Case:
     return Case(
         name="planted",
         box=(0.0, 0.0, 1.0, 1.0),
-        phi=AnalyticField(value=phi, gradient=phi_grad),
+        phi=AnalyticField(value=phi),
         f=AnalyticField(value=f),
         u_exact=AnalyticField(value=u, gradient=u_grad),
         outer_data=AnalyticField(value=w),

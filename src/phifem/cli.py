@@ -27,6 +27,7 @@ defined; its errors stay blank).
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import json
@@ -47,8 +48,8 @@ from .assembly import assemble_parts, assemble_system  # noqa: F401
 from .cases import CASES, get_case
 from .levelset import EmptyActiveSetError, classify_domain, \
     interpolate_levelset
-from .linalg import (ConditionEstimate, NoConvergenceError,
-                     SingularMatrixError, estimate_condition_number, solve)
+from .linalg import (NoConvergenceError, SingularMatrixError,
+                     estimate_condition_number, solve)
 from .mesh import build_background_mesh
 
 __all__ = ["RunConfig", "run_case", "sigma_sweep", "conditioning_study",
@@ -56,8 +57,6 @@ __all__ = ["RunConfig", "run_case", "sigma_sweep", "conditioning_study",
 
 CSV_HEADER = ("h,n_cells,dofs,k,l,sigma,err_l2_rel,err_h1_rel,"
               "eoc_l2,eoc_h1,kappa,status")
-
-_SOLVE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -98,8 +97,9 @@ class RunConfig:
             raise ValueError(f"k must be 1, 2 or 3, got {self.k}")
         if self.levelset_degree not in (1, 2, 3):
             raise ValueError(f"l must be 1, 2 or 3, got {self.l}")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        for sigma in (self.sigma, *(self.sigmas or ())):
+            if sigma < 0.0:
+                raise ValueError(f"sigma values must be >= 0, got {sigma}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.levels < 1:
@@ -113,12 +113,8 @@ class RunConfig:
         bad = set(self.tasks) - {"errors", "conditioning"}
         if bad:
             raise ValueError(f"unknown tasks {sorted(bad)}")
-        if self.sigmas is not None:
-            if len(self.sigmas) == 0:
-                raise ValueError("sigmas must be a non-empty list")
-            for s in self.sigmas:
-                if s < 0.0:
-                    raise ValueError(f"sigma values must be >= 0, got {s}")
+        if self.sigmas is not None and len(self.sigmas) == 0:
+            raise ValueError("sigmas must be a non-empty list")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -141,12 +137,9 @@ def _is_number(value, kind) -> bool:
 
 
 def _blank_row(config: RunConfig, sigma: float) -> dict:
-    return {
-        "h": None, "n_cells": None, "dofs": None,
-        "k": config.k, "l": config.levelset_degree, "sigma": sigma,
-        "err_l2_rel": None, "err_h1_rel": None,
-        "eoc_l2": None, "eoc_h1": None, "kappa": None, "status": "ok",
-    }
+    row = dict.fromkeys(CSV_HEADER.split(","))
+    row.update(k=config.k, l=config.levelset_degree, sigma=sigma, status="ok")
+    return row
 
 
 def _set_errors(row: dict, report: ErrorReport) -> None:
@@ -154,34 +147,37 @@ def _set_errors(row: dict, report: ErrorReport) -> None:
     row["err_h1_rel"] = report.rel_h1_semi
 
 
-def _condition(system, row: dict) -> None:
-    """Fill the row's kappa; a failed estimate sets its status."""
-    try:
-        row["kappa"] = estimate_condition_number(system).kappa
-    except NoConvergenceError as err:
-        if isinstance(err.best, ConditionEstimate):
-            row["kappa"] = err.best.kappa
-        row["status"] = "no-convergence"
-    except SingularMatrixError:
-        row["status"] = "singular"
-    except MemoryError:
-        row["status"] = "out-of-memory"
+def _attempt(call, row: dict):
+    """Return `call()`; a failed linalg call sets the row's status instead.
 
-
-def _solve(system, field, row: dict):
-    """Solve one system; a failed solve sets the row's status and keeps
-    its best iterate, if any."""
+    NoConvergenceError reads `no-convergence` and returns the error's
+    `best` (its last iterate or partial estimate, possibly None);
+    SingularMatrixError reads `singular` and MemoryError `out-of-memory`,
+    and both return None.
+    """
     try:
-        return make_solution(system, field, solve(system, _SOLVE_TOL).x)
+        return call()
     except NoConvergenceError as err:
         row["status"] = "no-convergence"
-        if err.best is not None:
-            return make_solution(system, field, err.best)
+        return err.best
     except SingularMatrixError:
         row["status"] = "singular"
     except MemoryError:
         row["status"] = "out-of-memory"
     return None
+
+
+def _condition(system, row: dict) -> None:
+    """Fill the row's kappa, from the partial estimate if one failed."""
+    estimate = _attempt(lambda: estimate_condition_number(system), row)
+    if estimate is not None:
+        row["kappa"] = estimate.kappa
+
+
+def _solve(system, field, row: dict):
+    """Solve one system; a failed solve keeps its best iterate, if any."""
+    x = _attempt(lambda: solve(system).x, row)
+    return None if x is None else make_solution(system, field, x)
 
 
 def _solve_level(config: RunConfig, n: int, sigmas: list[float],
@@ -280,29 +276,25 @@ def _run_study(config: RunConfig, sigmas: list[float]) -> list[dict]:
     """All refinement levels for each penalty strength; rows grouped by
     sigma, in the order of `sigmas`.
 
-    Without a closed-form solution, a level is compared with the level
-    two finer as soon as that one is solved, so at most three levels of
-    solutions are held at a time.
+    Without a closed-form solution, two more levels are solved, and each
+    level is compared with the level two coarser as soon as it is solved,
+    so at most three levels of solutions are held at a time.
     """
     case = get_case(config.case)
     compare = "errors" in config.tasks and case.u_exact is None
-    extra = 2 if compare else 0
     rows: list[list[dict]] = [[] for _ in sigmas]
-    waiting = []    # (domain, results) of levels awaiting their reference
-    for i in range(config.levels + extra):
+    window = collections.deque(maxlen=2)    # (results, domain) per level
+    for i in range(config.levels + (2 if compare else 0)):
         reported = i < config.levels
         domain, results = _solve_level(config, config.n * 2 ** i, sigmas,
                                        reported)
         if reported:
             for by_sigma, (row, _) in zip(rows, results):
                 by_sigma.append(row)
-        if not compare:
-            continue
-        if i >= 2:
-            coarse_domain, coarse = waiting.pop(0)
-            _compare(coarse, coarse_domain, results)
-        if reported:
-            waiting.append((domain, results))
+        if compare:
+            if len(window) == 2:
+                _compare(*window[0], results)
+            window.append((results, domain))
     for by_sigma in rows:
         _fill_orders(by_sigma)
     return [row for by_sigma in rows for row in by_sigma]

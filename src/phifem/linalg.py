@@ -7,8 +7,13 @@ tolerance is accepted when its normwise backward error is a few units of
 rounding.  Condition numbers are estimated as the ratio of extreme
 singular values, each obtained by Lanczos (ARPACK) on the normal
 operator; the smallest one runs it on the inverse through a pair of
-solves with one sparse LU factorization, taken as in `solve`.  Every run starts from a
-fixed random vector, so repeated calls give identical results.
+solves with one sparse LU factorization, taken as in `solve`.  Every run
+starts from a fixed random vector, so repeated calls give identical
+results.
+
+Both entry points take only the system: the solve tolerance (`_TOL`) and
+Lanczos's accuracy and restart cap (`_LANCZOS_TOL`, `_LANCZOS_RESTARTS`)
+are fixed here, and read at call time.
 
 Every sparse LU factor is taken in SuperLU's symmetric mode: the phi-FEM
 pattern is structurally symmetric (only the boundary term is not
@@ -43,7 +48,15 @@ __all__ = [
 #: Largest normwise backward error accepted from a solve whose residual
 #: stops falling above its tolerance: a few units of rounding.
 BACKWARD_ERROR_BOUND = 4 * np.finfo(float).eps
+# The solve's relative residual target.  It stays within (0, 1e-6]: any
+# looser and the discretization error norms would be dominated by
+# algebraic error.
+_TOL = 1e-11
 _MAX_PASSES = 8
+# Lanczos's relative accuracy of each extreme eigenvalue, in (0, 1), and
+# its cap on restarts, at least 1.
+_LANCZOS_TOL = 1e-8
+_LANCZOS_RESTARTS = 10000
 _SEED = 20240901
 # SuperLU's symmetric mode: minimum degree ordering on A^T + A, and the
 # diagonal as pivot while it is at least 0.1 times its column's largest
@@ -106,7 +119,6 @@ class ConditionEstimate:
     sigma_min: float
     kappa: float
     iterations: tuple[int, int]     # operator applications (max, min)
-    tol: float
 
 
 def _lu(a: sp.csr_matrix):
@@ -117,26 +129,22 @@ def _lu(a: sp.csr_matrix):
         raise SingularMatrixError(f"splu: {err}") from err
 
 
-def solve(system: SparseSystem, tol: float = 1e-11) -> SolverReport:
-    """Solve A x = b to relative residual `tol`.
+def solve(system: SparseSystem) -> SolverReport:
+    """Solve A x = b to relative residual `_TOL` (1e-11).
 
     One loop for every size: factor once, then correct x by a solve of
     the residual equation A dx = b - A x with the factors until the true
-    relative residual is at most `tol`, for at most _MAX_PASSES passes.
+    relative residual is at most `_TOL`, for at most _MAX_PASSES passes.
     A pass that does not halve the residual ends the loop.  If it ends
-    above `tol`, x is still accepted when its normwise backward error is
+    above `_TOL`, x is still accepted when its normwise backward error is
     at most BACKWARD_ERROR_BOUND: the residual then sits at the rounding
     floor of double precision, which no solver can go below.
 
-    `tol` must lie in (0, 1e-6]; looser tolerances are rejected because
-    downstream error norms would be dominated by algebraic error.  Raises
-    SingularMatrixError when the factorization fails or a pass produces
-    non-finite values, NoConvergenceError, which carries the last
-    iterate, when x is not accepted, and MemoryError when the factors do
-    not fit in memory.
+    Raises SingularMatrixError when the factorization fails or a pass
+    produces non-finite values, NoConvergenceError, which carries the
+    last iterate, when x is not accepted, and MemoryError when the
+    factors do not fit in memory.
     """
-    if not (0.0 < tol <= 1e-6):
-        raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
     a, b = system.A, system.b
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
@@ -153,12 +161,12 @@ def solve(system: SparseSystem, tol: float = 1e-11) -> SolverReport:
         if not np.isfinite(res):
             raise SingularMatrixError("sparse-lu solve produced non-finite "
                                       "values")
-        if res <= tol or res > 0.5 * last:
+        if res <= _TOL or res > 0.5 * last:
             break
         last = res
     eta = np.abs(r).max() / (spla.norm(a, np.inf) * np.abs(x).max()
                              + np.abs(b).max())
-    if res > tol and eta > BACKWARD_ERROR_BOUND:
+    if res > _TOL and eta > BACKWARD_ERROR_BOUND:
         raise NoConvergenceError(
             f"sparse-lu solve stalled at relative residual {res:.3e}, "
             f"backward error {eta:.3e}", best=x, residual=res,
@@ -167,7 +175,7 @@ def solve(system: SparseSystem, tol: float = 1e-11) -> SolverReport:
                         residual=res, backward_error=eta)
 
 
-def _largest_eigenvalue(apply_op, n, tol, max_iters):
+def _largest_eigenvalue(apply_op, n):
     """Largest eigenvalue of a symmetric positive definite operator by
     ARPACK's Lanczos, whether it converged, and the operator applications
     spent.
@@ -185,8 +193,9 @@ def _largest_eigenvalue(apply_op, n, tol, max_iters):
     op = spla.LinearOperator((n, n), matvec=counted, dtype=float)
     v0 = np.random.default_rng(_SEED).standard_normal(n)
     try:
-        theta = spla.eigsh(op, k=1, which="LA", v0=v0, tol=tol,
-                           maxiter=max_iters, return_eigenvectors=False)[0]
+        theta = spla.eigsh(op, k=1, which="LA", v0=v0, tol=_LANCZOS_TOL,
+                           maxiter=_LANCZOS_RESTARTS,
+                           return_eigenvectors=False)[0]
         converged = True
     except spla.ArpackNoConvergence as err:
         converged = False
@@ -197,33 +206,32 @@ def _largest_eigenvalue(apply_op, n, tol, max_iters):
     return float(theta), converged, spent
 
 
-def estimate_condition_number(system: SparseSystem, tol: float = 1e-8,
-                              max_iters: int = 10000) -> ConditionEstimate:
+def estimate_condition_number(system: SparseSystem) -> ConditionEstimate:
     """Estimate the 2-norm condition number of the system matrix.
 
     The largest singular value comes from Lanczos (ARPACK's `eigsh`) on
     A^T A; the smallest from Lanczos on its inverse, each step solving
     with A^T and then A through one sparse LU factorization, taken as in
-    `solve`.  `tol` is eigsh's relative accuracy of each eigenvalue
-    and `max_iters` its cap on Lanczos restarts; the system needs at least
-    two unknowns.  Raises NoConvergenceError (with the partial estimate
-    attached) if either side fails to converge.
+    `solve`.  Each eigenvalue is sought to relative accuracy
+    `_LANCZOS_TOL` (1e-8) within `_LANCZOS_RESTARTS` (10000) restarts;
+    the system needs at least two unknowns.  Raises NoConvergenceError
+    (with the partial estimate attached) if either side fails to
+    converge, SingularMatrixError when the factorization fails, and
+    MemoryError when the factors do not fit in memory.
     """
-    if not (0.0 < tol < 1.0):
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     a = system.A
     n = a.shape[0]
     factor = _lu(a)
     theta_max, ok_max, it_max = _largest_eigenvalue(
-        lambda v: a.T @ (a @ v), n, tol, max_iters)
+        lambda v: a.T @ (a @ v), n)
     theta_inv, ok_min, it_min = _largest_eigenvalue(
-        lambda v: factor.solve(factor.solve(v, "T")), n, tol, max_iters)
+        lambda v: factor.solve(factor.solve(v, "T")), n)
 
     sigma_max = float(np.sqrt(theta_max))
     sigma_min = float(1.0 / np.sqrt(theta_inv))
     estimate = ConditionEstimate(
         sigma_max=sigma_max, sigma_min=sigma_min,
-        kappa=sigma_max / sigma_min, iterations=(it_max, it_min), tol=tol)
+        kappa=sigma_max / sigma_min, iterations=(it_max, it_min))
     if not (ok_max and ok_min):
         raise NoConvergenceError(
             "Lanczos did not converge within the iteration cap",

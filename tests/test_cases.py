@@ -31,13 +31,6 @@ def _fd_laplacian(value, x, y, eps=1e-4):
             + value(x, y - eps) - 4.0 * value(x, y)) / eps ** 2
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_level_set_gradient_matches_fd(name):
-    case = get_case(name)
-    x, y = _sample_points(case.box)
-    _check_gradient(case.phi, x, y)
-
-
 @pytest.mark.parametrize("name", ["circle", "planted"])
 def test_exact_solution_gradient_matches_fd(name):
     case = get_case(name)

@@ -382,17 +382,18 @@ def test_main_sigma_sweep_requires_sigmas(capsys):
     capsys.readouterr()
 
 
-def test_main_flags_failed_solves(tmp_path, capsys, monkeypatch):
-    def stalled_solve(system, tol):
-        raise NoConvergenceError("stalled", best=None)
+def _out_of_memory(a, **options):
+    # what SuperLU raises when its factors do not fit in memory
+    raise MemoryError
 
-    def out_of_memory(a, **options):
-        # what SuperLU raises when its factors do not fit in memory
-        raise MemoryError
+
+def test_main_flags_failed_solves(tmp_path, capsys, monkeypatch):
+    def stalled_solve(system):
+        raise NoConvergenceError("stalled", best=None)
 
     for target, name, broken, status in (
             (cli, "solve", stalled_solve, "no-convergence"),
-            (linalg.spla, "splu", out_of_memory, "out-of-memory")):
+            (linalg.spla, "splu", _out_of_memory, "out-of-memory")):
         with monkeypatch.context() as patch:
             patch.setattr(target, name, broken)
             out = tmp_path / f"{status}.csv"
@@ -406,14 +407,51 @@ def test_main_flags_failed_solves(tmp_path, capsys, monkeypatch):
         assert rows[0]["err_l2_rel"] == ""
 
 
+@pytest.mark.parametrize("status", ["no-convergence", "out-of-memory"])
+def test_main_flags_failed_condition_estimates(tmp_path, capsys, monkeypatch,
+                                               status):
+    # a capped Lanczos keeps its partial estimate in the row; factors that
+    # do not fit in memory leave kappa blank
+    if status == "no-convergence":
+        monkeypatch.setattr(linalg, "_LANCZOS_TOL", 1e-14)
+        monkeypatch.setattr(linalg, "_LANCZOS_RESTARTS", 1)
+    else:
+        monkeypatch.setattr(linalg.spla, "splu", _out_of_memory)
+    real_estimate = cli.estimate_condition_number
+    partial = []
+
+    def recorded(system):
+        try:
+            return real_estimate(system)
+        except NoConvergenceError as err:
+            partial.append(err.best.kappa)
+            raise
+
+    monkeypatch.setattr(cli, "estimate_condition_number", recorded)
+    out = tmp_path / "kappa.csv"
+    code = cli.main(["conditioning", "--case", "circle", "--n", "20",
+                     "--levels", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert status in captured.err
+    rows = _read_rows(out)
+    assert len(rows) == 1           # no slope row without a converged kappa
+    assert rows[0]["status"] == status
+    if status == "no-convergence":
+        kappa, = partial
+        assert kappa > 1.0 and rows[0]["kappa"] == repr(kappa)
+    else:
+        assert not partial and rows[0]["kappa"] == ""
+
+
 def test_main_flags_failed_hidden_reference(tmp_path, capsys, monkeypatch):
     # the rectangle has no closed form, so its n=4 row is measured against
     # hidden levels n=8 and n=16; a stall on the n=16 reference must show
     real_solve = cli.solve
     sizes = []
 
-    def stalled_reference(system, tol):
-        report = real_solve(system, tol)
+    def stalled_reference(system):
+        report = real_solve(system)
         sizes.append(system.n_dofs)
         if len(sizes) == 3:
             raise NoConvergenceError("stalled", best=report.x,

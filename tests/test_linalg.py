@@ -99,15 +99,13 @@ def test_solve_zero_rhs_is_trivial():
     assert report.backward_error == 0.0
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-9, 1e-5, 1.0])
-def test_solve_rejects_bad_tolerance(tol):
-    with pytest.raises(ValueError):
-        solve(_system(np.eye(2), [1.0, 1.0]), tol)
-
-
-def test_solve_accepts_boundary_tolerance():
-    report = solve(_system(np.eye(2), [1.0, 1.0]), 1e-6)
-    np.testing.assert_array_equal(report.x, [1.0, 1.0])
+def test_fixed_tolerances_lie_in_their_ranges():
+    # a solve tolerance above 1e-6 would let algebraic error dominate the
+    # discretization error norms; Lanczos needs a relative accuracy below
+    # 1 and at least one restart
+    assert 0.0 < linalg._TOL <= 1e-6
+    assert 0.0 < linalg._LANCZOS_TOL < 1.0
+    assert linalg._LANCZOS_RESTARTS >= 1
 
 
 @pytest.mark.filterwarnings("ignore")
@@ -146,9 +144,9 @@ def test_residual_floor_above_tol_is_accepted(n, method):
     # cannot fall below about 1e-10 in double precision, yet x is a
     # backward-stable answer, a quarter of eps away in the normwise sense
     a, u = _laplacian_1d(n)
-    report = solve(_system(a, a @ u), 1e-11)
+    report = solve(_system(a, a @ u))
     assert report.method == method
-    assert report.residual > 1e-11
+    assert report.residual > linalg._TOL
     assert report.backward_error <= BACKWARD_ERROR_BOUND
     assert np.abs(report.x - u).max() <= 1e-12
 
@@ -282,17 +280,13 @@ def test_condition_number_deterministic():
     assert first.iterations == second.iterations
 
 
-@pytest.mark.parametrize("tol", [0.0, 1.0, -0.1])
-def test_condition_number_rejects_bad_tolerance(tol):
-    with pytest.raises(ValueError):
-        estimate_condition_number(_system(np.eye(2), np.ones(2)), tol)
-
-
-def test_condition_number_iteration_cap():
+def test_condition_number_iteration_cap(monkeypatch):
     # at 205 unknowns one Lanczos restart cannot reach tol=1e-14 on the
     # largest eigenvalue (the 41 unknowns of n=8 converge within one)
+    monkeypatch.setattr(linalg, "_LANCZOS_TOL", 1e-14)
+    monkeypatch.setattr(linalg, "_LANCZOS_RESTARTS", 1)
     system = _assembled(20)
     with pytest.raises(NoConvergenceError) as info:
-        estimate_condition_number(system, tol=1e-14, max_iters=1)
+        estimate_condition_number(system)
     assert info.value.best is not None
     assert info.value.best.kappa > 1.0

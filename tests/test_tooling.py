@@ -1,4 +1,4 @@
-"""Tests that the benchmark's tracer and the README example still fit
+"""Tests that the benchmark's tracer and the README examples still fit
 the package.
 
 `perfbench/spans.py` rebinds, in the benchmark process only, names that
@@ -7,9 +7,10 @@ results and errors of the calls it wraps.  A rename under `src/` would
 break only a traced benchmark run, so every binding and every reader of
 a linalg result is checked here, and a traced study must record the
 facet-kernel spans.  The file is loaded by path and never modified.
-The README's library example is run as written, so an API edit cannot
-silently break it, and every exported name must resolve, so a deletion
-cannot leave a stale entry that only a star import would trip over.
+The README's library example and command lines are run as written, so
+an API edit cannot silently break them, and every exported name must
+resolve, so a deletion cannot leave a stale entry that only a star
+import would trip over.
 A fresh interpreter that imports the command line must not load
 `scipy.special`, whose import the quadrature rules no longer need.
 """
@@ -30,7 +31,7 @@ import pytest
 import scipy.sparse as sp
 
 import phifem
-from phifem import cli
+from phifem import cli, linalg
 from phifem.assembly import SparseSystem
 from phifem.linalg import (NoConvergenceError, estimate_condition_number,
                            solve)
@@ -89,15 +90,17 @@ def test_top_level_exports_are_public_names_of_their_modules():
     assert not stale, f"phifem exports {stale} that no module lists"
 
 
-def test_condition_reader_reads_estimates_and_capped_errors():
+def test_condition_reader_reads_estimates_and_capped_errors(monkeypatch):
     system = _laplacian_system(200)
     est = estimate_condition_number(system)
     sizes = _SPANS_MODULE._condition_sizes((system,), est, None)
     assert sizes == {"power_iters": sum(est.iterations)}
     assert min(est.iterations) > 0
 
+    monkeypatch.setattr(linalg, "_LANCZOS_TOL", 1e-14)
+    monkeypatch.setattr(linalg, "_LANCZOS_RESTARTS", 1)
     with pytest.raises(NoConvergenceError) as info:
-        estimate_condition_number(system, tol=1e-14, max_iters=1)
+        estimate_condition_number(system)
     sizes = _SPANS_MODULE._condition_sizes((system,), None, info.value)
     assert sizes == {"power_iters": sum(info.value.best.iterations),
                      "failed": 1}
@@ -136,6 +139,19 @@ def test_readme_library_example_prints_an_error_report():
     with contextlib.redirect_stdout(out):
         exec(compile(blocks[0], "README.md", "exec"), {})
     assert re.fullmatch(r"ErrorReport\(.*\)\n", out.getvalue(), flags=re.S)
+
+
+def test_readme_command_lines_run():
+    readme = (_ROOT / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block, = re.findall(r"```\n(.*?)```", section, flags=re.S)
+    lines = block.splitlines()
+    assert lines and all(line.startswith("phifem ") for line in lines)
+    for line in lines:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(line.split()[1:]) == 0, line
+        assert out.getvalue().startswith(cli.CSV_HEADER + "\n"), line
 
 
 def test_package_import_leaves_scipy_special_unloaded():
