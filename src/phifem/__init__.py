@@ -14,7 +14,6 @@ from .levelset import (ActiveDomain, AnalyticField, EmptyActiveSetError,
                        LevelSetField, classify_domain, interpolate_levelset)
 from .linalg import (ConditionEstimate, NoConvergenceError, SingularMatrixError,
                      SolverReport, estimate_condition_number, solve)
-from .mesh import (BackgroundMesh, BoundaryFacets, build_background_mesh,
-                   locate_points, submesh_boundary_facets)
+from .mesh import BackgroundMesh, build_background_mesh, locate_points
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ over chunks of triangles (`_in_chunks`, the one chunk loop), the
 boundary and ghost facet terms over all their facets in one call each.
 The volume kernels run on the dof map's own triangles, so their dof
 rows are `cell_dofs` itself.  `_sparse` sums the (dofs, local) blocks of
-a matrix into CSR, and each vector is one `np.add.at`.  A single
+a matrix into CSR, and each vector is one `np.bincount`.  A single
 triangle or facet is a length-1 call, so the hand-integral tests pin
 the code that assembly runs.  A kernel takes the degree k of w and
 looks up the cached rule of its term in `quadrature_degrees(k,
@@ -346,9 +346,10 @@ def assemble_ghost_part(domain: ActiveDomain, field: LevelSetField,
     mat = _sparse([(jump_dofs, jumps),
                    (cut_dofs, _in_chunks(ghost_laplacian_kernel, cut,
                                          field, k))], dofmap.n_dofs)
-    g = np.zeros(dofmap.n_dofs)
-    np.add.at(g, cut_dofs.ravel(),
-              _in_chunks(load_correction_kernel, cut, f, field, k).ravel())
+    # without cut triangles bincount returns integer zeros
+    g = np.bincount(cut_dofs.ravel(), weights=_in_chunks(
+        load_correction_kernel, cut, f, field, k).ravel(),
+        minlength=dofmap.n_dofs).astype(float, copy=False)
     return ((mat + mat.T) * 0.5).tocsr(), g
 
 
@@ -455,9 +456,9 @@ def assemble_parts(domain: ActiveDomain, field: LevelSetField,
                   (owner_dofs, -boundary_term_kernel(
                       domain.boundary_facets, domain.boundary_owners,
                       field, k))], dofmap.n_dofs)
-    b0 = np.zeros(dofmap.n_dofs)
-    np.add.at(b0, dofmap.cell_dofs.ravel(),
-              _in_chunks(load_kernel, dofmap.triangles, f, field, k).ravel())
+    b0 = np.bincount(dofmap.cell_dofs.ravel(), weights=_in_chunks(
+        load_kernel, dofmap.triangles, f, field, k).ravel(),
+        minlength=dofmap.n_dofs)
 
     G = g = None
     if any(sigmas):

@@ -61,7 +61,8 @@ CSV_HEADER = ("h,n_cells,dofs,k,l,sigma,err_l2_rel,err_h1_rel,"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration of one experiment."""
+    """Configuration of one experiment, checked when it is built
+    (`dataclasses.replace` included): a bad value raises ValueError."""
 
     case: str = "circle"
     k: int = 1
@@ -81,13 +82,14 @@ class RunConfig:
     def resolved_box(self) -> tuple[float, float, float, float]:
         return get_case(self.case).box if self.box is None else self.box
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.case not in CASES:
             raise ValueError(
                 f"unknown case {self.case!r}; choose from {sorted(CASES)}")
-        for name in ("k", "l", "n", "levels"):
+        # l alone may be None: it then follows k
+        for name in ("k", "n", "levels") + (() if self.l is None else ("l",)):
             value = getattr(self, name)
-            if value is not None and not _is_number(value, numbers.Integral):
+            if not _is_number(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for value in (self.sigma, *(self.sigmas or ()), *(self.box or ())):
             if not _is_number(value, numbers.Real) or not np.isfinite(value):
@@ -110,6 +112,8 @@ class RunConfig:
                 raise ValueError(f"degenerate box {self.box!r}")
         if not isinstance(self.out, (str, os.PathLike, type(None))):
             raise ValueError(f"out must be a file path, got {self.out!r}")
+        if not self.tasks:
+            raise ValueError("tasks must be a non-empty list")
         bad = set(self.tasks) - {"errors", "conditioning"}
         if bad:
             raise ValueError(f"unknown tasks {sorted(bad)}")
@@ -126,9 +130,7 @@ class RunConfig:
         for key in ("box", "tasks", "sigmas"):
             if data.get(key) is not None:
                 data[key] = tuple(data[key])
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
+        return cls(**data)
 
 
 def _is_number(value, kind) -> bool:
@@ -198,7 +200,7 @@ def _solve_level(config: RunConfig, n: int, sigmas: list[float],
     keep = want_errors and case.u_exact is None
     mesh = build_background_mesh(config.resolved_box(), (n, n))
     field = interpolate_levelset(case.phi, mesh, config.levelset_degree)
-    domain = classify_domain(field, mesh)
+    domain = classify_domain(field)
     parts = assemble_parts(domain, field, case.f, config.k, sigmas,
                            outer_data=case.outer_data)
     rows, solutions = [], []
@@ -308,7 +310,6 @@ def run_case(config: RunConfig) -> list[dict]:
     solved internally and not reported, but a failed reference solve
     sets the status of the row it feeds.
     """
-    config.validate()
     return _run_study(config, [config.sigma])
 
 
@@ -319,7 +320,6 @@ def sigma_sweep(config: RunConfig, sigmas: list[float]) -> list[dict]:
     """
     config = dataclasses.replace(config,
                                  sigmas=tuple(float(s) for s in sigmas))
-    config.validate()
     return _run_study(config, list(config.sigmas))
 
 
@@ -329,7 +329,6 @@ def conditioning_study(config: RunConfig) -> tuple[list[dict], float | None]:
     Returns (rows, slope); the slope is fitted by least squares over the
     levels whose estimate converged, and is None when fewer than two did.
     """
-    config.validate()
     cfg = dataclasses.replace(config, tasks=("conditioning",))
     rows = _run_study(cfg, [cfg.sigma])
     pts = [(row["h"], row["kappa"]) for row in rows

@@ -4,9 +4,13 @@ The geometry enters only through a Lagrange interpolant of the level-set
 function on the full background mesh.  A triangle is active when the
 interpolant is negative somewhere on it, judged by sampling on a fixed
 barycentric lattice; no geometric tolerance or snapping is applied, so
-classification is reproducible bit for bit.  The facet sets it returns
-carry ids and owner triangles only: a facet's length and outward normal
-follow from its owner's shape and local facet (`fem_core.facet_frames`).
+classification is reproducible bit for bit.  `classify_domain` takes the
+interpolant alone (its mesh is the field's) and is the one place that
+reads facet adjacency: the ghost and boundary facets and the boundary
+owners all come from one lookup of the active mask on
+`mesh.facet_triangles`.  The facet sets carry ids and owner triangles
+only: a facet's length and outward normal follow from its owner's shape
+and local facet (`fem_core.facet_frames`).
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .fem_core import DofMap, _lattice_multi_indices, build_dof_map
-from .mesh import BackgroundMesh, submesh_boundary_facets
+from .mesh import BackgroundMesh
 
 __all__ = [
     "AnalyticField",
@@ -84,8 +88,10 @@ class ActiveDomain:
     active_triangles : triangles where the interpolant dips below zero.
     cut_triangles : active triangles where it also reaches >= 0.
     ghost_facets : interior facets of the active set with a cut neighbour.
-    boundary_facets : facets bounding the active set, with their owner
-        triangles alongside.
+    boundary_facets : facets with exactly one active neighbour.
+    boundary_owners : that neighbour, the owner of each boundary facet.
+
+    All five are read-only integer arrays; all but the owners ascend.
     """
 
     mesh: BackgroundMesh
@@ -121,16 +127,17 @@ def _sign_lattice(degree: int) -> np.ndarray:
     return values
 
 
-def classify_domain(field: LevelSetField, mesh: BackgroundMesh
-                    ) -> ActiveDomain:
-    """Split the mesh into active, cut and outside triangles.
+def classify_domain(field: LevelSetField) -> ActiveDomain:
+    """Split the level set's mesh into active, cut and outside triangles.
 
     A triangle is active when the lattice minimum of the interpolant is
     strictly negative, and cut when additionally the lattice maximum is
     nonnegative.  A triangle whose minimum is exactly zero stays inactive.
+    Every facet set is read from one (n_facets, 2) lookup of the active
+    mask: ghost facets have both neighbours active, boundary facets
+    exactly one, and that one owns the facet.
     """
-    if field.mesh is not mesh:
-        raise ValueError("level-set field was interpolated on a different mesh")
+    mesh = field.mesh
     basis = _sign_lattice(field.degree)
     coeffs = field.cell_coefficients(np.arange(mesh.n_triangles))
     # one row per lattice point, (n_lattice, n_triangles): the extremes
@@ -146,20 +153,21 @@ def classify_domain(field: LevelSetField, mesh: BackgroundMesh
     cut = np.nonzero(active_mask & (maxs >= 0.0))[0]
 
     # one slot more than triangles: a missing neighbour (-1) reads False
-    both_active = np.append(active_mask, False)[mesh.facet_triangles].all(
-        axis=1)
+    ft = mesh.facet_triangles
+    inside = np.append(active_mask, False)[ft]
     touches_cut = np.zeros(mesh.n_facets, dtype=bool)
     touches_cut[mesh.triangle_facets[cut].ravel()] = True
-    ghost = np.nonzero(both_active & touches_cut)[0]
+    ghost = np.nonzero(inside.all(axis=1) & touches_cut)[0]
+    boundary = np.nonzero(inside[:, 0] != inside[:, 1])[0]
+    owners = np.where(inside[boundary, 0], ft[boundary, 0], ft[boundary, 1])
 
-    boundary = submesh_boundary_facets(mesh, active)
-    for arr in (active, cut, ghost):
+    for arr in (active, cut, ghost, boundary, owners):
         arr.setflags(write=False)
     return ActiveDomain(
         mesh=mesh,
         active_triangles=active,
         cut_triangles=cut,
         ghost_facets=ghost,
-        boundary_facets=boundary.facets,
-        boundary_owners=boundary.owners,
+        boundary_facets=boundary,
+        boundary_owners=owners,
     )

@@ -13,6 +13,9 @@ the facet's kind, its cell offset in its kind's grid, the triangle's
 side on it and its two ends.  `build_background_mesh` builds the facet
 arrays from it, and `fem_core` its facet tables and its closed-form
 facet lengths and normals, so no length or normal is stored per facet.
+The mesh knows no subset of its triangles: which facets bound or lie
+inside an active set is read off `facet_triangles` by
+`levelset.classify_domain`.
 """
 from __future__ import annotations
 
@@ -28,9 +31,7 @@ __all__ = [
     "LocalFacet",
     "LOCAL_FACETS",
     "BackgroundMesh",
-    "BoundaryFacets",
     "build_background_mesh",
-    "submesh_boundary_facets",
     "locate_points",
 ]
 
@@ -109,13 +110,6 @@ class BackgroundMesh:
         return (xmax - xmin) / nx, (ymax - ymin) / ny
 
 
-class BoundaryFacets(NamedTuple):
-    """Facets bounding a triangle subset, with their owners."""
-
-    facets: np.ndarray   # (F,) facet ids, ascending
-    owners: np.ndarray   # (F,) the unique incident triangle inside the subset
-
-
 def build_background_mesh(box: tuple[float, float, float, float],
                           n_cells: tuple[int, int]) -> BackgroundMesh:
     """Build the structured triangle mesh of a rectangle.
@@ -180,30 +174,6 @@ def build_background_mesh(box: tuple[float, float, float, float],
         triangle_facets=triangle_facets,
         h=float(np.hypot((xmax - xmin) / nx, (ymax - ymin) / ny)),
     )
-
-
-def submesh_boundary_facets(mesh: BackgroundMesh,
-                            active: np.ndarray) -> BoundaryFacets:
-    """Facets with exactly one incident triangle in `active`.
-
-    Together these facets bound the union of the active triangles.  Each
-    comes with its unique active triangle; its outward normal is that of
-    the owner's shape and local facet (`fem_core.facet_frames`).
-    """
-    active = np.asarray(active, dtype=np.int64)
-    if active.size == 0:
-        raise ValueError("active triangle set is empty")
-    if active.min() < 0 or active.max() >= mesh.n_triangles:
-        raise ValueError("active triangle ids out of range")
-    # one slot more than triangles: a missing neighbour (-1) reads False
-    mask = np.zeros(mesh.n_triangles + 1, dtype=bool)
-    mask[active] = True
-
-    ft = mesh.facet_triangles
-    inside = mask[ft]                                     # (n_facets, 2)
-    ids = np.nonzero(inside[:, 0] != inside[:, 1])[0]
-    owners = np.where(inside[ids, 0], ft[ids, 0], ft[ids, 1])
-    return BoundaryFacets(facets=ids, owners=owners)
 
 
 def locate_points(mesh: BackgroundMesh, points: np.ndarray

@@ -211,7 +211,7 @@ def test_06_property_suite(tmp_path):
     for k in (1, 2, 3):
         mesh = build_background_mesh(case.box, (7, 7))
         field = interpolate_levelset(case.phi, mesh, k)
-        domain = classify_domain(field, mesh)
+        domain = classify_domain(field)
         system = assemble_system(domain, field, case.f, k, 20.0,
                                  outer_data=case.outer_data)
         nodes = system.dofmap.node_coords
@@ -224,7 +224,7 @@ def test_06_property_suite(tmp_path):
     disk = get_case("circle")
     mesh = build_background_mesh(disk.box, (20, 20))
     field = interpolate_levelset(disk.phi, mesh, 1)
-    domain = classify_domain(field, mesh)
+    domain = classify_domain(field)
     ghost = 20.0 * assemble_ghost_part(
         domain, field, disk.f, 1,
         build_dof_map(mesh, domain.active_triangles, 1))[0]
@@ -273,7 +273,7 @@ def test_06_property_suite(tmp_path):
     planted = get_case("planted")
     mesh2 = build_background_mesh(planted.box, (2, 2))
     field2 = interpolate_levelset(planted.phi, mesh2, 1)
-    domain2 = classify_domain(field2, mesh2)
+    domain2 = classify_domain(field2)
     if not (np.array_equal(domain2.active_triangles, np.arange(8))
             and np.array_equal(domain2.cut_triangles, [2, 3, 6, 7])):
         bad.append("classification differs from the hand oracle")
@@ -281,7 +281,7 @@ def test_06_property_suite(tmp_path):
     # estimated condition number against the dense SVD
     mesh3 = build_background_mesh(disk.box, (10, 10))
     field3 = interpolate_levelset(disk.phi, mesh3, 1)
-    small = assemble_system(classify_domain(field3, mesh3), field3,
+    small = assemble_system(classify_domain(field3), field3,
                             disk.f, 1, 20.0)
     assert small.n_dofs <= 2000
     est = estimate_condition_number(small)

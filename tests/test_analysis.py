@@ -26,7 +26,7 @@ def _solve_case(name, n, k, sigma=20.0):
     case = get_case(name)
     mesh = build_background_mesh(case.box, (n, n))
     field = interpolate_levelset(case.phi, mesh, k)
-    domain = classify_domain(field, mesh)
+    domain = classify_domain(field)
     system = assemble_system(domain, field, case.f, k, sigma,
                              outer_data=case.outer_data)
     report = solve(system)
@@ -67,7 +67,7 @@ def test_random_affine_planted_case_is_exact(theta, point, n, k):
         value=lambda x, y: np.full_like(x, -2.0 * (cos + sin)))
     mesh = build_background_mesh((0.0, 0.0, 1.0, 1.0), (n, n))
     field = interpolate_levelset(AnalyticField(value=phi), mesh, k)
-    domain = classify_domain(field, mesh)
+    domain = classify_domain(field)
     system = assemble_system(domain, field, f, k, 20.0,
                              outer_data=AnalyticField(value=w))
     sol = make_solution(system, field, solve(system).x)
@@ -85,7 +85,7 @@ def test_batched_errors_equal_single_calls(k, count, seed):
     case = get_case("circle")
     mesh = build_background_mesh(case.box, (8, 8))
     field = interpolate_levelset(case.phi, mesh, k)
-    domain = classify_domain(field, mesh)
+    domain = classify_domain(field)
     dofmap = build_dof_map(mesh, domain.active_triangles, k)
     rng = np.random.default_rng(seed)
     sols = [ProductSolution(field, dofmap, rng.standard_normal(dofmap.n_dofs))
@@ -115,7 +115,7 @@ def test_batched_reference_errors_equal_single_calls(k, count, seed):
     for n in (6, 24):
         mesh = build_background_mesh(case.box, (n, n))
         field = interpolate_levelset(case.phi, mesh, k)
-        domain = classify_domain(field, mesh)
+        domain = classify_domain(field)
         dofmap = build_dof_map(mesh, domain.active_triangles, k)
         levels.append((domain, [
             ProductSolution(field, dofmap, rng.standard_normal(dofmap.n_dofs))
@@ -170,13 +170,13 @@ def test_reference_comparison_rejects_meshes_that_do_not_nest():
     def solution(box, n_cells):
         mesh = build_background_mesh(box, n_cells)
         field = interpolate_levelset(case.phi, mesh, 1)
-        dofmap = build_dof_map(mesh, classify_domain(field, mesh)
+        dofmap = build_dof_map(mesh, classify_domain(field)
                                .active_triangles, 1)
         return field, ProductSolution(field, dofmap,
                                       rng.standard_normal(dofmap.n_dofs))
 
     field, coarse = solution(case.box, (4, 4))
-    domain = classify_domain(field, field.mesh)
+    domain = classify_domain(field)
     shifted = tuple(x + 0.125 for x in case.box)
     for box, n_cells in ((case.box, (6, 6)),      # no integer ratio
                          (shifted, (8, 8)),       # another box

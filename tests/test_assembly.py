@@ -76,7 +76,7 @@ def test_full_system_matches_manual_assembly():
     # core form alone and can be rebuilt kernel by kernel.
     mesh = build_background_mesh(UNIT_BOX, (2, 2))
     field = _const_field(mesh, -1.0)
-    domain = classify_domain(field, mesh)
+    domain = classify_domain(field)
     f = AnalyticField(value=lambda x, y: x + 2.0 * y)
     system = assemble_system(domain, field, f, 1, 20.0)
     assert domain.cut_triangles.size == 0
@@ -103,6 +103,10 @@ def test_full_system_matches_manual_assembly():
     plain = assemble_system(domain, field, f, 1, 0.0)
     assert (system.A != plain.A).nnz == 0
     np.testing.assert_array_equal(system.b, plain.b)
+    # and its parts, summed over no cut triangle, are float zeros
+    G, g = assemble_ghost_part(domain, field, f, 1, dofmap)
+    assert not G.toarray().any()
+    assert g.dtype == np.float64 and g.shape == (n,) and not g.any()
 
 
 def test_ghost_jump_kernel_hand_integral():
@@ -198,7 +202,7 @@ def test_ghost_matrix_symmetric_and_psd(n, k, radius, shift):
     f = AnalyticField(value=lambda x, y: np.ones_like(x))
     mesh = build_background_mesh(UNIT_BOX, (n, n))
     field = interpolate_levelset(phi, mesh, k)
-    domain = classify_domain(field, mesh)
+    domain = classify_domain(field)
     assert domain.ghost_facets.size > 0
     ghost, _ = assemble_ghost_part(
         domain, field, f, k, build_dof_map(mesh, domain.active_triangles, k))
@@ -211,7 +215,7 @@ def test_full_matrix_positive_on_random_vectors():
     case = get_case("circle")
     mesh = build_background_mesh(case.box, (20, 20))
     field = interpolate_levelset(case.phi, mesh, 1)
-    domain = classify_domain(field, mesh)
+    domain = classify_domain(field)
     system = assemble_system(domain, field, case.f, 1, 20.0)
     rng = np.random.default_rng(20240911)
     for _ in range(1000):
@@ -223,7 +227,7 @@ def test_sigma_zero_skips_penalty_assembly(monkeypatch):
     case = get_case("circle")
     mesh = build_background_mesh(case.box, (8, 8))
     field = interpolate_levelset(case.phi, mesh, 1)
-    domain = classify_domain(field, mesh)
+    domain = classify_domain(field)
 
     def boom(*args, **kwargs):
         raise AssertionError("penalty assembled despite sigma = 0")
@@ -240,7 +244,7 @@ def test_planted_polynomial_reproduced(k):
     case = get_case("planted")
     mesh = build_background_mesh(case.box, (7, 7))
     field = interpolate_levelset(case.phi, mesh, k)
-    domain = classify_domain(field, mesh)
+    domain = classify_domain(field)
     system = assemble_system(domain, field, case.f, k, 20.0,
                              outer_data=case.outer_data)
     report = solve(system)
@@ -275,7 +279,7 @@ def test_zero_sets_along_mesh_lines(k, n):
         phi = AnalyticField(value=lambda x, y: a * x + b * y + c)
         f = AnalyticField(value=lambda x, y: np.full_like(x, -2.0 * (a + b)))
         field = interpolate_levelset(phi, mesh, k)
-        domain = classify_domain(field, mesh)
+        domain = classify_domain(field)
         verts = mesh.vertices[mesh.triangles[domain.active_triangles]]
         outside = (phi.value(verts[..., 0], verts[..., 1]) >= 0.0).all(1)
         assert not outside.any()
@@ -305,7 +309,7 @@ def test_outer_pinning_rows_are_identity():
     case = get_case("planted")
     mesh = build_background_mesh(case.box, (4, 4))
     field = interpolate_levelset(case.phi, mesh, 1)
-    domain = classify_domain(field, mesh)
+    domain = classify_domain(field)
     system = assemble_system(domain, field, case.f, 1, 20.0,
                              outer_data=case.outer_data)
     a = system.A
@@ -334,7 +338,7 @@ def test_parts_form_each_penalty_system():
     case = get_case("planted")
     mesh = build_background_mesh(case.box, (6, 6))
     field = interpolate_levelset(case.phi, mesh, 2)
-    domain = classify_domain(field, mesh)
+    domain = classify_domain(field)
     sigmas = [0.0, 0.5, 20.0]
     parts = assemble_parts(domain, field, case.f, 2, sigmas,
                            outer_data=case.outer_data)
@@ -377,7 +381,7 @@ def test_parts_do_not_depend_on_chunk_size(monkeypatch, k):
                 (_const_field(minus_one_mesh, -1.0, k), f)]
 
     def parts(field, source):
-        return assemble_parts(classify_domain(field, field.mesh), field,
+        return assemble_parts(classify_domain(field), field,
                               source, k, [0.0, 1.0])
 
     for field, source in problems:
@@ -400,7 +404,7 @@ def test_assemble_validation():
     case = get_case("circle")
     mesh = build_background_mesh(case.box, (6, 6))
     field = interpolate_levelset(case.phi, mesh, 1)
-    domain = classify_domain(field, mesh)
+    domain = classify_domain(field)
     with pytest.raises(ValueError):
         assemble_system(domain, field, case.f, 4, 20.0)
     with pytest.raises(ValueError):
@@ -431,7 +435,7 @@ def test_batched_assembly_matches_per_entity_kernels(n, k, radius, shift,
     sigma = 20.0
     mesh = build_background_mesh(UNIT_BOX, (n, n))
     field = interpolate_levelset(phi, mesh, k)
-    domain = classify_domain(field, mesh)
+    domain = classify_domain(field)
     assert domain.ghost_facets.size > 0
     system = assemble_system(domain, field, f, k, sigma)
 
@@ -580,7 +584,7 @@ def test_shape_kernels_match_plain_quadrature(k, l):
         value=lambda x, y: (x - 0.25) ** 2 + (y - 0.5) ** 2 - 0.3 ** 2)
     f = AnalyticField(value=lambda x, y: np.sin(3.0 * x) + y * y)
     field = interpolate_levelset(phi, mesh, l)
-    domain = classify_domain(field, mesh)
+    domain = classify_domain(field)
     assert domain.cut_triangles.size and domain.ghost_facets.size
     degrees = quadrature_degrees(k, l)
     vol = triangle_quadrature(degrees["volume"])

@@ -66,6 +66,11 @@ def test_config_rejects_unknown_keys():
     {"sigmas": (1.0, -2.0)},
     # an integer would be opened as a file descriptor
     {"out": 1},
+    # nothing to run, or a null where a value is needed
+    {"tasks": []},
+    {"n": None},
+    {"levels": None},
+    {"tasks": None},
 ])
 def test_config_rejects_bad_values(data):
     with pytest.raises(ValueError):

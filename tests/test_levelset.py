@@ -95,7 +95,7 @@ def test_classification_hand_oracle_2x2():
     mesh = build_background_mesh(UNIT_BOX, (2, 2))
     field = interpolate_levelset(AnalyticField(value=lambda x, y: x - 0.51),
                                  mesh, 1)
-    domain = classify_domain(field, mesh)
+    domain = classify_domain(field)
     np.testing.assert_array_equal(domain.active_triangles, np.arange(8))
     np.testing.assert_array_equal(domain.cut_triangles, [2, 3, 6, 7])
     # Ghost facets by vertex pair: (v4,v5), (v1,v4), (v4,v7), (v1,v5), (v4,v8).
@@ -113,7 +113,7 @@ def test_all_negative_level_set():
     mesh = build_background_mesh(UNIT_BOX, (2, 2))
     field = interpolate_levelset(AnalyticField(value=lambda x, y: x * 0 - 1.0),
                                  mesh, 1)
-    domain = classify_domain(field, mesh)
+    domain = classify_domain(field)
     assert domain.active_triangles.size == 8
     assert domain.cut_triangles.size == 0
     assert domain.ghost_facets.size == 0
@@ -126,16 +126,7 @@ def test_nonnegative_level_set_raises():
                  lambda x, y: x):            # zero on the left edge only
         field = interpolate_levelset(AnalyticField(value=func), mesh, 1)
         with pytest.raises(EmptyActiveSetError):
-            classify_domain(field, mesh)
-
-
-def test_classify_rejects_foreign_mesh():
-    mesh = build_background_mesh(UNIT_BOX, (2, 2))
-    other = build_background_mesh(UNIT_BOX, (2, 2))
-    field = interpolate_levelset(AnalyticField(value=lambda x, y: x - 0.51),
-                                 mesh, 1)
-    with pytest.raises(ValueError):
-        classify_domain(field, other)
+            classify_domain(field)
 
 
 def test_sub_nodal_dip_is_detected():
@@ -147,7 +138,7 @@ def test_sub_nodal_dip_is_detected():
     phi = AnalyticField(value=lambda x, y: 7.6 * x ** 2 - 5.6 * x + 1.0 + y)
     field = interpolate_levelset(phi, mesh, 2)
     assert (field.coefficients > 0.0).all()
-    domain = classify_domain(field, mesh)
+    domain = classify_domain(field)
     np.testing.assert_array_equal(domain.active_triangles, [0])
     np.testing.assert_array_equal(domain.cut_triangles, [0])
     assert domain.ghost_facets.size == 0
@@ -161,7 +152,7 @@ def test_active_set_grows_with_the_domain():
         phi = AnalyticField(
             value=lambda x, y, r=r: (x - 0.5) ** 2 + (y - 0.5) ** 2 - r ** 2)
         field = interpolate_levelset(phi, mesh, 2)
-        domains.append(classify_domain(field, mesh))
+        domains.append(classify_domain(field))
     small, big = domains
     assert np.isin(small.active_triangles, big.active_triangles).all()
     assert small.active_triangles.size < big.active_triangles.size
@@ -171,8 +162,8 @@ def test_classification_deterministic():
     mesh = build_background_mesh(UNIT_BOX, (5, 5))
     phi = AnalyticField(
         value=lambda x, y: (x - 0.5) ** 2 + (y - 0.5) ** 2 - 0.125)
-    a = classify_domain(interpolate_levelset(phi, mesh, 2), mesh)
-    b = classify_domain(interpolate_levelset(phi, mesh, 2), mesh)
+    a = classify_domain(interpolate_levelset(phi, mesh, 2))
+    b = classify_domain(interpolate_levelset(phi, mesh, 2))
     np.testing.assert_array_equal(a.active_triangles, b.active_triangles)
     np.testing.assert_array_equal(a.cut_triangles, b.cut_triangles)
     np.testing.assert_array_equal(a.ghost_facets, b.ghost_facets)
@@ -195,7 +186,7 @@ def test_classification_matches_rowwise_sampling(degree):
     for shift, radius in geometries:
         case = shifted_disk(np.asarray(shift) / n, radius)
         field = interpolate_levelset(case.phi, mesh, degree)
-        domain = classify_domain(field, mesh)
+        domain = classify_domain(field)
 
         samples = field.cell_coefficients(tris) @ _sign_lattice(degree).T
         active = samples.min(axis=1) < 0.0
@@ -209,3 +200,47 @@ def test_classification_matches_rowwise_sampling(degree):
                                       np.flatnonzero(cut))
         np.testing.assert_array_equal(domain.ghost_facets,
                                       np.flatnonzero(both_active & by_cut))
+
+
+def _facet_oracle(mesh, active, cut):
+    """Ghost facets, boundary facets and owners, one facet at a time."""
+    active, cut = set(active.tolist()), set(cut.tolist())
+    ghost, boundary, owners = [], [], []
+    for facet, pair in enumerate(mesh.facet_triangles.tolist()):
+        inside = [t for t in pair if t in active]   # -1 is never active
+        if len(inside) == 2 and cut & set(inside):
+            ghost.append(facet)
+        if len(inside) == 1:
+            boundary.append(facet)
+            owners.append(inside[0])
+    return ghost, boundary, owners
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_facet_sets_match_per_facet_oracle(degree):
+    # random nodal fields, mostly, half or sparsely negative, so active
+    # sets run up to the box and stop short of it
+    rng = np.random.default_rng(25 + degree)
+    box_owned = 0
+    for n_cells in [(1, 1), (1, 5), (4, 3), (7, 7)]:
+        mesh = build_background_mesh((0.0, 0.0, 2.0, 1.0), n_cells)
+        for offset in (-1.5, 0.0, 1.5):
+            def phi(x, y, offset=offset):
+                values = rng.standard_normal(x.shape) + offset
+                values[rng.integers(values.size)] = -1.0
+                return values
+            domain = classify_domain(
+                interpolate_levelset(AnalyticField(value=phi), mesh, degree))
+            ghost, boundary, owners = _facet_oracle(
+                mesh, domain.active_triangles, domain.cut_triangles)
+            np.testing.assert_array_equal(domain.ghost_facets, ghost)
+            np.testing.assert_array_equal(domain.boundary_facets, boundary)
+            np.testing.assert_array_equal(domain.boundary_owners, owners)
+            for arr in (domain.active_triangles, domain.cut_triangles,
+                        domain.ghost_facets, domain.boundary_facets,
+                        domain.boundary_owners):
+                assert arr.dtype.kind == "i" and not arr.flags.writeable
+            box_owned += int(
+                (mesh.facet_triangles[domain.boundary_facets, 1] < 0).sum())
+    # the missing neighbour (-1) of box facets was exercised
+    assert box_owned > 0

@@ -66,7 +66,7 @@ def _assembled(n, k=1, sigma=20.0, shift=(0.0, 0.0), case=None):
 
     mesh = build_background_mesh(case.box, (n, n))
     field = interpolate_levelset(moved(case.phi), mesh, k)
-    domain = classify_domain(field, mesh)
+    domain = classify_domain(field)
     return assemble_system(domain, field, moved(case.f), k, sigma)
 
 
@@ -229,7 +229,7 @@ def _standard_fem(n, k):
     mesh = build_background_mesh(case.box, (n, n))
     field = interpolate_levelset(
         AnalyticField(value=lambda x, y: -np.ones_like(x)), mesh, k)
-    domain = classify_domain(field, mesh)
+    domain = classify_domain(field)
     assert domain.cut_triangles.size == 0
     assert domain.ghost_facets.size == 0
     zero = AnalyticField(value=lambda x, y: np.zeros_like(x))

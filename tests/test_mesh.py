@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phifem.mesh import (build_background_mesh, locate_points,
-                         submesh_boundary_facets)
+from phifem.levelset import (AnalyticField, classify_domain,
+                             interpolate_levelset)
+from phifem.mesh import build_background_mesh, locate_points
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
@@ -102,22 +103,33 @@ def test_interior_facet_count():
     assert interior == mesh.n_facets - 2 * (4 + 5)
 
 
+def _domain_selecting(mesh, phi, active):
+    """The domain of the P1 level set `phi`, after checking that it
+    selects exactly the triangles `active`."""
+    domain = classify_domain(
+        interpolate_levelset(AnalyticField(value=phi), mesh, 1))
+    np.testing.assert_array_equal(domain.active_triangles, active)
+    return domain
+
+
 def test_boundary_facets_whole_mesh():
     mesh = build_background_mesh(UNIT, (2, 2))
-    bnd = submesh_boundary_facets(mesh, np.arange(mesh.n_triangles))
-    assert bnd.facets.size == 8
+    domain = _domain_selecting(mesh, lambda x, y: x * 0 - 1.0,
+                               np.arange(mesh.n_triangles))
+    assert domain.boundary_facets.size == 8
     # all boundary facets lie on the unit-square edge
-    ends = mesh.vertices[mesh.facets[bnd.facets]]
+    ends = mesh.vertices[mesh.facets[domain.boundary_facets]]
     on_edge = ((ends == 0.0) | (ends == 1.0)).any(axis=2).all(axis=1)
     assert on_edge.all()
 
 
 def test_boundary_facets_single_cell():
     mesh = build_background_mesh(UNIT, (2, 2))
-    # both triangles of cell (0, 0): the cell perimeter, diagonal interior
-    bnd = submesh_boundary_facets(mesh, np.array([0, 1]))
-    assert bnd.facets.size == 4
-    ends = mesh.vertices[mesh.facets[bnd.facets]]
+    # both triangles of cell (0, 0), the only ones holding the one
+    # negative vertex: the cell perimeter, diagonal interior
+    domain = _domain_selecting(mesh, lambda x, y: x + y - 0.25, [0, 1])
+    assert domain.boundary_facets.size == 4
+    ends = mesh.vertices[mesh.facets[domain.boundary_facets]]
     lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
     np.testing.assert_allclose(lengths, 0.5, rtol=1e-15)
 
@@ -127,10 +139,9 @@ def test_boundary_facets_left_column():
     # triangles of cells (0,0) and (0,1): the [0, 0.5] x [0, 1] rectangle.
     # Perimeter: 1 bottom + 1 top + 2 left + 2 right facets = 6; the two
     # diagonals and the horizontal facet at y=0.5 are interior.
-    active = np.array([0, 1, 4, 5])
-    bnd = submesh_boundary_facets(mesh, active)
-    assert bnd.facets.size == 6
-    mids = mesh.vertices[mesh.facets[bnd.facets]].mean(axis=1)
+    domain = _domain_selecting(mesh, lambda x, y: x - 0.25, [0, 1, 4, 5])
+    assert domain.boundary_facets.size == 6
+    mids = mesh.vertices[mesh.facets[domain.boundary_facets]].mean(axis=1)
     on_perimeter = (np.isin(mids[:, 0], (0.0, 0.5))
                     | np.isin(mids[:, 1], (0.0, 1.0)))
     assert on_perimeter.all()
@@ -138,17 +149,13 @@ def test_boundary_facets_left_column():
 
 def test_boundary_owners_and_normals():
     mesh = build_background_mesh(UNIT, (3, 3))
-    active = np.array([0, 1, 2, 3, 6, 7])   # bottom-left 2x1 block of cells
-    bnd = submesh_boundary_facets(mesh, active)
-    assert np.isin(bnd.owners, active).all()
-
-
-def test_boundary_facets_rejects_bad_input():
-    mesh = build_background_mesh(UNIT, (2, 2))
-    with pytest.raises(ValueError):
-        submesh_boundary_facets(mesh, np.array([], dtype=np.int64))
-    with pytest.raises(ValueError):
-        submesh_boundary_facets(mesh, np.array([8]))
+    # cells (0,0), (1,0) and (0,1): those holding a vertex with x + y < 0.4
+    active = np.array([0, 1, 2, 3, 6, 7])
+    domain = _domain_selecting(mesh, lambda x, y: x + y - 0.4, active)
+    assert np.isin(domain.boundary_owners, active).all()
+    # each owner holds its facet
+    held = mesh.triangle_facets[domain.boundary_owners]
+    assert (held == domain.boundary_facets[:, None]).any(axis=1).all()
 
 
 def test_locate_points_recovers_barycenters():

@@ -84,7 +84,7 @@ def measure(k, shift_cells, radius, sigma, errors=True, n=N):
     mesh = build_background_mesh(CIRCLE.box, (n, n))
     case = shifted_disk(np.asarray(shift_cells) / n, radius)
     field = interpolate_levelset(case.phi, mesh, k)
-    domain = classify_domain(field, mesh)
+    domain = classify_domain(field)
     system = assemble_system(domain, field, case.f, k, sigma)
     out = {"kappa_h2": estimate_condition_number(system).kappa * mesh.h ** 2}
     if errors:
@@ -183,8 +183,7 @@ def test_zero_set_through_vertices(k):
     # touches the zero set there from outside has a lattice minimum of
     # exactly 0 and stays inactive, and one inside is cut
     mesh = build_background_mesh(CIRCLE.box, (N, N))
-    domain = classify_domain(interpolate_levelset(through.phi, mesh, k),
-                             mesh)
+    domain = classify_domain(interpolate_levelset(through.phi, mesh, k))
     touching = np.flatnonzero(
         np.isin(mesh.triangles, zero_vertices(mesh, through)[0]).any(axis=1))
     active = np.isin(touching, domain.active_triangles)
@@ -205,8 +204,7 @@ def test_zero_set_moved_off_vertices(k):
                      zero_vertices(mesh, cases[0])[1]).any(axis=1)
     active, cut = [], []
     for case in cases:
-        domain = classify_domain(interpolate_levelset(case.phi, mesh, k),
-                                 mesh)
+        domain = classify_domain(interpolate_levelset(case.phi, mesh, k))
         active.append(np.isin(np.arange(mesh.n_triangles),
                               domain.active_triangles))
         cut.append(np.isin(np.arange(mesh.n_triangles), domain.cut_triangles))

@@ -33,8 +33,12 @@ import scipy.sparse as sp
 import phifem
 from phifem import cli, linalg
 from phifem.assembly import SparseSystem
+from phifem.cases import get_case
+from phifem.levelset import (EmptyActiveSetError, classify_domain,
+                             interpolate_levelset)
 from phifem.linalg import (NoConvergenceError, estimate_condition_number,
                            solve)
+from phifem.mesh import build_background_mesh
 
 _ROOT = Path(__file__).resolve().parents[1]
 _SPANS = _ROOT / "perfbench" / "spans.py"
@@ -113,6 +117,21 @@ def test_solve_reader_reads_solver_reports():
     sizes = _SPANS_MODULE._solve_sizes((system,), report, None)
     assert sizes == {"method": "sparse-lu", "iters": report.iterations,
                      "residual": report.residual}
+
+
+def test_classify_reader_reads_the_facet_set_sizes():
+    # the tracer calls it with classify_domain's arguments and result
+    case = get_case("circle")
+    field = interpolate_levelset(
+        case.phi, build_background_mesh(case.box, (10, 10)), 2)
+    domain = classify_domain(field)
+    sizes = _SPANS_MODULE._classify_sizes((field,), domain, None)
+    assert sizes == {"cut_triangles": domain.cut_triangles.size,
+                     "ghost_facets": domain.ghost_facets.size,
+                     "boundary_facets": domain.boundary_facets.size}
+    assert min(sizes.values()) > 0
+    assert _SPANS_MODULE._classify_sizes((field,), None,
+                                         EmptyActiveSetError()) == {}
 
 
 def test_tracer_sees_the_facet_kernels(monkeypatch):
