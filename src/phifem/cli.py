@@ -46,6 +46,7 @@ from .analysis import (ErrorReport, VanishingNormError, compute_errors,
 # (tests/test_tooling.py checks every name the tracer binds)
 from .assembly import assemble_parts, assemble_system  # noqa: F401
 from .cases import CASES, get_case
+from .fem_core import _DEGREES
 from .levelset import EmptyActiveSetError, classify_domain, \
     interpolate_levelset
 from .linalg import (NoConvergenceError, SingularMatrixError,
@@ -86,6 +87,13 @@ class RunConfig:
         if self.case not in CASES:
             raise ValueError(
                 f"unknown case {self.case!r}; choose from {sorted(CASES)}")
+        # a list is a non-empty tuple here; only tasks may not be None
+        for name in ("box", "tasks", "sigmas"):
+            value = getattr(self, name)
+            if not (isinstance(value, tuple) and value
+                    or value is None and name != "tasks"):
+                raise ValueError(
+                    f"{name} must be a non-empty list, got {value!r}")
         # l alone may be None: it then follows k
         for name in ("k", "n", "levels") + (() if self.l is None else ("l",)):
             value = getattr(self, name)
@@ -95,10 +103,9 @@ class RunConfig:
             if not _is_number(value, numbers.Real) or not np.isfinite(value):
                 raise ValueError(f"sigma values and box coordinates must be "
                                  f"finite numbers, got {value!r}")
-        if self.k not in (1, 2, 3):
-            raise ValueError(f"k must be 1, 2 or 3, got {self.k}")
-        if self.levelset_degree not in (1, 2, 3):
-            raise ValueError(f"l must be 1, 2 or 3, got {self.l}")
+        for name, value in (("k", self.k), ("l", self.levelset_degree)):
+            if value not in _DEGREES:
+                raise ValueError(f"{name} must be in {_DEGREES}, got {value}")
         for sigma in (self.sigma, *(self.sigmas or ())):
             if sigma < 0.0:
                 raise ValueError(f"sigma values must be >= 0, got {sigma}")
@@ -112,13 +119,9 @@ class RunConfig:
                 raise ValueError(f"degenerate box {self.box!r}")
         if not isinstance(self.out, (str, os.PathLike, type(None))):
             raise ValueError(f"out must be a file path, got {self.out!r}")
-        if not self.tasks:
-            raise ValueError("tasks must be a non-empty list")
         bad = set(self.tasks) - {"errors", "conditioning"}
         if bad:
             raise ValueError(f"unknown tasks {sorted(bad)}")
-        if self.sigmas is not None and len(self.sigmas) == 0:
-            raise ValueError("sigmas must be a non-empty list")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -128,7 +131,7 @@ class RunConfig:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
         data = dict(data)
         for key in ("box", "tasks", "sigmas"):
-            if data.get(key) is not None:
+            if isinstance(data.get(key), (list, tuple)):
                 data[key] = tuple(data[key])
         return cls(**data)
 
@@ -136,17 +139,6 @@ class RunConfig:
 def _is_number(value, kind) -> bool:
     """True for a number of the given `numbers` kind; a bool is none."""
     return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _blank_row(config: RunConfig, sigma: float) -> dict:
-    row = dict.fromkeys(CSV_HEADER.split(","))
-    row.update(k=config.k, l=config.levelset_degree, sigma=sigma, status="ok")
-    return row
-
-
-def _set_errors(row: dict, report: ErrorReport) -> None:
-    row["err_l2_rel"] = report.rel_l2
-    row["err_h1_rel"] = report.rel_h1_semi
 
 
 def _attempt(call, row: dict):
@@ -169,118 +161,107 @@ def _attempt(call, row: dict):
     return None
 
 
-def _condition(system, row: dict) -> None:
-    """Fill the row's kappa, from the partial estimate if one failed."""
-    estimate = _attempt(lambda: estimate_condition_number(system), row)
-    if estimate is not None:
-        row["kappa"] = estimate.kappa
-
-
-def _solve(system, field, row: dict):
-    """Solve one system; a failed solve keeps its best iterate, if any."""
-    x = _attempt(lambda: solve(system).x, row)
-    return None if x is None else make_solution(system, field, x)
-
-
 def _solve_level(config: RunConfig, n: int, sigmas: list[float],
                  reported: bool):
-    """One level for every penalty strength.
+    """Build and solve one level for every penalty strength.
 
     The mesh, level set, classification and sigma-free parts are built
-    once; then each strength gets its system, its solve (only when errors
-    are asked for: nothing else reads a solution) and, on a reported
-    level, its kappa, so no system outlives its own solve.  The
-    closed-form errors of a reported level are taken after the loop, in
-    one pass over every strength's solution.  Returns the domain and one
-    (row, solution) per strength; the solution is kept only when a finer
-    level must be compared with it.
+    once; then each strength gets its system, its row, its solve (only
+    when errors are asked for: nothing else reads a solution) and, on a
+    reported level, its kappa, so no system outlives its own solve.  A
+    failed solve keeps its best iterate, if any, and a failed estimate
+    its partial kappa.  Measures no errors: returns the domain and one
+    (row, solution) per strength, the solution None when there is none.
     """
     case = get_case(config.case)
-    want_errors = "errors" in config.tasks
-    keep = want_errors and case.u_exact is None
     mesh = build_background_mesh(config.resolved_box(), (n, n))
     field = interpolate_levelset(case.phi, mesh, config.levelset_degree)
     domain = classify_domain(field)
     parts = assemble_parts(domain, field, case.f, config.k, sigmas,
                            outer_data=case.outer_data)
-    rows, solutions = [], []
+    results = []
     for j, sigma in enumerate(sigmas):
-        row = _blank_row(config, sigma)
-        row["n_cells"] = n
-        row["h"] = mesh.h
         system = parts.system(sigma)
         if j == len(sigmas) - 1:
             del parts   # free A0 and G before the last solve
-        row["dofs"] = system.n_dofs
-        solutions.append(_solve(system, field, row) if want_errors else None)
+        row = dict.fromkeys(CSV_HEADER.split(","))
+        row.update(h=mesh.h, n_cells=n, dofs=system.n_dofs, k=config.k,
+                   l=config.levelset_degree, sigma=sigma, status="ok")
+        x = (_attempt(lambda: solve(system).x, row)
+             if "errors" in config.tasks else None)
         if reported and "conditioning" in config.tasks:
-            _condition(system, row)
+            estimate = _attempt(lambda: estimate_condition_number(system),
+                                row)
+            row["kappa"] = None if estimate is None else estimate.kappa
+        results.append(
+            (row, None if x is None else make_solution(system, field, x)))
         del system      # the error norms need only the solution
-        rows.append(row)
-    if reported and want_errors and not keep:
-        solved = [(row, sol) for row, sol in zip(rows, solutions)
-                  if sol is not None]
-        if solved:
-            reports = compute_errors([sol for _, sol in solved],
-                                     case.u_exact, domain)
-            for (row, _), report in zip(solved, reports):
-                _set_errors(row, report)
-    return domain, [(row, sol if keep else None)
-                    for row, sol in zip(rows, solutions)]
+    return domain, results
+
+
+def _measure(pairs: list, errors) -> None:
+    """Set the errors of every row in `pairs`, one (row, solution) per
+    strength, that has a solution; the only writer of the error columns.
+
+    `errors(solutions)` is called once, over every solution in order, and
+    returns one ErrorReport per solution; nothing is called without one.
+    """
+    solved = [(row, s) for row, s in pairs if s is not None]
+    if solved:
+        reports = errors([s for _, s in solved])
+        for (row, _), report in zip(solved, reports):
+            row["err_l2_rel"] = report.rel_l2
+            row["err_h1_rel"] = report.rel_h1_semi
 
 
 def _fill_orders(rows: list[dict]) -> None:
-    """Derive order columns from consecutive rows with both errors present."""
+    """Derive order columns from consecutive rows with errors present."""
     for prev, cur in zip(rows, rows[1:]):
-        ok = all(r["err_l2_rel"] is not None and r["err_h1_rel"] is not None
-                 for r in (prev, cur))
-        if not ok:
+        # _measure sets both errors of a row or neither
+        if prev["err_l2_rel"] is None or cur["err_l2_rel"] is None:
             continue
-        reports = [ErrorReport(h=r["h"], n_dofs=r["dofs"] or 0,
+        reports = [ErrorReport(h=r["h"], n_dofs=r["dofs"],
                                rel_l2=r["err_l2_rel"],
                                rel_h1_semi=r["err_h1_rel"])
                    for r in (prev, cur)]
-        (eoc_l2, eoc_h1), = estimated_orders(reports)
-        cur["eoc_l2"] = eoc_l2
-        cur["eoc_h1"] = eoc_h1
+        (cur["eoc_l2"], cur["eoc_h1"]), = estimated_orders(reports)
 
 
 def _compare(coarse: list, domain, fine: list) -> None:
     """Errors of one level's rows against the same strengths two levels
     finer; `coarse` and `fine` hold one (row, solution) per strength.
-    Every strength is measured in one pass.  A level with nothing to
-    compare (no uncut triangle where the reference is defined) keeps
-    blank errors, and its measured rows read `no-comparison`."""
-    measured = []
-    for (row, solution), (ref_row, ref_solution) in zip(coarse, fine):
-        if solution is None:
-            continue
-        # the hidden reference level's failure is this row's too
+
+    The hidden reference level's failure is its row's too.  Every
+    strength whose level and reference both have a solution is measured
+    by `_measure`, in one pass.  A level with nothing to compare (no
+    uncut triangle where the reference is defined) keeps blank errors,
+    and its rows that are still `ok` read `no-comparison`.
+    """
+    for (row, _), (ref_row, _) in zip(coarse, fine):
         if row["status"] == "ok":
             row["status"] = ref_row["status"]
-        if ref_solution is not None:
-            measured.append((row, solution, ref_solution))
-    if measured:
-        rows, solutions, references = zip(*measured)
-        try:
-            reports = compute_errors_vs_reference(list(solutions),
-                                                  list(references), domain)
-        except VanishingNormError:
-            for row in rows:
-                if row["status"] == "ok":
-                    row["status"] = "no-comparison"
-            return
-        for row, report in zip(rows, reports):
-            _set_errors(row, report)
+    pairs = [(row, None if ref is None else sol)
+             for (row, sol), (_, ref) in zip(coarse, fine)]
+    references = [ref for (_, sol), (_, ref) in zip(coarse, fine)
+                  if sol is not None and ref is not None]
+    try:
+        _measure(pairs, lambda solutions: compute_errors_vs_reference(
+            solutions, references, domain))
+    except VanishingNormError:
+        for row, _ in coarse:
+            if row["status"] == "ok":
+                row["status"] = "no-comparison"
 
 
 def _run_study(config: RunConfig, sigmas: list[float]) -> list[dict]:
     """All refinement levels for each penalty strength; rows grouped by
     sigma, in the order of `sigmas`.
 
-    Without a closed-form solution, two more levels are solved, and each
-    level is compared with the level two coarser as soon as it is solved,
-    so at most three levels of solutions are held at a time.
+    A level with a closed-form solution is measured by `_measure` as
+    soon as it is solved, and its solutions are dropped before the next
+    level is built.  Without a closed form, two more levels are solved,
+    and each level is compared with the level two coarser as soon as it
+    is solved, so at most three levels of solutions are held at a time.
     """
     case = get_case(config.case)
     compare = "errors" in config.tasks and case.u_exact is None
@@ -290,13 +271,18 @@ def _run_study(config: RunConfig, sigmas: list[float]) -> list[dict]:
         reported = i < config.levels
         domain, results = _solve_level(config, config.n * 2 ** i, sigmas,
                                        reported)
-        if reported:
-            for by_sigma, (row, _) in zip(rows, results):
-                by_sigma.append(row)
         if compare:
             if len(window) == 2:
                 _compare(*window[0], results)
             window.append((results, domain))
+        elif "errors" in config.tasks:
+            _measure(results, lambda solutions: compute_errors(
+                solutions, case.u_exact, domain))
+        if reported:
+            # a loop over the pairs would keep the last solution alive
+            for by_sigma, row in zip(rows, [row for row, _ in results]):
+                by_sigma.append(row)
+        del results     # only the window keeps a level's solutions
     for by_sigma in rows:
         _fill_orders(by_sigma)
     return [row for by_sigma in rows for row in by_sigma]

@@ -81,6 +81,10 @@ __all__ = [
 #: Hard ceiling on requested polynomial exactness of any quadrature rule.
 QUAD_DEGREE_CAP = 12
 
+# the Lagrange degrees the package accepts, for the solution and the level
+# set alike; the basis, the dof map, the level set and RunConfig read it
+_DEGREES = (1, 2, 3)
+
 
 def _lattice_multi_indices(p: int) -> np.ndarray:
     """Barycentric multi-indices (a0, a1, a2), a0+a1+a2 = p, bottom row first."""
@@ -115,7 +119,7 @@ def tabulate(degree: int, points_bary: np.ndarray
     grads : (Q, n, 2), derivatives in reference coordinates.
     hessians : (Q, n, 2, 2)
     """
-    if degree not in (1, 2, 3):
+    if degree not in _DEGREES:
         raise ValueError(f"unsupported polynomial degree {degree}")
     lam = np.asarray(points_bary, dtype=float)
     alpha = _lattice_multi_indices(degree)
@@ -269,7 +273,7 @@ def build_dof_map(mesh: BackgroundMesh, triangles: np.ndarray,
     times degree), so shared edge and vertex nodes coincide exactly with no
     floating point tolerance involved.
     """
-    if degree not in (1, 2, 3):
+    if degree not in _DEGREES:
         raise ValueError(f"unsupported polynomial degree {degree}")
     tris = np.asarray(triangles, dtype=np.int64)
     if tris.size == 0:

@@ -20,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fem_core import DofMap, _lattice_multi_indices, build_dof_map
+from .fem_core import (_DEGREES, DofMap, _lattice_multi_indices,
+                       build_dof_map)
 from .mesh import BackgroundMesh
 
 __all__ = [
@@ -66,7 +67,7 @@ class LevelSetField:
 def interpolate_levelset(phi: AnalyticField, mesh: BackgroundMesh,
                          degree: int) -> LevelSetField:
     """Interpolate `phi` at the degree-`degree` Lagrange nodes of the mesh."""
-    if degree not in (1, 2, 3):
+    if degree not in _DEGREES:
         raise ValueError(f"unsupported level-set degree {degree}")
     dofmap = build_dof_map(mesh, np.arange(mesh.n_triangles), degree)
     coeffs = np.asarray(

@@ -12,6 +12,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -71,6 +72,11 @@ def test_config_rejects_unknown_keys():
     {"n": None},
     {"levels": None},
     {"tasks": None},
+    # a list field given a scalar or a string
+    {"box": 1},
+    {"tasks": 5},
+    {"sigmas": 2.0},
+    {"tasks": "errors"},
 ])
 def test_config_rejects_bad_values(data):
     with pytest.raises(ValueError):
@@ -160,6 +166,37 @@ def test_sigma_sweep_builds_each_level_once(monkeypatch):
     assert measured == []
     assert len(compared) == 1
     assert all(row["err_l2_rel"] is not None for row in rows)
+
+
+@pytest.mark.parametrize("case,levels,held", [
+    ("circle", 3, 0),       # measured as soon as solved
+    ("rectangle", 2, 2)],   # the two levels a finer one is compared with
+    ids=["circle", "rectangle"])
+def test_no_level_keeps_its_solutions_past_their_use(monkeypatch, case,
+                                                     levels, held):
+    alive = []          # (n, weak reference) per solution made
+    seen = []           # the levels alive when each level starts
+    make, build = cli.make_solution, cli.build_background_mesh
+
+    def recorded(system, field, x):
+        solution = make(system, field, x)
+        alive.append((field.mesh.n_cells[0], weakref.ref(solution)))
+        return solution
+
+    def checked(box, n_cells):
+        seen.append(sorted({n for n, ref in alive if ref() is not None}))
+        return build(box, n_cells)
+
+    monkeypatch.setattr(cli, "make_solution", recorded)
+    monkeypatch.setattr(cli, "build_background_mesh", checked)
+    rows = sigma_sweep(RunConfig(case=case, k=1, n=4, levels=levels),
+                       [1.0, 20.0])
+    assert all(row["err_l2_rel"] is not None for row in rows)
+    sizes = [4 * 2 ** i for i in range(len(seen))]
+    assert len(seen) == levels + (2 if held else 0)
+    assert seen == [sizes[max(0, i - held):i] for i in range(len(seen))]
+    assert len(alive) == 2 * len(seen)
+    assert all(ref() is None for _, ref in alive)
 
 
 def test_conditioning_study_returns_slope():
