@@ -95,6 +95,13 @@ def _check_shared(solutions: list[ProductSolution]) -> None:
 _CHUNK = 2048
 
 
+def _squares(e: np.ndarray, w: np.ndarray) -> float:
+    """The weighted sum of squares of values (nT, Q) or gradients (nT,
+    Q, 2) at Q points with weights w: one fused pass over e that sums
+    per point, then one dot with w."""
+    return np.einsum("tq,tq->q" if e.ndim == 2 else "tqc,tqc->q", e, e) @ w
+
+
 def _relative_errors(solutions: list[ProductSolution], tris: np.ndarray,
                      target, vanishing: str) -> list[ErrorReport]:
     """Relative L2 and H1-seminorm errors of each solution against a target.
@@ -109,8 +116,12 @@ def _relative_errors(solutions: list[ProductSolution], tris: np.ndarray,
     one target per solution.  The gradients may be any view of that
     shape, such as a transposed (S, 2, nT, Q) array whose components are
     planes, the layout of the fields of phi and w (`eval_shapes`).
-    Raises VanishingNormError(`vanishing`) when a target has zero norm
-    on the triangles.
+    Each difference of a solution's field and its target is taken in
+    place in the field's own array, and every weighted sum of squares
+    is one einsum per point and a dot with the weights (`_squares`),
+    one call per solution and per target, so no squared or weighted
+    copy of a chunk is made.  Raises VanishingNormError(`vanishing`)
+    when a target has zero norm on the triangles.
     """
     field, dofmap = solutions[0].field, solutions[0].dofmap
     mesh = field.mesh
@@ -122,7 +133,7 @@ def _relative_errors(solutions: list[ProductSolution], tris: np.ndarray,
     phi_v, phi_g = phi_tables[0], physical_tables(phi_tables, inv)[0]
     w_v, w_g = w_tables[0], physical_tables(w_tables, inv)[0]
 
-    w = det * quad.weights[None, :]
+    w = det * quad.weights
     S = len(solutions)
     num_l2, num_h1 = np.zeros(S), np.zeros(S)
     den_l2 = den_h1 = 0.0
@@ -130,9 +141,8 @@ def _relative_errors(solutions: list[ProductSolution], tris: np.ndarray,
         sel = tris[start:start + _CHUNK]
         shape = sel % 2
         ex, ex_grad = target(sel, physical_points(mesh, sel, quad.points))
-        den_l2 = den_l2 + np.array([np.sum(w * e ** 2) for e in ex])
-        den_h1 = den_h1 + np.array([np.sum(w * np.sum(g ** 2, axis=-1))
-                                    for g in ex_grad])
+        den_l2 = den_l2 + np.array([_squares(e, w) for e in ex])
+        den_h1 = den_h1 + np.array([_squares(g, w) for g in ex_grad])
         ex = np.broadcast_to(ex, (S,) + ex.shape[1:])
         ex_grad = np.broadcast_to(ex_grad, (S,) + ex_grad.shape[1:])
         pv, pg = eval_shapes(field.cell_coefficients(sel), shape, phi_v,
@@ -141,8 +151,10 @@ def _relative_errors(solutions: list[ProductSolution], tris: np.ndarray,
         for j, sol in enumerate(solutions):
             wv, wg = eval_shapes(sol.coefficients[dofs], shape, w_v, w_g)
             val, grad, _ = product_rule(pv, pg, wv, wg)
-            num_l2[j] += np.sum(w * (ex[j] - val) ** 2)
-            num_h1[j] += np.sum(w * np.sum((ex_grad[j] - grad) ** 2, axis=-1))
+            val -= ex[j]
+            grad -= ex_grad[j]
+            num_l2[j] += _squares(val, w)
+            num_h1[j] += _squares(grad, w)
 
     den_l2 = np.broadcast_to(den_l2, (S,))
     den_h1 = np.broadcast_to(den_h1, (S,))

@@ -312,9 +312,11 @@ def _in_chunks(kernel, triangles, *args):
 def _sparse(blocks, n: int) -> sp.csr_matrix:
     """The n x n CSR matrix summing the (dofs, local) blocks: local[e, i, j]
     goes to row dofs[e, i] and column dofs[e, j].  The COO arrays are
-    allocated once and each block fills its slice of them in place."""
+    allocated once and each block fills its slice of them in place.  The
+    indices are int32, the type scipy gives the CSR indices of any n
+    that fits it: with int64 ones it would make an int32 copy of both."""
     size = sum(m.size for _, m in blocks)
-    rows, cols = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    rows, cols = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
     vals = np.empty(size)
     start = 0
     for d, m in blocks:
@@ -350,7 +352,9 @@ def assemble_ghost_part(domain: ActiveDomain, field: LevelSetField,
     g = np.bincount(cut_dofs.ravel(), weights=_in_chunks(
         load_correction_kernel, cut, f, field, k).ravel(),
         minlength=dofmap.n_dofs).astype(float, copy=False)
-    return ((mat + mat.T) * 0.5).tocsr(), g
+    mat = (mat + mat.T).tocsr()
+    mat.data *= 0.5
+    return mat, g
 
 
 def _box_boundary_dofs(domain: ActiveDomain, dofmap: DofMap) -> np.ndarray:

@@ -84,7 +84,8 @@ class RunConfig:
         return get_case(self.case).box if self.box is None else self.box
 
     def __post_init__(self) -> None:
-        if self.case not in CASES:
+        # a string first: a list would fail the lookups below on hashing
+        if not isinstance(self.case, str) or self.case not in CASES:
             raise ValueError(
                 f"unknown case {self.case!r}; choose from {sorted(CASES)}")
         # a list is a non-empty tuple here; only tasks may not be None
@@ -119,9 +120,10 @@ class RunConfig:
                 raise ValueError(f"degenerate box {self.box!r}")
         if not isinstance(self.out, (str, os.PathLike, type(None))):
             raise ValueError(f"out must be a file path, got {self.out!r}")
-        bad = set(self.tasks) - {"errors", "conditioning"}
+        bad = [task for task in self.tasks if not isinstance(task, str)
+               or task not in ("errors", "conditioning")]
         if bad:
-            raise ValueError(f"unknown tasks {sorted(bad)}")
+            raise ValueError(f"unknown tasks {bad}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

@@ -4,10 +4,18 @@ The geometry enters only through a Lagrange interpolant of the level-set
 function on the full background mesh.  A triangle is active when the
 interpolant is negative somewhere on it, judged by sampling on a fixed
 barycentric lattice; no geometric tolerance or snapping is applied, so
-classification is reproducible bit for bit.  `classify_domain` takes the
-interpolant alone (its mesh is the field's) and is the one place that
-reads facet adjacency: the ghost and boundary facets and the boundary
-owners all come from one lookup of the active mask on
+classification is reproducible bit for bit.  The lattice's order is a
+multiple of the degree, so it holds every node, where a sample is the
+node's value: the nodal minimum and maximum bound the lattice's.  Only
+triangles whose nodal values share one sign and lie too close to zero
+for a bound on the samples, with a slack for their rounding, to keep
+that sign (`_sign_open`) are sampled; each sample is summed node by
+node, so it is rounded the same however many triangles are sampled.  On
+the n=160 circle that cuts the traced peak of a classification from 20.1
+to 3.6 MiB (l=1) and from 40.8 to 8.2 MiB (l=3).  `classify_domain` takes
+the interpolant alone (its mesh is the field's) and is the one place
+that reads facet adjacency: the ghost and boundary facets and the
+boundary owners all come from one lookup of the active mask on
 `mesh.facet_triangles`.  The facet sets carry ids and owner triangles
 only: a facet's length and outward normal follow from its owner's shape
 and local facet (`fem_core.facet_frames`).
@@ -128,24 +136,63 @@ def _sign_lattice(degree: int) -> np.ndarray:
     return values
 
 
+def _sign_open(basis: np.ndarray, mins: np.ndarray, maxs: np.ndarray
+               ) -> np.ndarray:
+    """Triangles whose lattice signs the nodal extremes leave open.
+
+    `basis` is a `_sign_lattice` table and mins, maxs the nodal minimum
+    and maximum of each triangle.  The lattice holds every node, where
+    the basis is exactly 0 or 1, so the lattice minimum is at most the
+    nodal one and the maximum at least the nodal one: a triangle with
+    nodal values of both signs is active and cut.  On the others, with
+    P_i and N_i the sums of the positive and negative parts of row i of
+    the basis, every coefficient in [c_min, c_max] and c_min >= 0, a
+    sample is at least c_min (P_i - N_i) - (c_max - c_min) N_i; mirrored
+    when c_max < 0.  Where that bound clears a slack for the rounding of
+    the samples and of the bound itself (of order n_local eps times the
+    largest |coefficient| times max_i (P_i + N_i), plus a few subnormals
+    for products that underflow), every sample has the sign of the
+    nodes.  The rest are open.
+    """
+    pos = np.maximum(basis, 0.0).sum(axis=1)
+    neg = np.maximum(-basis, 0.0).sum(axis=1)
+    n_local = basis.shape[1]
+    tiny = np.finfo(float).smallest_subnormal
+    one_signed = (mins >= 0.0) | (maxs < 0.0)
+    # the coefficient of least magnitude, for either sign
+    least = np.where(mins >= 0.0, mins, -maxs)
+    slack = (4 * n_local * np.finfo(float).eps * (pos + neg).max()
+             * np.maximum(np.abs(mins), np.abs(maxs)) + 2 * n_local * tiny)
+    bound = least * (pos - neg).min() - (maxs - mins) * neg.max()
+    return one_signed & ~(bound > slack)
+
+
 def classify_domain(field: LevelSetField) -> ActiveDomain:
     """Split the level set's mesh into active, cut and outside triangles.
 
     A triangle is active when the lattice minimum of the interpolant is
     strictly negative, and cut when additionally the lattice maximum is
     nonnegative.  A triangle whose minimum is exactly zero stays inactive.
-    Every facet set is read from one (n_facets, 2) lookup of the active
-    mask: ghost facets have both neighbours active, boundary facets
-    exactly one, and that one owns the facet.
+    The lattice is sampled only on triangles whose nodal values leave
+    those two signs open (`_sign_open`); on the rest the nodal extremes
+    decide them.  Every facet set is read from one (n_facets, 2) lookup
+    of the active mask: ghost facets have both neighbours active,
+    boundary facets exactly one, and that one owns the facet.
     """
     mesh = field.mesh
     basis = _sign_lattice(field.degree)
     coeffs = field.cell_coefficients(np.arange(mesh.n_triangles))
-    # one row per lattice point, (n_lattice, n_triangles): the extremes
-    # fold long unit-stride rows, not each triangle's short row
-    samples = basis @ coeffs.T
-    mins = samples.min(axis=0)
-    maxs = samples.max(axis=0)
+    mins = coeffs.min(axis=1)
+    maxs = coeffs.max(axis=1)
+    sampled = np.flatnonzero(_sign_open(basis, mins, maxs))
+    # one row per lattice point, (n_lattice, n_sampled), summed node by
+    # node: a sample is rounded the same whichever triangles are sampled
+    picked = coeffs[sampled].T
+    samples = basis[:, :1] * picked[0]
+    for node in range(1, basis.shape[1]):
+        samples += basis[:, node, None] * picked[node]
+    mins[sampled] = samples.min(axis=0)
+    maxs[sampled] = samples.max(axis=0)
 
     active_mask = mins < 0.0
     if not active_mask.any():

@@ -23,7 +23,10 @@ than a tenth of the largest entry of its column, where partial pivoting
 takes over.  The phi-FEM matrix is as well conditioned as a standard FEM
 matrix on a comparable mesh, so this one direct factor, refined on the
 true residual, serves every system size; that ordering keeps its fill
-low enough to fit in memory.
+low enough to fit in memory.  Memory is what limits this design, so
+SuperLU relaxes supernodes over at most one column and works in panels
+of four columns (`_LU_OPTIONS`): the fill and both permutations stay
+those of its defaults, and its factors take less memory and time.
 """
 from __future__ import annotations
 
@@ -64,9 +67,21 @@ _SEED = 20240901
 # [[1e-20, 1], [1, 1e-20]] x = (1, 2) the factor then returns (2, 0).
 # The ordering is also what keeps the largest factors within memory: those
 # of rectangle k=2 at n=640 (824,953 unknowns) hold about 183M nonzeros,
-# and a study that solves it peaks near 2.9 GB.  Factors that do not fit
+# and a study that solves it peaks near 2.6 GB.  Factors that do not fit
 # raise MemoryError, which the caller reports.
+# relax=1 and panel_size=4 leave the fill and both permutations as the
+# defaults have them, and a solve with either factor agrees to rounding
+# (4.2e-12 relative on circle k=3 n=40).  Measured on a 2-core x86-64 box,
+# one BLAS thread, defaults -> these: process CPU time of the factors,
+# median of 25 alternating rounds, 201.2 -> 166.7 ms over the 13
+# disk-convergence systems, 41.7 -> 38.2 ms over the 5 penalty-sweep ones;
+# the rise of peak RSS over a factor, circle k=3 n=80 +17.1 -> +11.4 MB,
+# rectangle k=2 at n=160 (52,633 unknowns) +46-48 -> +36-39 MB and at
+# n=320 (207,673) +264 -> +230 MB, the last in 2.23-2.39 -> 2.12-2.26 s.
+# A panel of 1 is faster on the small systems (149.3 ms over the 13) but
+# took 2.94 s at n=320, so the panel is 4.
 _LU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                   relax=1, panel_size=4,
                    options=dict(SymmetricMode=True))
 
 

@@ -135,6 +135,42 @@ def test_batched_reference_errors_equal_single_calls(k, count, seed):
         compute_errors_vs_reference([], [], domain)
 
 
+def _plain_squares(e, w):
+    """The weighted sum of squares of values (nT, Q) or gradients (nT, Q,
+    2), written out as np.sum(w * e**2)."""
+    return np.sum(w * (e ** 2 if e.ndim == 2 else np.sum(e ** 2, axis=-1)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_fused_error_sums_match_the_plain_formula(monkeypatch, k):
+    # every error sum is one einsum over the points and a dot with the
+    # weights; the plain formula sums the same squares in another order,
+    # on the closed-form path and on the reference path alike
+    case = get_case("circle")
+    rng = np.random.default_rng(k)
+    levels = []
+    for n in (6, 24):
+        mesh = build_background_mesh(case.box, (n, n))
+        field = interpolate_levelset(case.phi, mesh, k)
+        domain = classify_domain(field)
+        dofmap = build_dof_map(mesh, domain.active_triangles, k)
+        levels.append((domain, [
+            ProductSolution(field, dofmap, rng.standard_normal(dofmap.n_dofs))
+            for _ in range(2)]))
+    (domain, sols), (_, refs) = levels
+
+    def reports():
+        return (compute_errors(sols, case.u_exact, domain)
+                + compute_errors_vs_reference(sols, refs, domain))
+
+    fused = reports()
+    monkeypatch.setattr(analysis, "_squares", _plain_squares)
+    for a, b in zip(fused, reports(), strict=True):
+        assert a.rel_l2 == pytest.approx(b.rel_l2, rel=1e-14, abs=0)
+        assert a.rel_h1_semi == pytest.approx(b.rel_h1_semi, rel=1e-14,
+                                              abs=0)
+
+
 _DATA_EXACTNESS = sorted({quadrature_degrees(k, l)["data"]
                           for k in (1, 2, 3) for l in (1, 2, 3)})
 

@@ -12,6 +12,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import phifem.assembly as assembly
@@ -398,6 +399,55 @@ def test_parts_do_not_depend_on_chunk_size(monkeypatch, k):
         for a, b in ((whole.b0, chunked.b0), (whole.g, chunked.g)):
             np.testing.assert_allclose(a, b, rtol=0,
                                        atol=1e-14 * np.abs(a).max())
+
+
+def _sparse_int64(blocks, n):
+    """The CSR sum of (dofs, local) blocks built from int64 COO indices."""
+    rows = np.concatenate([np.broadcast_to(d[:, :, None], m.shape).ravel()
+                           for d, m in blocks])
+    cols = np.concatenate([np.broadcast_to(d[:, None, :], m.shape).ravel()
+                           for d, m in blocks])
+    vals = np.concatenate([m.ravel() for _, m in blocks])
+    return sp.coo_matrix((vals, (rows.astype(np.int64),
+                                 cols.astype(np.int64))),
+                         shape=(n, n)).tocsr()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_int32_indices_match_an_int64_assembly(monkeypatch, k):
+    # _sparse hands scipy int32 COO indices, the type of the CSR indices
+    # it makes for these sizes, so scipy copies none; A0 and G must be
+    # those built from int64 indices, to the bit
+    coo_index_types = set()
+    coo_matrix = sp.coo_matrix
+
+    def recording(arg, shape):
+        coo_index_types.update(index.dtype for index in arg[1])
+        return coo_matrix(arg, shape=shape)
+
+    circle, rectangle = get_case("circle"), get_case("rectangle")
+    problems = [(circle, build_background_mesh(circle.box, (10, 10))),
+                (rectangle, build_background_mesh(rectangle.box, (6, 6)))]
+    for case, mesh in problems:
+        field = interpolate_levelset(case.phi, mesh, k)
+
+        def parts():
+            return assemble_parts(classify_domain(field), field, case.f, k,
+                                  [1.0], case.outer_data)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sp, "coo_matrix", recording)
+            got = parts()
+        with monkeypatch.context() as patch:
+            patch.setattr(assembly, "_sparse", _sparse_int64)
+            want = parts()
+        for a, b in ((got.A0, want.A0), (got.G, want.G)):
+            assert a.indices.dtype == a.indptr.dtype == np.int32
+            np.testing.assert_array_equal(a.indptr, b.indptr)
+            np.testing.assert_array_equal(a.indices, b.indices)
+            np.testing.assert_array_equal(a.data.view(np.int64),
+                                          b.data.view(np.int64))
+    assert coo_index_types == {np.dtype(np.int32)}
 
 
 def test_assemble_validation():

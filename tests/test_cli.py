@@ -77,6 +77,9 @@ def test_config_rejects_unknown_keys():
     {"tasks": 5},
     {"sigmas": 2.0},
     {"tasks": "errors"},
+    # an unhashable case or task
+    {"case": []},
+    {"case": "circle", "tasks": [["errors"]]},
 ])
 def test_config_rejects_bad_values(data):
     with pytest.raises(ValueError):

@@ -4,8 +4,11 @@ The 2x2 hand oracle is worked out on paper: unit box, phi = x - 0.51,
 vertex ids row-major so v4 = (0.5, 0.5), triangles cell-by-cell with the
 lower triangle first.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from phifem.fem_core import (eval_shapes, physical_tables, shape_maps,
                              tabulate)
@@ -200,6 +203,90 @@ def test_classification_matches_rowwise_sampling(degree):
                                       np.flatnonzero(cut))
         np.testing.assert_array_equal(domain.ghost_facets,
                                       np.flatnonzero(both_active & by_cut))
+
+
+def _full_lattice(field):
+    """Active and cut triangles from every lattice sample of every
+    triangle; each sample sums the nodes' terms in node order, as
+    `classify_domain` does, so the two agree to the bit on any field."""
+    basis = _sign_lattice(field.degree)
+    coeffs = field.cell_coefficients(np.arange(field.mesh.n_triangles))
+    samples = sum(basis[:, node, None] * coeffs[:, node]
+                  for node in range(basis.shape[1]))
+    active = samples.min(axis=0) < 0.0
+    return (np.flatnonzero(active),
+            np.flatnonzero(active & (samples.max(axis=0) >= 0.0)))
+
+
+def _assert_full_lattice(field):
+    active, cut = _full_lattice(field)
+    if not active.size:
+        with pytest.raises(EmptyActiveSetError):
+            classify_domain(field)
+        return
+    domain = classify_domain(field)
+    np.testing.assert_array_equal(domain.active_triangles, active)
+    np.testing.assert_array_equal(domain.cut_triangles, cut)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(degree=st.integers(1, 3), n=st.integers(2, 24),
+       shift=st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)),
+       radius=st.floats(0.02, 0.6))
+# the default circle runs through vertices when n is a multiple of 4
+@example(degree=1, n=20, shift=(0.0, 0.0), radius=CIRCLE_RADIUS)
+@example(degree=2, n=20, shift=(0.0, 0.0), radius=CIRCLE_RADIUS)
+@example(degree=3, n=20, shift=(0.0, 0.0), radius=CIRCLE_RADIUS)
+def test_classification_matches_full_lattice_on_disks(degree, n, shift,
+                                                      radius):
+    # only triangles whose nodal values leave the sign open are sampled;
+    # the node bound must decide every other one as the full lattice does
+    mesh = build_background_mesh(UNIT_BOX, (n, n))
+    case = shifted_disk(np.asarray(shift), radius)
+    _assert_full_lattice(interpolate_levelset(case.phi, mesh, degree))
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.5, 1.0 / 3.0, -2.0,
+            1e-300]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(degree=st.integers(1, 3), nx=st.integers(1, 3), ny=st.integers(1, 3),
+       picks=st.lists(st.sampled_from(_SPECIAL), min_size=1, max_size=160),
+       scale=st.sampled_from([1.0, 1e-3, 7.0, 1.0 / 3.0]),
+       constant=st.booleans())
+def test_classification_matches_full_lattice_on_special_fields(
+        degree, nx, ny, picks, scale, constant):
+    # nodal values of exact zeros of both signs, the smallest subnormals,
+    # values whose samples cancel to zero, and constant fields: the cases
+    # where the slack of the node bound, not its main term, decides
+    mesh = build_background_mesh(UNIT_BOX, (nx, ny))
+
+    def values(x, y):
+        if constant:
+            return np.full(x.shape, picks[0] * scale)
+        return np.resize(np.asarray(picks), x.shape) * scale
+
+    _assert_full_lattice(
+        interpolate_levelset(AnalyticField(value=values), mesh, degree))
+
+
+# tracemalloc peaks of one classify_domain call on the n=160 circle, at
+# most about 1.5 times those measured when the lattice became sampled on
+# sign-open triangles only: 3.57 MiB (l=1) and 8.20 MiB (l=3), against
+# 20.11 and 40.81 MiB when every triangle was sampled
+@pytest.mark.parametrize("degree, bound_mib", [(1, 6.0), (3, 12.0)])
+def test_classification_memory_peak(degree, bound_mib):
+    mesh = build_background_mesh(UNIT_BOX, (160, 160))
+    field = interpolate_levelset(shifted_disk((0.0, 0.0), CIRCLE_RADIUS).phi,
+                                 mesh, degree)
+    tracemalloc.start()
+    try:
+        classify_domain(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2 ** 20
 
 
 def _facet_oracle(mesh, active, cut):

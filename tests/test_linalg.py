@@ -189,6 +189,20 @@ def test_hardest_disk_systems_match_a_partial_pivoting_factor(k, n, seed):
                 <= 1e-10 * np.linalg.norm(plain))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_lu_panel_options_keep_the_default_fill_and_pivots(k):
+    # relax=1 and panel_size=4 size SuperLU's supernode panels for these
+    # factors; on the disk systems they change neither the ordering, the
+    # pivots nor the fill of the factor SuperLU takes by default
+    a = _assembled(40, k).A.tocsc()
+    options = {key: value for key, value in linalg._LU_OPTIONS.items()
+               if key not in ("relax", "panel_size")}
+    tuned, default = linalg._lu(a), spla.splu(a, **options)
+    assert (tuned.L.nnz + tuned.U.nnz == default.L.nnz + default.U.nnz)
+    np.testing.assert_array_equal(tuned.perm_c, default.perm_c)
+    np.testing.assert_array_equal(tuned.perm_r, default.perm_r)
+
+
 def test_condition_number_of_identity():
     est = estimate_condition_number(_system(np.eye(30), np.ones(30)))
     assert est.kappa == 1.0
