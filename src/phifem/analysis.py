@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .assembly import SparseSystem
-from .fem_core import (DofMap, _frozen, eval_shapes, physical_points,
+from .fem_core import (DofMap, _chunks, _frozen, eval_shapes, physical_points,
                        physical_tables, product_rule, quadrature_degrees,
                        rule_tables, shape_maps, tabulate, triangle_quadrature)
 from .levelset import ActiveDomain, AnalyticField, LevelSetField
@@ -90,11 +90,6 @@ def _check_shared(solutions: list[ProductSolution]) -> None:
         raise ValueError("solutions must share one field and one dof map")
 
 
-# Triangles per chunk of the error pass.  Its temporaries scale with the
-# chunk, and at 2048 the pass runs as fast as at 4096 with half the peak.
-_CHUNK = 2048
-
-
 def _squares(e: np.ndarray, w: np.ndarray) -> float:
     """The weighted sum of squares of values (nT, Q) or gradients (nT,
     Q, 2) at Q points with weights w: one fused pass over e that sums
@@ -137,8 +132,8 @@ def _relative_errors(solutions: list[ProductSolution], tris: np.ndarray,
     S = len(solutions)
     num_l2, num_h1 = np.zeros(S), np.zeros(S)
     den_l2 = den_h1 = 0.0
-    for start in range(0, tris.size, _CHUNK):
-        sel = tris[start:start + _CHUNK]
+    for part in _chunks(tris.size, w.size):
+        sel = tris[part]
         shape = sel % 2
         ex, ex_grad = target(sel, physical_points(mesh, sel, quad.points))
         den_l2 = den_l2 + np.array([_squares(e, w) for e in ex])

@@ -20,9 +20,14 @@ Each term has one public batched kernel, and assembly calls it: the
 product and Laplacian penalty matrices and the load and its correction
 over chunks of triangles (`_in_chunks`, the one chunk loop), the
 boundary and ghost facet terms over all their facets in one call each.
+A chunk holds as many triangles as fit the point budget of
+`fem_core._chunks` at the point count of the kernel's rule, and its
+output is written straight into the array that the whole pass fills.
 The volume kernels run on the dof map's own triangles, so their dof
 rows are `cell_dofs` itself.  `_sparse` sums the (dofs, local) blocks of
-a matrix into CSR, and each vector is one `np.bincount`.  A single
+a matrix into CSR; the two volume matrices write their chunks into
+their slice of its COO values, so a level's element matrices never
+exist as one array.  Each vector is one `np.bincount`.  A single
 triangle or facet is a length-1 call, so the hand-integral tests pin
 the code that assembly runs.  A kernel takes the degree k of w and
 looks up the cached rule of its term in `quadrature_degrees(k,
@@ -62,8 +67,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fem_core import (DofMap, build_dof_map, edge_quadrature, eval_shapes,
-                       facet_frames, facet_tables, group_matmul,
+from .fem_core import (DofMap, _chunks, build_dof_map, edge_quadrature,
+                       eval_shapes, facet_frames, facet_tables, group_matmul,
                        physical_points, physical_tables, product_rule,
                        quadrature_degrees, rule_tables, shape_maps,
                        triangle_quadrature)
@@ -82,13 +87,6 @@ __all__ = [
     "boundary_term_kernel",
     "ghost_jump_kernel",
 ]
-
-# Triangles per chunk of the volume kernels.  Their temporaries scale
-# with the chunk: one call over all triangles raised the peak RSS of the
-# penalty-sweep benchmark from 80.8 to 85.0 MB and of disk-conditioning
-# from 108.6 to 114.6 MB.
-_CHUNK = 4096
-
 
 @dataclass(frozen=True)
 class SparseSystem:
@@ -302,28 +300,43 @@ def ghost_jump_kernel(facets: np.ndarray, field: LevelSetField, k: int
 # ---------------------------------------------------------------------------
 # global assembly
 
-def _in_chunks(kernel, triangles, *args):
-    """kernel(triangles[s:s + _CHUNK], *args) over consecutive chunks,
-    the outputs concatenated; an empty set is one call on no triangles."""
-    return np.concatenate([kernel(triangles[s:s + _CHUNK], *args)
-                           for s in range(0, max(triangles.size, 1), _CHUNK)])
+def _in_chunks(out, kernel, term, triangles, *args):
+    """Write kernel(triangles[part], *args) into out[part], chunk by chunk,
+    and return out.  The kernel takes (triangles, ..., field, k) and
+    integrates with the rule of `term`, whose point count sizes the
+    chunks (`fem_core._chunks`).  Each chunk's output goes straight to
+    its place in out, so the pass keeps no list of chunks and makes no
+    concatenated copy."""
+    field, k = args[-2:]
+    points = _rule(k, field, term).weights.size
+    for part in _chunks(triangles.size, points):
+        out[part] = kernel(triangles[part], *args)
+    return out
 
 
 def _sparse(blocks, n: int) -> sp.csr_matrix:
     """The n x n CSR matrix summing the (dofs, local) blocks: local[e, i, j]
-    goes to row dofs[e, i] and column dofs[e, j].  The COO arrays are
-    allocated once and each block fills its slice of them in place.  The
-    indices are int32, the type scipy gives the CSR indices of any n
-    that fits it: with int64 ones it would make an int32 copy of both."""
-    size = sum(m.size for _, m in blocks)
+    goes to row dofs[e, i] and column dofs[e, j].  For dofs (E, d), local
+    is the (E, d, d) array or a function that writes it into the view it
+    is given: a volume term passes its `_in_chunks` pass, so each chunk
+    of element matrices lands in its slice of the COO values and no
+    array of a whole level's element matrices exists.  The COO arrays
+    are allocated once and filled block by block in place.  The indices
+    are int32, the type scipy gives the CSR indices of any n that fits
+    it: with int64 ones it would make an int32 copy of both."""
+    shapes = [d.shape + d.shape[1:] for d, _ in blocks]
+    size = sum(np.prod(shape) for shape in shapes)
     rows, cols = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
     vals = np.empty(size)
     start = 0
-    for d, m in blocks:
-        part = slice(start, start + m.size)
-        rows[part].reshape(m.shape)[...] = d[:, :, None]
-        cols[part].reshape(m.shape)[...] = d[:, None, :]
-        vals[part].reshape(m.shape)[...] = m
+    for (d, local), shape in zip(blocks, shapes):
+        part = slice(start, start + np.prod(shape))
+        rows[part].reshape(shape)[...] = d[:, :, None]
+        cols[part].reshape(shape)[...] = d[:, None, :]
+        if callable(local):
+            local(vals[part].reshape(shape))
+        else:
+            vals[part].reshape(shape)[...] = local
         start = part.stop
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
@@ -346,12 +359,13 @@ def assemble_ghost_part(domain: ActiveDomain, field: LevelSetField,
     cut = domain.cut_triangles
     cut_dofs = dofmap.cell_dofs[dofmap.rows_for(cut)]
     mat = _sparse([(jump_dofs, jumps),
-                   (cut_dofs, _in_chunks(ghost_laplacian_kernel, cut,
-                                         field, k))], dofmap.n_dofs)
+                   (cut_dofs, lambda out: _in_chunks(
+                       out, ghost_laplacian_kernel, "volume", cut, field, k))],
+                  dofmap.n_dofs)
     # without cut triangles bincount returns integer zeros
     g = np.bincount(cut_dofs.ravel(), weights=_in_chunks(
-        load_correction_kernel, cut, f, field, k).ravel(),
-        minlength=dofmap.n_dofs).astype(float, copy=False)
+        np.empty(cut_dofs.shape), load_correction_kernel, "data", cut, f,
+        field, k).ravel(), minlength=dofmap.n_dofs).astype(float, copy=False)
     mat = (mat + mat.T).tocsr()
     mat.data *= 0.5
     return mat, g
@@ -455,14 +469,15 @@ def assemble_parts(domain: ActiveDomain, field: LevelSetField,
 
     dofmap = build_dof_map(mesh, domain.active_triangles, k)
     owner_dofs = dofmap.cell_dofs[dofmap.rows_for(domain.boundary_owners)]
-    A0 = _sparse([(dofmap.cell_dofs, _in_chunks(element_product_kernel,
-                                                 dofmap.triangles, field, k)),
+    A0 = _sparse([(dofmap.cell_dofs, lambda out: _in_chunks(
+                      out, element_product_kernel, "volume", dofmap.triangles,
+                      field, k)),
                   (owner_dofs, -boundary_term_kernel(
                       domain.boundary_facets, domain.boundary_owners,
                       field, k))], dofmap.n_dofs)
     b0 = np.bincount(dofmap.cell_dofs.ravel(), weights=_in_chunks(
-        load_kernel, dofmap.triangles, f, field, k).ravel(),
-        minlength=dofmap.n_dofs)
+        np.empty(dofmap.cell_dofs.shape), load_kernel, "data",
+        dofmap.triangles, f, field, k).ravel(), minlength=dofmap.n_dofs)
 
     G = g = None
     if any(sigmas):

@@ -17,12 +17,13 @@ conditioning
 All commands emit one CSV with a fixed header; numbers are written with
 repr so that two runs of the same configuration produce byte-identical
 files.  Exit code 0 means success, 2 a configuration problem (an `--out`
-path that cannot be opened included; it is opened before any level
-runs), 3 at least one failed solve (failed rows still appear, flagged
-in `status`: a singular matrix, no convergence, or factors that ran out
-of memory) or a level with nothing to compare with its reference
-(`no-comparison`: no uncut coarse triangle where the reference is
-defined; its errors stay blank).
+path that cannot be opened included; it is tried before any level
+runs, and written only once the study has rows, so a run that exits 2
+leaves an existing file as it was and creates none), 3 at least one
+failed solve (failed rows still appear, flagged in `status`: a singular
+matrix, no convergence, or factors that ran out of memory) or a level
+with nothing to compare with its reference (`no-comparison`: no uncut
+coarse triangle where the reference is defined; its errors stay blank).
 """
 from __future__ import annotations
 
@@ -401,25 +402,31 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sigma-sweep" and config.sigmas is None:
             raise ValueError("sigma-sweep needs --sigmas or a `sigmas` "
                              "config entry")
-        # opened before any level runs, so an unwritable path costs no work
-        out = (contextlib.nullcontext(sys.stdout) if config.out is None
-               else open(config.out, "w", newline=""))
+        if config.out is not None:
+            # tried before any level runs, so an unwritable path costs no
+            # work; a file this creates is removed again, and an existing
+            # one is left as it is until the study has rows to write
+            fresh = not os.path.exists(config.out)
+            open(config.out, "a").close()
+            if fresh:
+                os.remove(config.out)
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
     slope = None
-    with out as stream:
-        try:
-            if args.command == "run":
-                rows = run_case(config)
-            elif args.command == "sigma-sweep":
-                rows = sigma_sweep(config, list(config.sigmas))
-            else:
-                rows, slope = conditioning_study(config)
-        except EmptyActiveSetError as err:
-            print(f"error: EmptyActiveSet: {err}", file=sys.stderr)
-            return 2
+    try:
+        if args.command == "run":
+            rows = run_case(config)
+        elif args.command == "sigma-sweep":
+            rows = sigma_sweep(config, list(config.sigmas))
+        else:
+            rows, slope = conditioning_study(config)
+    except EmptyActiveSetError as err:
+        print(f"error: EmptyActiveSet: {err}", file=sys.stderr)
+        return 2
+    with (contextlib.nullcontext(sys.stdout) if config.out is None
+          else open(config.out, "w", newline="")) as stream:
         write_csv(rows, stream, slope)
 
     failed = sorted({row["status"] for row in rows} - {"ok"})

@@ -415,6 +415,28 @@ def physical_tables(tables: tuple, inv: np.ndarray):
     return grads, lap
 
 
+# Quadrature points per chunk of every chunked pass over triangles: the
+# volume kernels, the load and its correction, and the error norms.  Their
+# temporaries scale with the points a chunk holds, so a pass integrating
+# with Q points per triangle takes budget // Q triangles at a time (334
+# at k = 3, 1,024 for the data passes at k = 1).  Peak RSS of the
+# disk-convergence and penalty-sweep benchmarks on a 2-core x86-64 box,
+# three runs each, MB:
+# 111.8-111.9 and 81.0-81.1 at 2^16, 111.9 and 75.4 at 2^15, 111.6-111.9
+# and 72.5-72.6 at 2^14; each doubling doubles the chunks of the P1 pass
+# over the penalty-sweep's five solutions.
+_POINT_BUDGET = 2 ** 14
+
+
+def _chunks(size: int, points: int):
+    """Consecutive slices covering range(size), each of max(1, budget //
+    points) items, for a pass that integrates with `points` quadrature
+    points per item; no slice for size 0."""
+    step = max(1, _POINT_BUDGET // points)
+    for start in range(0, size, step):
+        yield slice(start, start + step)
+
+
 def group_matmul(coef: np.ndarray, group: np.ndarray, tables: np.ndarray
                  ) -> np.ndarray:
     """out[e] = coef[e] @ tables[group[e]] for entities whose table

@@ -19,14 +19,18 @@ Every sparse LU factor is taken in SuperLU's symmetric mode: the phi-FEM
 pattern is structurally symmetric (only the boundary term is not
 numerically symmetric), so the columns are ordered by minimum degree on
 A^T + A and each pivot is taken from the diagonal unless it is smaller
-than a tenth of the largest entry of its column, where partial pivoting
-takes over.  The phi-FEM matrix is as well conditioned as a standard FEM
-matrix on a comparable mesh, so this one direct factor, refined on the
-true residual, serves every system size; that ordering keeps its fill
-low enough to fit in memory.  Memory is what limits this design, so
+than a tenth of the largest entry of its column of the factored A^T
+(its row of A), where partial pivoting takes over.  The phi-FEM matrix
+is as well conditioned as a standard FEM matrix on a comparable mesh,
+so this one direct factor, refined on the true residual, serves every
+system size; that ordering keeps its fill low enough to fit in
+memory.  Memory is what limits this design, so
 SuperLU relaxes supernodes over at most one column and works in panels
 of four columns (`_LU_OPTIONS`): the fill and both permutations stay
-those of its defaults, and its factors take less memory and time.
+those of its defaults, and its factors take less memory and time.  For
+the same reason the factor is of A^T, whose CSC arrays are the CSR
+arrays of A (`_lu`): SuperLU reads them in place, no CSC copy of A is
+made, and a solve with A is the transposed solve with the factor.
 """
 from __future__ import annotations
 
@@ -67,8 +71,9 @@ _SEED = 20240901
 # [[1e-20, 1], [1, 1e-20]] x = (1, 2) the factor then returns (2, 0).
 # The ordering is also what keeps the largest factors within memory: those
 # of rectangle k=2 at n=640 (824,953 unknowns) hold about 183M nonzeros,
-# and a study that solves it peaks near 2.6 GB.  Factors that do not fit
-# raise MemoryError, which the caller reports.
+# and a study that solves it (test_07) peaks at 2,475-2,489 MB, against
+# 2,559-2,563 MB when A was copied to CSC before each factor.  Factors
+# that do not fit raise MemoryError, which the caller reports.
 # relax=1 and panel_size=4 leave the fill and both permutations as the
 # defaults have them, and a solve with either factor agrees to rounding
 # (4.2e-12 relative on circle k=3 n=40).  Measured on a 2-core x86-64 box,
@@ -137,9 +142,20 @@ class ConditionEstimate:
 
 
 def _lu(a: sp.csr_matrix):
-    """SuperLU factors of `a`, taken in symmetric mode (_LU_OPTIONS)."""
+    """SuperLU factors of the transpose of the CSR matrix `a`, taken in
+    symmetric mode (_LU_OPTIONS); `solve(r, "T")` with them solves
+    a x = r.
+
+    The arrays of a CSR matrix are those of the CSC matrix of its
+    transpose, so SuperLU reads them as they are and no CSC copy of `a`
+    is made.  The ordering is minimum degree on the same A^T + A.  On
+    the 18 systems of the disk-convergence and penalty-sweep benchmarks,
+    against factors of `a`: 15 keep the fill and 16 the column order,
+    the other fills are within 0.03%, and x moves by at most 1.4e-12
+    relative."""
     try:
-        return spla.splu(a.tocsc(), **_LU_OPTIONS)
+        return spla.splu(sp.csc_matrix((a.data, a.indices, a.indptr),
+                                       shape=a.shape[::-1]), **_LU_OPTIONS)
     except RuntimeError as err:
         raise SingularMatrixError(f"splu: {err}") from err
 
@@ -170,7 +186,7 @@ def solve(system: SparseSystem) -> SolverReport:
     x, r = np.zeros_like(b), b
     last = 1.0                      # the relative residual of x = 0
     for passes in range(1, _MAX_PASSES + 1):
-        x = x + lu.solve(r)
+        x = x + lu.solve(r, "T")
         r = b - a @ x
         res = np.linalg.norm(r) / norm_b
         if not np.isfinite(res):
@@ -226,8 +242,8 @@ def estimate_condition_number(system: SparseSystem) -> ConditionEstimate:
 
     The largest singular value comes from Lanczos (ARPACK's `eigsh`) on
     A^T A; the smallest from Lanczos on its inverse, each step solving
-    with A^T and then A through one sparse LU factorization, taken as in
-    `solve`.  Each eigenvalue is sought to relative accuracy
+    with A^T and then A through one sparse LU factorization of A^T,
+    taken as in `solve`.  Each eigenvalue is sought to relative accuracy
     `_LANCZOS_TOL` (1e-8) within `_LANCZOS_RESTARTS` (10000) restarts;
     the system needs at least two unknowns.  Raises NoConvergenceError
     (with the partial estimate attached) if either side fails to
@@ -240,7 +256,7 @@ def estimate_condition_number(system: SparseSystem) -> ConditionEstimate:
     theta_max, ok_max, it_max = _largest_eigenvalue(
         lambda v: a.T @ (a @ v), n)
     theta_inv, ok_min, it_min = _largest_eigenvalue(
-        lambda v: factor.solve(factor.solve(v, "T")), n)
+        lambda v: factor.solve(factor.solve(v), "T"), n)
 
     sigma_max = float(np.sqrt(theta_max))
     sigma_min = float(1.0 / np.sqrt(theta_inv))

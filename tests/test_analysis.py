@@ -4,11 +4,13 @@ The affine level set with a polynomial solution is reproduced exactly by
 the method at every degree, so the whole evaluation and error pipeline
 must return errors at roundoff level for it.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phifem import analysis
+from phifem import analysis, fem_core
 from phifem.analysis import (ErrorReport, ProductSolution, compute_errors,
                              compute_errors_vs_reference, estimated_orders,
                              make_solution)
@@ -141,23 +143,30 @@ def _plain_squares(e, w):
     return np.sum(w * (e ** 2 if e.ndim == 2 else np.sum(e ** 2, axis=-1)))
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_fused_error_sums_match_the_plain_formula(monkeypatch, k):
-    # every error sum is one einsum over the points and a dot with the
-    # weights; the plain formula sums the same squares in another order,
-    # on the closed-form path and on the reference path alike
+def _random_levels(k, sizes, count, seed):
+    """(domain, solutions) on the circle at each size: `count` solutions
+    with random coefficients sharing the level's field and dof map."""
     case = get_case("circle")
-    rng = np.random.default_rng(k)
+    rng = np.random.default_rng(seed)
     levels = []
-    for n in (6, 24):
+    for n in sizes:
         mesh = build_background_mesh(case.box, (n, n))
         field = interpolate_levelset(case.phi, mesh, k)
         domain = classify_domain(field)
         dofmap = build_dof_map(mesh, domain.active_triangles, k)
         levels.append((domain, [
             ProductSolution(field, dofmap, rng.standard_normal(dofmap.n_dofs))
-            for _ in range(2)]))
-    (domain, sols), (_, refs) = levels
+            for _ in range(count)]))
+    return levels
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_fused_error_sums_match_the_plain_formula(monkeypatch, k):
+    # every error sum is one einsum over the points and a dot with the
+    # weights; the plain formula sums the same squares in another order,
+    # on the closed-form path and on the reference path alike
+    case = get_case("circle")
+    (domain, sols), (_, refs) = _random_levels(k, (6, 24), 2, k)
 
     def reports():
         return (compute_errors(sols, case.u_exact, domain)
@@ -169,6 +178,46 @@ def test_fused_error_sums_match_the_plain_formula(monkeypatch, k):
         assert a.rel_l2 == pytest.approx(b.rel_l2, rel=1e-14, abs=0)
         assert a.rel_h1_semi == pytest.approx(b.rel_h1_semi, rel=1e-14,
                                               abs=0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_one_triangle_chunks_leave_the_error_reports(monkeypatch, k):
+    # a point budget below any rule's point count makes every chunk of
+    # the error pass one triangle; each sum then adds its chunks in
+    # another order, on the closed-form and on the reference path alike
+    case = get_case("circle")
+    (domain, sols), (_, refs) = _random_levels(k, (12, 48), 2, k)
+
+    def reports():
+        return (compute_errors(sols, case.u_exact, domain)
+                + compute_errors_vs_reference(sols, refs, domain))
+
+    whole = reports()
+    monkeypatch.setattr(fem_core, "_POINT_BUDGET", 1)
+    for a, b in zip(whole, reports(), strict=True):
+        assert a.rel_l2 == pytest.approx(b.rel_l2, rel=1e-13, abs=0)
+        assert a.rel_h1_semi == pytest.approx(b.rel_h1_semi, rel=1e-13,
+                                              abs=0)
+
+
+# tracemalloc peaks of one closed-form error pass on the circle, after a
+# warm-up pass: at most about 1.4 times those measured when the chunks
+# became sized by quadrature points (k=3 n=80, one solution: 2.94 MiB;
+# k=1 n=100, five solutions: 2.92 MiB), against 17.05 and 5.69 MiB with
+# chunks of 2,048 triangles
+@pytest.mark.parametrize("k, n, count, bound_mib", [(3, 80, 1, 4.0),
+                                                    (1, 100, 5, 4.0)])
+def test_error_pass_memory_peak(k, n, count, bound_mib):
+    (domain, sols), = _random_levels(k, (n,), count, 0)
+    exact = get_case("circle").u_exact
+    compute_errors(sols, exact, domain)
+    tracemalloc.start()
+    try:
+        compute_errors(sols, exact, domain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2 ** 20
 
 
 _DATA_EXACTNESS = sorted({quadrature_degrees(k, l)["data"]

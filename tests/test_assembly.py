@@ -9,6 +9,7 @@ positivity, consistency of the planted polynomial) are checked on the
 built-in cases with seeded random vectors.
 """
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,8 +371,8 @@ def test_parts_form_each_penalty_system():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_parts_do_not_depend_on_chunk_size(monkeypatch, k):
-    # Every mesh here fits in one chunk of the volume kernels; a chunk of
-    # 7 triangles forces several chunks and a ragged last one.  phi = -1
+    # Every mesh here fits in one chunk of each pass; a budget of 7 points
+    # makes every chunk one triangle, fewer than any rule's points.  phi = -1
     # has no cut triangle and no ghost facet, so its penalty part is
     # assembled from empty sets.
     circle = get_case("circle")
@@ -388,7 +389,7 @@ def test_parts_do_not_depend_on_chunk_size(monkeypatch, k):
     for field, source in problems:
         whole = parts(field, source)
         with monkeypatch.context() as patch:
-            patch.setattr(assembly, "_CHUNK", 7)
+            patch.setattr(fem_core, "_POINT_BUDGET", 7)
             chunked = parts(field, source)
         for a, b in ((whole.A0, chunked.A0), (whole.G, chunked.G)):
             np.testing.assert_array_equal(a.indptr, b.indptr)
@@ -402,7 +403,16 @@ def test_parts_do_not_depend_on_chunk_size(monkeypatch, k):
 
 
 def _sparse_int64(blocks, n):
-    """The CSR sum of (dofs, local) blocks built from int64 COO indices."""
+    """The CSR sum of (dofs, local) blocks built from int64 COO indices;
+    a block's local matrices may be a function that writes them."""
+    def whole(d, local):
+        if not callable(local):
+            return local
+        out = np.empty(d.shape + d.shape[1:])
+        local(out)
+        return out
+
+    blocks = [(d, whole(d, local)) for d, local in blocks]
     rows = np.concatenate([np.broadcast_to(d[:, :, None], m.shape).ravel()
                            for d, m in blocks])
     cols = np.concatenate([np.broadcast_to(d[:, None, :], m.shape).ravel()
@@ -448,6 +458,30 @@ def test_int32_indices_match_an_int64_assembly(monkeypatch, k):
             np.testing.assert_array_equal(a.data.view(np.int64),
                                           b.data.view(np.int64))
     assert coo_index_types == {np.dtype(np.int32)}
+
+
+# tracemalloc peak of assemble_parts on the circle at k=3, n=80 with its
+# penalty part, after a warm-up call: 17.84 MiB when the element matrices
+# went straight into the COO values in chunks sized by quadrature points,
+# against 19.90 MiB when a whole level's (nT, n, n) array was built first
+def test_assembly_memory_peak():
+    case = get_case("circle")
+    mesh = build_background_mesh(case.box, (80, 80))
+    field = interpolate_levelset(case.phi, mesh, 3)
+    domain = classify_domain(field)
+
+    def parts():
+        return assemble_parts(domain, field, case.f, 3, [20.0],
+                              case.outer_data)
+
+    parts()
+    tracemalloc.start()
+    try:
+        parts()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18.9 * 2 ** 20
 
 
 def test_assemble_validation():

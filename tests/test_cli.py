@@ -226,10 +226,10 @@ def test_conditioning_study_factors_each_level_once(monkeypatch):
 def test_each_point_set_is_tabulated_once(monkeypatch, k):
     # the tables of a fixed rule are built once, however many levels and
     # chunks a study runs: each (degree, point set) at most once, values,
-    # gradients and Hessians together, and as often with half the chunk
-    # size.  The rectangle has no closed form, so its study also runs the
-    # reference comparison, whose fine points and tables come from the
-    # nested map.  Every phifem module that binds `fem_core.tabulate` is
+    # gradients and Hessians together, and as often with half the point
+    # budget of a chunk.  The rectangle has no closed form, so its study
+    # also runs the reference comparison, whose fine points and tables
+    # come from the nested map.  Every phifem module that binds `fem_core.tabulate` is
     # patched, so a new importer cannot escape the count.
     real = fem_core.tabulate
     modules = [phifem] + [
@@ -239,7 +239,7 @@ def test_each_point_set_is_tabulated_once(monkeypatch, k):
     importers = [m for m in modules if getattr(m, "tabulate", None) is real]
     assert {fem_core, analysis} <= set(importers)
 
-    def tabulations(config, chunk):
+    def tabulations(config, budget):
         for cached in (fem_core.rule_tables, fem_core.facet_tables,
                        levelset._sign_lattice, analysis._nested_map):
             cached.cache_clear()
@@ -251,8 +251,7 @@ def test_each_point_set_is_tabulated_once(monkeypatch, k):
 
         for module in importers:
             monkeypatch.setattr(module, "tabulate", counting)
-        monkeypatch.setattr(assembly, "_CHUNK", chunk)
-        monkeypatch.setattr(analysis, "_CHUNK", chunk)
+        monkeypatch.setattr(fem_core, "_POINT_BUDGET", budget)
         rows = run_case(config)
         assert all(row["status"] == "ok" for row in rows)
         assert max(seen.values()) == 1
@@ -260,7 +259,7 @@ def test_each_point_set_is_tabulated_once(monkeypatch, k):
 
     for config in (RunConfig(case="circle", k=k, n=8, levels=3),
                    RunConfig(case="rectangle", k=k, n=4, levels=2)):
-        assert tabulations(config, 256) == tabulations(config, 128)
+        assert tabulations(config, 4096) == tabulations(config, 2048)
 
 
 def test_conditioning_without_penalty_runs_every_level():
@@ -302,7 +301,9 @@ def test_main_writes_csv_to_stdout(capsys):
 
 
 def test_main_output_is_reproducible(tmp_path):
+    # the second path holds a longer file, which the run replaces whole
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    second.write_text("stale\n" * 1000)
     args = ["run", "--case", "planted", "--n", "4", "--levels", "2"]
     assert cli.main(args + ["--out", str(first)]) == 0
     assert cli.main(args + ["--out", str(second)]) == 0
@@ -391,13 +392,22 @@ def test_main_rejects_mistyped_config_values(tmp_path, capsys, text):
 
 
 def test_main_reports_empty_active_set(tmp_path, capsys):
+    # the study has no rows, so --out is written to neither way: a new
+    # path stays absent, and an existing file keeps its bytes
     cfg_file = tmp_path / "empty.json"
     cfg_file.write_text(json.dumps({"case": "circle", "n": 4, "levels": 1,
                                     "box": [2.0, 2.0, 3.0, 3.0]}))
-    code = cli.main(["run", "--config", str(cfg_file)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "EmptyActiveSet" in captured.err
+    old = tmp_path / "old.csv"
+    old.write_bytes(b"h,n_cells\r\n0.5,4\n")
+    for out in (None, tmp_path / "new.csv", old):
+        argv = ["run", "--config", str(cfg_file)]
+        code = cli.main(argv + ([] if out is None else ["--out", str(out)]))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "EmptyActiveSet" in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "new.csv").exists()
+    assert old.read_bytes() == b"h,n_cells\r\n0.5,4\n"
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])

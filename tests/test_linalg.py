@@ -159,7 +159,8 @@ def test_stall_above_rounding_level_raises(n, method, monkeypatch):
 
     def weakened(a):
         lu = real(a)
-        return SimpleNamespace(solve=lambda r: 0.3 * lu.solve(r))
+        return SimpleNamespace(
+            solve=lambda r, trans="N": 0.3 * lu.solve(r, trans))
 
     monkeypatch.setattr(linalg, "_lu", weakened)
     a, u = _laplacian_1d(n)
@@ -193,14 +194,36 @@ def test_hardest_disk_systems_match_a_partial_pivoting_factor(k, n, seed):
 def test_lu_panel_options_keep_the_default_fill_and_pivots(k):
     # relax=1 and panel_size=4 size SuperLU's supernode panels for these
     # factors; on the disk systems they change neither the ordering, the
-    # pivots nor the fill of the factor SuperLU takes by default
-    a = _assembled(40, k).A.tocsc()
+    # pivots nor the fill of the factor SuperLU takes by default of the
+    # same A^T, the CSC view of A's arrays that _lu factors
+    a = _assembled(40, k).A
+    at = sp.csc_matrix((a.data, a.indices, a.indptr), shape=a.shape[::-1])
     options = {key: value for key, value in linalg._LU_OPTIONS.items()
                if key not in ("relax", "panel_size")}
-    tuned, default = linalg._lu(a), spla.splu(a, **options)
+    tuned, default = linalg._lu(a), spla.splu(at, **options)
     assert (tuned.L.nnz + tuned.U.nnz == default.L.nnz + default.U.nnz)
     np.testing.assert_array_equal(tuned.perm_c, default.perm_c)
     np.testing.assert_array_equal(tuned.perm_r, default.perm_r)
+
+
+def test_factor_takes_no_csc_copy(monkeypatch):
+    # _lu hands SuperLU the CSR arrays of A as the CSC matrix of A^T, so
+    # both entry points run with tocsc unusable, and agree with dense
+    # linear algebra
+    system = _assembled(10, 2)
+
+    def no_copy(self, copy=False):
+        raise AssertionError("A was copied to CSC")
+
+    monkeypatch.setattr(type(system.A), "tocsc", no_copy)
+    dense = system.A.toarray()
+    report = solve(system)
+    np.testing.assert_allclose(report.x, np.linalg.solve(dense, system.b),
+                               rtol=0, atol=1e-10 * np.abs(report.x).max())
+    est = estimate_condition_number(system)
+    singular = np.linalg.svd(dense, compute_uv=False)
+    assert est.sigma_max == pytest.approx(singular[0], rel=1e-7)
+    assert est.sigma_min == pytest.approx(singular[-1], rel=1e-7)
 
 
 def test_condition_number_of_identity():
