@@ -7,11 +7,13 @@ errors are measured against a solution of the same discretization two
 refinement levels finer, restricted to coarse triangles that lie strictly
 inside the negative region of both the coarse and fine level sets.
 
-Errors are taken for all solutions of one level in one pass: the
-solutions of several penalty strengths share the mesh, the level set and
-the dof map, so only the coefficients of w differ between them.  The
-quadrature points are v0 + offset[shape], and phi and w are one GEMM per
-triangle shape against the shape's tables.  The reference mesh refines
+Each solution keeps the domain it was solved on, and the domain its
+level set and mesh, so the norms take only the solutions.  Errors are
+taken for all solutions of one level in one pass: the solutions of
+several penalty strengths share the domain and the dof map, so only the
+coefficients of w differ between them.  The quadrature points are
+v0 + offset[shape], and phi and w are one GEMM per triangle shape
+against the shape's tables.  The reference mesh refines
 every coarse cell into ratio x ratio fine cells, so each rule point of a
 coarse shape lands at a fixed fine triangle of its cell and a fixed
 barycentric point there: `_nested_map` finds them once per (ratio, rule,
@@ -30,7 +32,7 @@ from .assembly import SparseSystem
 from .fem_core import (DofMap, _chunks, _frozen, eval_shapes, physical_points,
                        physical_tables, product_rule, quadrature_degrees,
                        rule_tables, shape_maps, tabulate, triangle_quadrature)
-from .levelset import ActiveDomain, AnalyticField, LevelSetField
+from .levelset import ActiveDomain, AnalyticField
 from .mesh import build_background_mesh, locate_points
 
 __all__ = [
@@ -46,9 +48,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProductSolution:
-    """Discrete solution u = phi * w on the active submesh."""
+    """Discrete solution u = phi * w on the active submesh of `domain`,
+    phi its level-set interpolant `domain.field`."""
 
-    field: LevelSetField
+    domain: ActiveDomain
     dofmap: DofMap              # numbering of the factor w, degree k
     coefficients: np.ndarray    # (n_dofs,) coefficients of w
 
@@ -72,22 +75,23 @@ class VanishingNormError(ValueError):
     for instance because there are none."""
 
 
-def make_solution(system: SparseSystem, field: LevelSetField,
-                  x: np.ndarray) -> ProductSolution:
-    """Bundle solver output into an evaluable product solution."""
+def make_solution(system: SparseSystem, x: np.ndarray) -> ProductSolution:
+    """Bundle solver output into an evaluable product solution on the
+    system's domain and dof map."""
     x = np.asarray(x, dtype=float)
     if x.shape != (system.n_dofs,):
         raise ValueError("coefficient vector does not match the dof map")
-    return ProductSolution(field=field, dofmap=system.dofmap, coefficients=x)
+    return ProductSolution(domain=system.domain, dofmap=system.dofmap,
+                           coefficients=x)
 
 
 def _check_shared(solutions: list[ProductSolution]) -> None:
     if not solutions:
         raise ValueError("no solutions to measure")
     first = solutions[0]
-    if any(s.field is not first.field or s.dofmap is not first.dofmap
+    if any(s.domain is not first.domain or s.dofmap is not first.dofmap
            for s in solutions):
-        raise ValueError("solutions must share one field and one dof map")
+        raise ValueError("solutions must share one domain and one dof map")
 
 
 def _squares(e: np.ndarray, w: np.ndarray) -> float:
@@ -101,11 +105,11 @@ def _relative_errors(solutions: list[ProductSolution], tris: np.ndarray,
                      target, vanishing: str) -> list[ErrorReport]:
     """Relative L2 and H1-seminorm errors of each solution against a target.
 
-    The solutions share one level-set field and one dof map, so the
-    points, the target, the weights, phi and the dof gather run once per
-    chunk; only w and the error sums are per solution.  Every triangle
-    of a shape shares the tables of phi and w, so each field is one GEMM
-    per shape.  `target(tris, pts)` gives, at the rule's physical points
+    The solutions share one domain and one dof map, so the points, the
+    target, the weights, phi and the dof gather run once per chunk; only
+    w and the error sums are per solution.  Every triangle of a shape
+    shares the tables of phi and w, so each field is one GEMM per
+    shape.  `target(tris, pts)` gives, at the rule's physical points
     (nT, Q, 2) of the triangles `tris`, the target values (S, nT, Q) and
     gradients (S, nT, Q, 2); S is 1 (one target for every solution) or
     one target per solution.  The gradients may be any view of that
@@ -118,7 +122,7 @@ def _relative_errors(solutions: list[ProductSolution], tris: np.ndarray,
     copy of a chunk is made.  Raises VanishingNormError(`vanishing`)
     when a target has zero norm on the triangles.
     """
-    field, dofmap = solutions[0].field, solutions[0].dofmap
+    field, dofmap = solutions[0].domain.field, solutions[0].dofmap
     mesh = field.mesh
     exactness = quadrature_degrees(dofmap.degree, field.degree)["data"]
     quad = triangle_quadrature(exactness)
@@ -161,18 +165,20 @@ def _relative_errors(solutions: list[ProductSolution], tris: np.ndarray,
             for j in range(S)]
 
 
-def compute_errors(solutions: list[ProductSolution], exact: AnalyticField,
-                   domain: ActiveDomain) -> list[ErrorReport]:
+def compute_errors(solutions: list[ProductSolution], exact: AnalyticField
+                   ) -> list[ErrorReport]:
     """Relative L2 and H1-seminorm errors against a closed-form solution,
     one report per solution.
 
-    Both norms integrate over every active triangle, cut ones included.
-    The solutions must share one level-set field and one dof map, as the
-    solves of one level for several penalty strengths do; the exact
-    solution, phi and the points are then evaluated once for all of
-    them, and each report equals that of a one-solution call.
+    Both norms integrate over every active triangle of the solutions'
+    domain, cut ones included.  The solutions must share one domain and
+    one dof map, as the solves of one level for several penalty
+    strengths do; the exact solution, phi and the points are then
+    evaluated once for all of them, and each report equals that of a
+    one-solution call.
     """
     _check_shared(solutions)
+    domain = solutions[0].domain
     if exact.gradient is None:
         raise ValueError("exact solution must provide a gradient")
 
@@ -239,39 +245,41 @@ def _fine_triangles(tris, nx, ratio, local):
 
 
 def compute_errors_vs_reference(solutions: list[ProductSolution],
-                                ref_solutions: list[ProductSolution],
-                                domain: ActiveDomain) -> list[ErrorReport]:
+                                ref_solutions: list[ProductSolution]
+                                ) -> list[ErrorReport]:
     """Errors against finer solves of the same problem, one report per
     solution: solutions[j] is measured against ref_solutions[j].
 
     The reference mesh must be nested in the coarse one: the same box,
     with each coarse cell split into ratio x ratio fine cells, one
     integer ratio on both axes; ValueError otherwise.  Norms run over
-    coarse active triangles that are not cut (the level-set interpolant
-    stays negative on their whole sampling lattice).  A coarse triangle
-    is also dropped when any of its quadrature points lies in a fine
-    triangle outside the fine active set, so that only points where the
-    reference is defined contribute.  The fine triangle and barycentric
-    point of each rule point follow from the nesting (`_nested_map`), so
-    no point is located and no basis tabulated per call.  The solutions
-    share one coarse field and dof map and the references one fine field
-    and dof map, as the solves of two levels for several penalty
-    strengths do; the coarse points, phi and the fine phi then run once
-    for all of them, and each report equals that of a one-solution call.
+    the active triangles of the solutions' domain that are not cut (the
+    level-set interpolant stays negative on their whole sampling
+    lattice).  A coarse triangle is also dropped when any of its
+    quadrature points lies in a fine triangle outside the fine active
+    set, so that only points where the reference is defined contribute.
+    The fine triangle and barycentric point of each rule point follow
+    from the nesting (`_nested_map`), so no point is located and no
+    basis tabulated per call.  The solutions share one coarse domain and
+    dof map and the references one fine domain and dof map, as the
+    solves of two levels for several penalty strengths do; the coarse
+    points, phi and the fine phi then run once for all of them, and each
+    report equals that of a one-solution call.
     """
     _check_shared(solutions)
     _check_shared(ref_solutions)
     if len(solutions) != len(ref_solutions):
         raise ValueError("one reference per solution is needed")
-    coarse, fine = solutions[0].field.mesh, ref_solutions[0].field.mesh
+    domain, field = solutions[0].domain, ref_solutions[0].domain.field
+    coarse, fine = domain.field.mesh, field.mesh
     (nx, ny), (fx, fy) = coarse.n_cells, fine.n_cells
     ratio = fx // nx
     if fine.box != coarse.box or (fx, fy) != (ratio * nx, ratio * ny):
         raise ValueError("the reference mesh is not nested in the coarse one")
     interior = np.setdiff1d(domain.active_triangles, domain.cut_triangles)
-    field, dofmap = ref_solutions[0].field, ref_solutions[0].dofmap
+    dofmap = ref_solutions[0].dofmap
     exactness = quadrature_degrees(solutions[0].degree,
-                                   solutions[0].field.degree)["data"]
+                                   domain.field.degree)["data"]
     local, phi_tables = _nested_map(ratio, exactness, field.degree)
     w_tables = _nested_map(ratio, exactness, dofmap.degree)[1]
 

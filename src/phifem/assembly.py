@@ -58,7 +58,10 @@ with h read from the mesh; `assemble_parts` builds the core A0, b0 and
 the penalty part G, g once per level, and `SystemParts.system` forms
 A = A0 + sigma G, b = b0 + sigma g for each strength.  The penalty part
 is assembled separately from the core so that its matrix is exactly
-symmetric and can be inspected on its own.
+symmetric and can be inspected on its own.  The three entry points
+take the classified domain and read the level set from `domain.field`,
+so they cannot be given a level set of another mesh; the parts and
+every system keep that domain, and a solution takes it from its system.
 """
 from __future__ import annotations
 
@@ -90,10 +93,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SparseSystem:
-    """Assembled linear system A w = b over the active dofs."""
+    """Assembled linear system A w = b over the active dofs of `domain`."""
 
     A: sp.csr_matrix
     b: np.ndarray
+    domain: ActiveDomain
     dofmap: DofMap
 
     @property
@@ -341,9 +345,8 @@ def _sparse(blocks, n: int) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def assemble_ghost_part(domain: ActiveDomain, field: LevelSetField,
-                        f: AnalyticField, k: int, dofmap: DofMap
-                        ) -> tuple[sp.csr_matrix, np.ndarray]:
+def assemble_ghost_part(domain: ActiveDomain, f: AnalyticField, k: int,
+                        dofmap: DofMap) -> tuple[sp.csr_matrix, np.ndarray]:
     """Assemble the penalty matrix and its right-hand side correction at
     sigma = 1; the system for strength sigma adds sigma times them.
 
@@ -353,6 +356,7 @@ def assemble_ghost_part(domain: ActiveDomain, field: LevelSetField,
     of duplicate entries is not mirror-invariant, so the average is what
     makes the result symmetric entry for entry, not merely up to rounding.
     """
+    field = domain.field
     tris, jumps = ghost_jump_kernel(domain.ghost_facets, field, k)
     jump_dofs = dofmap.cell_dofs[dofmap.rows_for(tris)].reshape(
         jumps.shape[:2])
@@ -375,7 +379,7 @@ def _box_boundary_dofs(domain: ActiveDomain, dofmap: DofMap) -> np.ndarray:
     """Dofs whose node lies on the part of the active boundary that
     coincides with the background-box boundary.  Decided on the integer
     node lattice, so no tolerance is involved."""
-    mesh = domain.mesh
+    mesh = domain.field.mesh
     on_box = mesh.facet_triangles[domain.boundary_facets, 1] < 0
     facets = domain.boundary_facets[on_box]
     k = dofmap.degree
@@ -397,7 +401,8 @@ def _check_sigma(sigma: float) -> None:
 
 @dataclass(frozen=True)
 class SystemParts:
-    """The sigma-free parts of one level's system.
+    """The sigma-free parts of one level's system over the active dofs
+    of `domain`, which every system it forms keeps.
 
     The system for penalty strength sigma is A = A0 + sigma G and
     b = b0 + sigma g, with Dirichlet rows on the pinned dofs; `system`
@@ -411,43 +416,39 @@ class SystemParts:
     g: np.ndarray | None
     pinned: np.ndarray          # dofs with Dirichlet rows
     pinned_values: np.ndarray   # their right-hand side values
+    domain: ActiveDomain
     dofmap: DofMap
 
     def system(self, sigma: float) -> SparseSystem:
-        """The assembled system for one penalty strength."""
+        """The assembled system for one penalty strength.  A pinned row
+        is the identity row: diag(free) A + diag(1 - free), with `free`
+        the 0/1 mask of free rows, and its right-hand side the pinned
+        value."""
         _check_sigma(sigma)
-        if sigma == 0.0:
-            A = self.A0.copy()
-            b = self.b0.copy()
-        elif self.G is None:
+        if sigma and self.G is None:
             raise ValueError(f"penalty part not assembled; sigma = {sigma} "
                              "was not among the strengths asked for")
-        else:
-            A = (self.A0 + sigma * self.G).tocsr()
-            b = self.b0 + sigma * self.g
+        A, b = ((self.A0 + sigma * self.G, self.b0 + sigma * self.g) if sigma
+                else (self.A0.copy(), self.b0.copy()))
         if self.pinned.size:
-            # zero the pinned rows in place, then put 1 on their diagonal
-            pinned_row = np.zeros(A.shape[0], dtype=bool)
-            pinned_row[self.pinned] = True
-            A.data[np.repeat(pinned_row, np.diff(A.indptr))] = 0.0
-            A = (A + sp.csr_matrix((np.ones(self.pinned.size),
-                                    (self.pinned, self.pinned)),
-                                   shape=A.shape)).tocsr()
+            free = np.ones(A.shape[0])
+            free[self.pinned] = 0.0
+            A = sp.diags(free) @ A + sp.diags(1.0 - free)
             b[self.pinned] = self.pinned_values
         A.eliminate_zeros()
         A.sort_indices()
-        return SparseSystem(A=A, b=b, dofmap=self.dofmap)
+        return SparseSystem(A=A, b=b, domain=self.domain, dofmap=self.dofmap)
 
 
-def assemble_parts(domain: ActiveDomain, field: LevelSetField,
-                   f: AnalyticField, k: int, sigmas: list[float],
+def assemble_parts(domain: ActiveDomain, f: AnalyticField, k: int,
+                   sigmas: list[float],
                    outer_data: AnalyticField | None = None) -> SystemParts:
     """Assemble everything that does not depend on the penalty strength.
 
     Parameters
     ----------
-    domain : classification of the mesh against `field`.
-    field : level-set interpolant, degree l.
+    domain : classification of the mesh against the level-set
+        interpolant `domain.field`, of degree l.
     f : source term of the strong problem -lap(u) = f.
     k : polynomial degree of the unknown factor, 1..3.
     sigmas : the penalty strengths, each >= 0, that the parts will be
@@ -463,11 +464,8 @@ def assemble_parts(domain: ActiveDomain, field: LevelSetField,
     """
     for sigma in sigmas:
         _check_sigma(sigma)
-    mesh = domain.mesh
-    if field.mesh is not mesh:
-        raise ValueError("level set and domain live on different meshes")
-
-    dofmap = build_dof_map(mesh, domain.active_triangles, k)
+    field = domain.field
+    dofmap = build_dof_map(field.mesh, domain.active_triangles, k)
     owner_dofs = dofmap.cell_dofs[dofmap.rows_for(domain.boundary_owners)]
     A0 = _sparse([(dofmap.cell_dofs, lambda out: _in_chunks(
                       out, element_product_kernel, "volume", dofmap.triangles,
@@ -481,7 +479,7 @@ def assemble_parts(domain: ActiveDomain, field: LevelSetField,
 
     G = g = None
     if any(sigmas):
-        G, g = assemble_ghost_part(domain, field, f, k, dofmap)
+        G, g = assemble_ghost_part(domain, f, k, dofmap)
 
     pinned = np.zeros(0, dtype=np.int64)
     pinned_values = np.zeros(0)
@@ -493,17 +491,17 @@ def assemble_parts(domain: ActiveDomain, field: LevelSetField,
                                    dtype=np.float64)
 
     return SystemParts(A0=A0, b0=b0, G=G, g=g, pinned=pinned,
-                       pinned_values=pinned_values, dofmap=dofmap)
+                       pinned_values=pinned_values, domain=domain,
+                       dofmap=dofmap)
 
 
-def assemble_system(domain: ActiveDomain, field: LevelSetField,
-                    f: AnalyticField, k: int, sigma: float,
-                    outer_data: AnalyticField | None = None) -> SparseSystem:
+def assemble_system(domain: ActiveDomain, f: AnalyticField, k: int,
+                    sigma: float, outer_data: AnalyticField | None = None
+                    ) -> SparseSystem:
     """Assemble the full linear system over the active submesh for one
     penalty strength: `assemble_parts` for [sigma], then its `system`.
 
     See `assemble_parts` for the parameters.  With sigma = 0 the penalty
     terms are skipped entirely.
     """
-    return assemble_parts(domain, field, f, k, [sigma],
-                          outer_data).system(sigma)
+    return assemble_parts(domain, f, k, [sigma], outer_data).system(sigma)

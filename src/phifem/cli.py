@@ -19,11 +19,13 @@ repr so that two runs of the same configuration produce byte-identical
 files.  Exit code 0 means success, 2 a configuration problem (an `--out`
 path that cannot be opened included; it is tried before any level
 runs, and written only once the study has rows, so a run that exits 2
-leaves an existing file as it was and creates none), 3 at least one
-failed solve (failed rows still appear, flagged in `status`: a singular
-matrix, no convergence, or factors that ran out of memory) or a level
-with nothing to compare with its reference (`no-comparison`: no uncut
-coarse triangle where the reference is defined; its errors stay blank).
+leaves an existing file as it was and creates none), an empty active
+set or a level too large to allocate (`error: out-of-memory`), 3 at
+least one failed solve (failed rows still appear, flagged in `status`:
+a singular matrix, no convergence, or factors that ran out of memory)
+or a level with nothing to compare with its reference
+(`no-comparison`: no uncut coarse triangle where the reference is
+defined; its errors stay blank).
 """
 from __future__ import annotations
 
@@ -173,14 +175,14 @@ def _solve_level(config: RunConfig, n: int, sigmas: list[float],
     when errors are asked for: nothing else reads a solution) and, on a
     reported level, its kappa, so no system outlives its own solve.  A
     failed solve keeps its best iterate, if any, and a failed estimate
-    its partial kappa.  Measures no errors: returns the domain and one
-    (row, solution) per strength, the solution None when there is none.
+    its partial kappa.  Measures no errors: returns one (row, solution)
+    per strength, the solution None when there is none; a solution keeps
+    its domain, which is all the error norms need besides it.
     """
     case = get_case(config.case)
     mesh = build_background_mesh(config.resolved_box(), (n, n))
     field = interpolate_levelset(case.phi, mesh, config.levelset_degree)
-    domain = classify_domain(field)
-    parts = assemble_parts(domain, field, case.f, config.k, sigmas,
+    parts = assemble_parts(classify_domain(field), case.f, config.k, sigmas,
                            outer_data=case.outer_data)
     results = []
     for j, sigma in enumerate(sigmas):
@@ -196,10 +198,9 @@ def _solve_level(config: RunConfig, n: int, sigmas: list[float],
             estimate = _attempt(lambda: estimate_condition_number(system),
                                 row)
             row["kappa"] = None if estimate is None else estimate.kappa
-        results.append(
-            (row, None if x is None else make_solution(system, field, x)))
+        results.append((row, None if x is None else make_solution(system, x)))
         del system      # the error norms need only the solution
-    return domain, results
+    return results
 
 
 def _measure(pairs: list, errors) -> None:
@@ -230,9 +231,10 @@ def _fill_orders(rows: list[dict]) -> None:
         (cur["eoc_l2"], cur["eoc_h1"]), = estimated_orders(reports)
 
 
-def _compare(coarse: list, domain, fine: list) -> None:
+def _compare(coarse: list, fine: list) -> None:
     """Errors of one level's rows against the same strengths two levels
-    finer; `coarse` and `fine` hold one (row, solution) per strength.
+    finer; `coarse` and `fine` hold one (row, solution) per strength, and
+    each solution its own level's domain.
 
     The hidden reference level's failure is its row's too.  Every
     strength whose level and reference both have a solution is measured
@@ -249,7 +251,7 @@ def _compare(coarse: list, domain, fine: list) -> None:
                   if sol is not None and ref is not None]
     try:
         _measure(pairs, lambda solutions: compute_errors_vs_reference(
-            solutions, references, domain))
+            solutions, references))
     except VanishingNormError:
         for row, _ in coarse:
             if row["status"] == "ok":
@@ -265,22 +267,23 @@ def _run_study(config: RunConfig, sigmas: list[float]) -> list[dict]:
     level is built.  Without a closed form, two more levels are solved,
     and each level is compared with the level two coarser as soon as it
     is solved, so at most three levels of solutions are held at a time.
+    The window holds only (row, solution) pairs: each solution carries
+    its domain, so no level's domain is passed beside them.
     """
     case = get_case(config.case)
     compare = "errors" in config.tasks and case.u_exact is None
     rows: list[list[dict]] = [[] for _ in sigmas]
-    window = collections.deque(maxlen=2)    # (results, domain) per level
+    window = collections.deque(maxlen=2)    # results of the last levels
     for i in range(config.levels + (2 if compare else 0)):
         reported = i < config.levels
-        domain, results = _solve_level(config, config.n * 2 ** i, sigmas,
-                                       reported)
+        results = _solve_level(config, config.n * 2 ** i, sigmas, reported)
         if compare:
             if len(window) == 2:
-                _compare(*window[0], results)
-            window.append((results, domain))
+                _compare(window[0], results)
+            window.append(results)
         elif "errors" in config.tasks:
             _measure(results, lambda solutions: compute_errors(
-                solutions, case.u_exact, domain))
+                solutions, case.u_exact))
         if reported:
             # a loop over the pairs would keep the last solution alive
             for by_sigma, row in zip(rows, [row for row, _ in results]):
@@ -424,6 +427,9 @@ def main(argv: list[str] | None = None) -> int:
             rows, slope = conditioning_study(config)
     except EmptyActiveSetError as err:
         print(f"error: EmptyActiveSet: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print(f"error: out-of-memory: {err}", file=sys.stderr)
         return 2
     with (contextlib.nullcontext(sys.stdout) if config.out is None
           else open(config.out, "w", newline="")) as stream:

@@ -13,12 +13,12 @@ that sign (`_sign_open`) are sampled; each sample is summed node by
 node, so it is rounded the same however many triangles are sampled.  On
 the n=160 circle that cuts the traced peak of a classification from 20.1
 to 3.6 MiB (l=1) and from 40.8 to 8.2 MiB (l=3).  `classify_domain` takes
-the interpolant alone (its mesh is the field's) and is the one place
-that reads facet adjacency: the ghost and boundary facets and the
-boundary owners all come from one lookup of the active mask on
-`mesh.facet_triangles`.  The facet sets carry ids and owner triangles
-only: a facet's length and outward normal follow from its owner's shape
-and local facet (`fem_core.facet_frames`).
+the interpolant alone (its mesh is the field's), the domain it returns
+keeps it, and it is the one place that reads facet adjacency: the ghost
+and boundary facets and the boundary owners all come from one lookup of
+the active mask on `mesh.facet_triangles`.  The facet sets carry ids
+and owner triangles only: a facet's length and outward normal follow
+from its owner's shape and local facet (`fem_core.facet_frames`).
 """
 from __future__ import annotations
 
@@ -94,16 +94,18 @@ def interpolate_levelset(phi: AnalyticField, mesh: BackgroundMesh,
 class ActiveDomain:
     """Sign classification of the mesh against a level-set interpolant.
 
+    field : the interpolant classified; its mesh is the domain's.
     active_triangles : triangles where the interpolant dips below zero.
     cut_triangles : active triangles where it also reaches >= 0.
     ghost_facets : interior facets of the active set with a cut neighbour.
     boundary_facets : facets with exactly one active neighbour.
     boundary_owners : that neighbour, the owner of each boundary facet.
 
-    All five are read-only integer arrays; all but the owners ascend.
+    The five sets are read-only integer arrays; all but the owners
+    ascend.
     """
 
-    mesh: BackgroundMesh
+    field: LevelSetField
     active_triangles: np.ndarray
     cut_triangles: np.ndarray
     ghost_facets: np.ndarray
@@ -212,7 +214,7 @@ def classify_domain(field: LevelSetField) -> ActiveDomain:
     for arr in (active, cut, ghost, boundary, owners):
         arr.setflags(write=False)
     return ActiveDomain(
-        mesh=mesh,
+        field=field,
         active_triangles=active,
         cut_triangles=cut,
         ghost_facets=ghost,

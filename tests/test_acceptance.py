@@ -49,8 +49,7 @@ def _disk_extremes(sigma, sizes):
         mesh = build_background_mesh(case.box, (n, n))
         field = interpolate_levelset(case.phi, mesh, 1)
         out.append(estimate_condition_number(assemble_system(
-            classify_domain(field), field, case.f, 1, sigma,
-            case.outer_data)))
+            classify_domain(field), case.f, 1, sigma, case.outer_data)))
     return out
 
 
@@ -223,6 +222,8 @@ def test_05_penalty_robustness():
                         [0.1, 1.0, 10.0, 100.0])
     h1 = [row["err_h1_rel"] for row in sweep]
     spread = max(h1) / min(h1)
+    print("acceptance 5 note: H1 errors at n=20 for sigma 0.1, 1, 10, 100: "
+          + ", ".join(f"{e:.3f}" for e in h1))
     pair = sigma_sweep(_disk_config(1, n=40, levels=1), [1e-4, 0.1])
     degradation = pair[0]["err_l2_rel"] / pair[1]["err_l2_rel"]
 
@@ -252,7 +253,7 @@ def test_06_property_suite(tmp_path):
         mesh = build_background_mesh(case.box, (7, 7))
         field = interpolate_levelset(case.phi, mesh, k)
         domain = classify_domain(field)
-        system = assemble_system(domain, field, case.f, k, 20.0,
+        system = assemble_system(domain, case.f, k, 20.0,
                                  outer_data=case.outer_data)
         nodes = system.dofmap.node_coords
         gap = np.abs(solve(system).x - (1.0 + nodes[:, 0] + nodes[:, 1]))
@@ -266,8 +267,7 @@ def test_06_property_suite(tmp_path):
     field = interpolate_levelset(disk.phi, mesh, 1)
     domain = classify_domain(field)
     ghost = 20.0 * assemble_ghost_part(
-        domain, field, disk.f, 1,
-        build_dof_map(mesh, domain.active_triangles, 1))[0]
+        domain, disk.f, 1, build_dof_map(mesh, domain.active_triangles, 1))[0]
     if (ghost != ghost.T).nnz != 0:
         bad.append("ghost matrix not exactly symmetric")
     rng = np.random.default_rng(20240910)
@@ -278,7 +278,7 @@ def test_06_property_suite(tmp_path):
         quads.append(v @ (ghost @ v) / (scale * (v @ v)))
     if min(quads) < -1e-10:
         bad.append(f"ghost quadratic form hits {min(quads):.2e}")
-    system = assemble_system(domain, field, disk.f, 1, 20.0)
+    system = assemble_system(domain, disk.f, 1, 20.0)
     rng = np.random.default_rng(20240911)
     if not all(v @ (system.A @ v) > 0.0 for v in
                rng.standard_normal((1000, system.n_dofs))):
@@ -321,8 +321,7 @@ def test_06_property_suite(tmp_path):
     # estimated condition number against the dense SVD
     mesh3 = build_background_mesh(disk.box, (10, 10))
     field3 = interpolate_levelset(disk.phi, mesh3, 1)
-    small = assemble_system(classify_domain(field3), field3,
-                            disk.f, 1, 20.0)
+    small = assemble_system(classify_domain(field3), disk.f, 1, 20.0)
     assert small.n_dofs <= 2000
     est = estimate_condition_number(small)
     dense = np.linalg.cond(small.A.toarray(), 2)

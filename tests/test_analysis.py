@@ -14,7 +14,7 @@ from phifem import analysis, fem_core
 from phifem.analysis import (ErrorReport, ProductSolution, compute_errors,
                              compute_errors_vs_reference, estimated_orders,
                              make_solution)
-from phifem.assembly import assemble_system
+from phifem.assembly import assemble_parts, assemble_system
 from phifem.cases import get_case
 from phifem.fem_core import (build_dof_map, physical_points,
                              quadrature_degrees, shape_maps, tabulate,
@@ -30,15 +30,15 @@ def _solve_case(name, n, k, sigma=20.0):
     mesh = build_background_mesh(case.box, (n, n))
     field = interpolate_levelset(case.phi, mesh, k)
     domain = classify_domain(field)
-    system = assemble_system(domain, field, case.f, k, sigma,
+    system = assemble_system(domain, case.f, k, sigma,
                              outer_data=case.outer_data)
     report = solve(system)
-    return case, domain, system, make_solution(system, field, report.x)
+    return case, domain, system, make_solution(system, report.x)
 
 
 def test_polynomial_solution_has_roundoff_errors():
-    case, domain, system, sol = _solve_case("planted", 8, 1)
-    err = compute_errors([sol], case.u_exact, domain)[0]
+    case, _, system, sol = _solve_case("planted", 8, 1)
+    err = compute_errors([sol], case.u_exact)[0]
     assert err.rel_l2 <= 1e-10
     assert err.rel_h1_semi <= 1e-9
     assert err.h == system.dofmap.mesh.h
@@ -71,10 +71,10 @@ def test_random_affine_planted_case_is_exact(theta, point, n, k):
     mesh = build_background_mesh((0.0, 0.0, 1.0, 1.0), (n, n))
     field = interpolate_levelset(AnalyticField(value=phi), mesh, k)
     domain = classify_domain(field)
-    system = assemble_system(domain, field, f, k, 20.0,
+    system = assemble_system(domain, f, k, 20.0,
                              outer_data=AnalyticField(value=w))
-    sol = make_solution(system, field, solve(system).x)
-    err = compute_errors([sol], u_exact, domain)[0]
+    sol = make_solution(system, solve(system).x)
+    err = compute_errors([sol], u_exact)[0]
     assert err.rel_l2 <= 1e-9
     assert err.rel_h1_semi <= 1e-8
 
@@ -91,19 +91,18 @@ def test_batched_errors_equal_single_calls(k, count, seed):
     domain = classify_domain(field)
     dofmap = build_dof_map(mesh, domain.active_triangles, k)
     rng = np.random.default_rng(seed)
-    sols = [ProductSolution(field, dofmap, rng.standard_normal(dofmap.n_dofs))
+    sols = [ProductSolution(domain, dofmap, rng.standard_normal(dofmap.n_dofs))
             for _ in range(count)]
-    batched = compute_errors(sols, case.u_exact, domain)
-    assert batched == [compute_errors([s], case.u_exact, domain)[0]
-                       for s in sols]
+    batched = compute_errors(sols, case.u_exact)
+    assert batched == [compute_errors([s], case.u_exact)[0] for s in sols]
 
     other = build_dof_map(mesh, domain.active_triangles, k % 3 + 1)
-    mixed = [sols[0], ProductSolution(field, other,
+    mixed = [sols[0], ProductSolution(domain, other,
                                       rng.standard_normal(other.n_dofs))]
     with pytest.raises(ValueError):
-        compute_errors(mixed, case.u_exact, domain)
+        compute_errors(mixed, case.u_exact)
     with pytest.raises(ValueError):
-        compute_errors([], case.u_exact, domain)
+        compute_errors([], case.u_exact)
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
@@ -112,29 +111,18 @@ def test_batched_errors_equal_single_calls(k, count, seed):
 def test_batched_reference_errors_equal_single_calls(k, count, seed):
     # one comparison of several solutions with their references, two
     # levels finer, must give each the report a call of its own gives
-    case = get_case("circle")
-    rng = np.random.default_rng(seed)
-    levels = []
-    for n in (6, 24):
-        mesh = build_background_mesh(case.box, (n, n))
-        field = interpolate_levelset(case.phi, mesh, k)
-        domain = classify_domain(field)
-        dofmap = build_dof_map(mesh, domain.active_triangles, k)
-        levels.append((domain, [
-            ProductSolution(field, dofmap, rng.standard_normal(dofmap.n_dofs))
-            for _ in range(count)]))
-    (domain, sols), (_, refs) = levels
-    batched = compute_errors_vs_reference(sols, refs, domain)
-    assert batched == [compute_errors_vs_reference([s], [r], domain)[0]
+    sols, refs = _random_levels(k, (6, 24), count, seed)
+    batched = compute_errors_vs_reference(sols, refs)
+    assert batched == [compute_errors_vs_reference([s], [r])[0]
                        for s, r in zip(sols, refs)]
     assert len(set(batched)) == count
 
     with pytest.raises(ValueError):
-        compute_errors_vs_reference(sols, refs[:-1], domain)
+        compute_errors_vs_reference(sols, refs[:-1])
     with pytest.raises(ValueError):
-        compute_errors_vs_reference([sols[0], refs[0]], refs[:2], domain)
+        compute_errors_vs_reference([sols[0], refs[0]], refs[:2])
     with pytest.raises(ValueError):
-        compute_errors_vs_reference([], [], domain)
+        compute_errors_vs_reference([], [])
 
 
 def _plain_squares(e, w):
@@ -144,19 +132,18 @@ def _plain_squares(e, w):
 
 
 def _random_levels(k, sizes, count, seed):
-    """(domain, solutions) on the circle at each size: `count` solutions
-    with random coefficients sharing the level's field and dof map."""
+    """The solutions on the circle at each size: `count` solutions with
+    random coefficients sharing the level's domain and dof map."""
     case = get_case("circle")
     rng = np.random.default_rng(seed)
     levels = []
     for n in sizes:
         mesh = build_background_mesh(case.box, (n, n))
-        field = interpolate_levelset(case.phi, mesh, k)
-        domain = classify_domain(field)
+        domain = classify_domain(interpolate_levelset(case.phi, mesh, k))
         dofmap = build_dof_map(mesh, domain.active_triangles, k)
-        levels.append((domain, [
-            ProductSolution(field, dofmap, rng.standard_normal(dofmap.n_dofs))
-            for _ in range(count)]))
+        levels.append([
+            ProductSolution(domain, dofmap, rng.standard_normal(dofmap.n_dofs))
+            for _ in range(count)])
     return levels
 
 
@@ -166,11 +153,11 @@ def test_fused_error_sums_match_the_plain_formula(monkeypatch, k):
     # weights; the plain formula sums the same squares in another order,
     # on the closed-form path and on the reference path alike
     case = get_case("circle")
-    (domain, sols), (_, refs) = _random_levels(k, (6, 24), 2, k)
+    sols, refs = _random_levels(k, (6, 24), 2, k)
 
     def reports():
-        return (compute_errors(sols, case.u_exact, domain)
-                + compute_errors_vs_reference(sols, refs, domain))
+        return (compute_errors(sols, case.u_exact)
+                + compute_errors_vs_reference(sols, refs))
 
     fused = reports()
     monkeypatch.setattr(analysis, "_squares", _plain_squares)
@@ -186,11 +173,11 @@ def test_one_triangle_chunks_leave_the_error_reports(monkeypatch, k):
     # the error pass one triangle; each sum then adds its chunks in
     # another order, on the closed-form and on the reference path alike
     case = get_case("circle")
-    (domain, sols), (_, refs) = _random_levels(k, (12, 48), 2, k)
+    sols, refs = _random_levels(k, (12, 48), 2, k)
 
     def reports():
-        return (compute_errors(sols, case.u_exact, domain)
-                + compute_errors_vs_reference(sols, refs, domain))
+        return (compute_errors(sols, case.u_exact)
+                + compute_errors_vs_reference(sols, refs))
 
     whole = reports()
     monkeypatch.setattr(fem_core, "_POINT_BUDGET", 1)
@@ -208,12 +195,12 @@ def test_one_triangle_chunks_leave_the_error_reports(monkeypatch, k):
 @pytest.mark.parametrize("k, n, count, bound_mib", [(3, 80, 1, 4.0),
                                                     (1, 100, 5, 4.0)])
 def test_error_pass_memory_peak(k, n, count, bound_mib):
-    (domain, sols), = _random_levels(k, (n,), count, 0)
+    sols, = _random_levels(k, (n,), count, 0)
     exact = get_case("circle").u_exact
-    compute_errors(sols, exact, domain)
+    compute_errors(sols, exact)
     tracemalloc.start()
     try:
-        compute_errors(sols, exact, domain)
+        compute_errors(sols, exact)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -255,51 +242,68 @@ def test_reference_comparison_rejects_meshes_that_do_not_nest():
 
     def solution(box, n_cells):
         mesh = build_background_mesh(box, n_cells)
-        field = interpolate_levelset(case.phi, mesh, 1)
-        dofmap = build_dof_map(mesh, classify_domain(field)
-                               .active_triangles, 1)
-        return field, ProductSolution(field, dofmap,
-                                      rng.standard_normal(dofmap.n_dofs))
+        domain = classify_domain(interpolate_levelset(case.phi, mesh, 1))
+        dofmap = build_dof_map(mesh, domain.active_triangles, 1)
+        return ProductSolution(domain, dofmap,
+                               rng.standard_normal(dofmap.n_dofs))
 
-    field, coarse = solution(case.box, (4, 4))
-    domain = classify_domain(field)
+    coarse = solution(case.box, (4, 4))
     shifted = tuple(x + 0.125 for x in case.box)
     for box, n_cells in ((case.box, (6, 6)),      # no integer ratio
                          (shifted, (8, 8)),       # another box
                          (case.box, (8, 16)),     # two ratios
                          (case.box, (2, 2))):     # coarser
         with pytest.raises(ValueError, match="not nested"):
-            compute_errors_vs_reference([coarse], [solution(box, n_cells)[1]],
-                                        domain)
-    assert compute_errors_vs_reference(
-        [coarse], [solution(case.box, (8, 8))[1]], domain)
+            compute_errors_vs_reference([coarse], [solution(box, n_cells)])
+    assert compute_errors_vs_reference([coarse],
+                                       [solution(case.box, (8, 8))])
+
+
+def test_each_object_keeps_the_one_it_came_from():
+    # the domain keeps its level set, the parts and each system their
+    # domain, and a solution the system's domain, so no call of a level
+    # takes a level set or a domain beside an object that holds it
+    case = get_case("planted")
+    field = interpolate_levelset(
+        case.phi, build_background_mesh(case.box, (6, 6)), 2)
+    domain = classify_domain(field)
+    assert domain.field is field
+    parts = assemble_parts(domain, case.f, 2, [0.0, 20.0],
+                           outer_data=case.outer_data)
+    assert parts.domain is domain
+    for sigma in (0.0, 20.0):
+        system = parts.system(sigma)
+        assert system.domain is domain
+        solution = make_solution(system, solve(system).x)
+        assert solution.domain is domain
+        assert solution.dofmap is system.dofmap is parts.dofmap
 
 
 def test_make_solution_rejects_wrong_size():
-    _, _, system, sol = _solve_case("planted", 4, 1)
+    _, _, system, _ = _solve_case("planted", 4, 1)
     with pytest.raises(ValueError):
-        make_solution(system, sol.field, np.zeros(system.n_dofs + 1))
+        make_solution(system, np.zeros(system.n_dofs + 1))
 
 
 def test_compute_errors_requires_gradient():
-    case, domain, _, sol = _solve_case("planted", 4, 1)
+    case, _, _, sol = _solve_case("planted", 4, 1)
     no_grad = AnalyticField(value=case.u_exact.value)
     with pytest.raises(ValueError):
-        compute_errors([sol], no_grad, domain)
+        compute_errors([sol], no_grad)
 
 
 def test_compute_errors_rejects_vanishing_exact():
-    _, domain, _, sol = _solve_case("planted", 4, 1)
+    _, _, _, sol = _solve_case("planted", 4, 1)
     zero = AnalyticField(
         value=lambda x, y: np.zeros_like(x),
         gradient=lambda x, y: (np.zeros_like(x), np.zeros_like(x)))
     with pytest.raises(ValueError):
-        compute_errors([sol], zero, domain)
+        compute_errors([sol], zero)
 
 
 def test_reference_comparison_against_self_is_zero():
-    _, domain, _, sol = _solve_case("circle", 8, 1)
-    err = compute_errors_vs_reference([sol], [sol], domain)[0]
+    _, _, _, sol = _solve_case("circle", 8, 1)
+    err = compute_errors_vs_reference([sol], [sol])[0]
     assert err.rel_l2 <= 1e-13
     assert err.rel_h1_semi <= 1e-13
 
@@ -308,9 +312,9 @@ def test_reference_comparison_exact_case():
     # Both solves reproduce the polynomial solution exactly, so comparing
     # the coarse one against the finer one exercises point location and
     # the cut-triangle exclusion without any discretization error.
-    _, domain, _, coarse = _solve_case("planted", 8, 1)
+    _, _, _, coarse = _solve_case("planted", 8, 1)
     _, _, _, fine = _solve_case("planted", 32, 1)
-    err = compute_errors_vs_reference([coarse], [fine], domain)[0]
+    err = compute_errors_vs_reference([coarse], [fine])[0]
     assert err.rel_l2 <= 1e-9
     assert err.rel_h1_semi <= 1e-8
 
@@ -319,7 +323,7 @@ def _located_fields(solution, pts):
     """u = phi w and its gradient at physical points (P, 2), each point
     located on the solution's mesh and its basis tabulated there: no
     nested map and no shared rule table."""
-    field, dofmap = solution.field, solution.dofmap
+    field, dofmap = solution.domain.field, solution.dofmap
     tri, bary = locate_points(field.mesh, pts)
     inv = shape_maps(field.mesh.cell_size)[2][tri % 2]
     fields = []
@@ -360,12 +364,12 @@ def test_reference_errors_agree_with_the_closed_form(k):
     for n in (10, 20, 40):
         _, domain, _, coarse = levels[n]
         fine = levels[4 * n][3]
-        mesh = coarse.field.mesh
+        mesh = domain.field.mesh
         # uncut active triangles whose rule points all lie where the
         # reference is defined, found by point location
         interior = np.setdiff1d(domain.active_triangles,
                                 domain.cut_triangles)
-        fine_tri, _ = locate_points(fine.field.mesh, physical_points(
+        fine_tri, _ = locate_points(fine.domain.field.mesh, physical_points(
             mesh, interior, quad.points))
         kept = interior[np.isin(fine_tri, fine.dofmap.triangles).all(1)]
         pts = physical_points(mesh, kept, quad.points).reshape(-1, 2)
@@ -376,7 +380,7 @@ def test_reference_errors_agree_with_the_closed_form(k):
             return np.sqrt(np.sum(weights * v.reshape(len(weights), -1).T
                                   ** 2))
 
-        reported, = compute_errors_vs_reference([coarse], [fine], domain)
+        reported, = compute_errors_vs_reference([coarse], [fine])
         closed, = analysis._relative_errors(
             [coarse], kept, lambda tris, p: tuple(f[None] for f in exact(p)),
             "exact solution vanishes")

@@ -80,7 +80,7 @@ def test_full_system_matches_manual_assembly():
     field = _const_field(mesh, -1.0)
     domain = classify_domain(field)
     f = AnalyticField(value=lambda x, y: x + 2.0 * y)
-    system = assemble_system(domain, field, f, 1, 20.0)
+    system = assemble_system(domain, f, 1, 20.0)
     assert domain.cut_triangles.size == 0
     assert domain.ghost_facets.size == 0
 
@@ -102,11 +102,11 @@ def test_full_system_matches_manual_assembly():
     np.testing.assert_allclose(system.b, b, rtol=1e-12, atol=1e-14)
 
     # without cut cells the penalty changes nothing
-    plain = assemble_system(domain, field, f, 1, 0.0)
+    plain = assemble_system(domain, f, 1, 0.0)
     assert (system.A != plain.A).nnz == 0
     np.testing.assert_array_equal(system.b, plain.b)
     # and its parts, summed over no cut triangle, are float zeros
-    G, g = assemble_ghost_part(domain, field, f, 1, dofmap)
+    G, g = assemble_ghost_part(domain, f, 1, dofmap)
     assert not G.toarray().any()
     assert g.dtype == np.float64 and g.shape == (n,) and not g.any()
 
@@ -207,7 +207,7 @@ def test_ghost_matrix_symmetric_and_psd(n, k, radius, shift):
     domain = classify_domain(field)
     assert domain.ghost_facets.size > 0
     ghost, _ = assemble_ghost_part(
-        domain, field, f, k, build_dof_map(mesh, domain.active_triangles, k))
+        domain, f, k, build_dof_map(mesh, domain.active_triangles, k))
     assert (ghost != ghost.T).nnz == 0
     eigenvalues = np.linalg.eigvalsh(ghost.toarray())
     assert eigenvalues[0] >= -1e-12 * eigenvalues[-1]
@@ -218,7 +218,7 @@ def test_full_matrix_positive_on_random_vectors():
     mesh = build_background_mesh(case.box, (20, 20))
     field = interpolate_levelset(case.phi, mesh, 1)
     domain = classify_domain(field)
-    system = assemble_system(domain, field, case.f, 1, 20.0)
+    system = assemble_system(domain, case.f, 1, 20.0)
     rng = np.random.default_rng(20240911)
     for _ in range(1000):
         v = rng.standard_normal(system.n_dofs)
@@ -235,7 +235,7 @@ def test_sigma_zero_skips_penalty_assembly(monkeypatch):
         raise AssertionError("penalty assembled despite sigma = 0")
 
     monkeypatch.setattr(assembly, "assemble_ghost_part", boom)
-    assemble_system(domain, field, case.f, 1, 0.0)
+    assemble_system(domain, case.f, 1, 0.0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -247,7 +247,7 @@ def test_planted_polynomial_reproduced(k):
     mesh = build_background_mesh(case.box, (7, 7))
     field = interpolate_levelset(case.phi, mesh, k)
     domain = classify_domain(field)
-    system = assemble_system(domain, field, case.f, k, 20.0,
+    system = assemble_system(domain, case.f, k, 20.0,
                              outer_data=case.outer_data)
     report = solve(system)
     nodes = system.dofmap.node_coords
@@ -285,7 +285,7 @@ def test_zero_sets_along_mesh_lines(k, n):
         verts = mesh.vertices[mesh.triangles[domain.active_triangles]]
         outside = (phi.value(verts[..., 0], verts[..., 1]) >= 0.0).all(1)
         assert not outside.any()
-        system = assemble_system(domain, field, f, k, 20.0, outer_data=w)
+        system = assemble_system(domain, f, k, 20.0, outer_data=w)
         nodes = system.dofmap.node_coords
         gap = solve(system).x - w.value(nodes[:, 0], nodes[:, 1])
         assert np.abs(gap).max() <= 1e-9
@@ -312,7 +312,7 @@ def test_outer_pinning_rows_are_identity():
     mesh = build_background_mesh(case.box, (4, 4))
     field = interpolate_levelset(case.phi, mesh, 1)
     domain = classify_domain(field)
-    system = assemble_system(domain, field, case.f, 1, 20.0,
+    system = assemble_system(domain, case.f, 1, 20.0,
                              outer_data=case.outer_data)
     a = system.A
     pinned = []
@@ -342,7 +342,7 @@ def test_parts_form_each_penalty_system():
     field = interpolate_levelset(case.phi, mesh, 2)
     domain = classify_domain(field)
     sigmas = [0.0, 0.5, 20.0]
-    parts = assemble_parts(domain, field, case.f, 2, sigmas,
+    parts = assemble_parts(domain, case.f, 2, sigmas,
                            outer_data=case.outer_data)
     assert parts.pinned.size > 0
     for sigma in sigmas + [0.0]:
@@ -354,14 +354,14 @@ def test_parts_form_each_penalty_system():
         b = parts.b0 + sigma * parts.g
         b[parts.pinned] = parts.pinned_values
         np.testing.assert_array_equal(system.b, b)
-        alone = assemble_system(domain, field, case.f, 2, sigma,
+        alone = assemble_system(domain, case.f, 2, sigma,
                                 outer_data=case.outer_data)
         for name in ("data", "indices", "indptr"):
             np.testing.assert_array_equal(getattr(system.A, name),
                                           getattr(alone.A, name))
         np.testing.assert_array_equal(system.b, alone.b)
 
-    plain = assemble_parts(domain, field, case.f, 2, [0.0])
+    plain = assemble_parts(domain, case.f, 2, [0.0])
     assert plain.G is None and plain.pinned.size == 0
     with pytest.raises(ValueError):
         plain.system(1.0)
@@ -383,8 +383,7 @@ def test_parts_do_not_depend_on_chunk_size(monkeypatch, k):
                 (_const_field(minus_one_mesh, -1.0, k), f)]
 
     def parts(field, source):
-        return assemble_parts(classify_domain(field), field,
-                              source, k, [0.0, 1.0])
+        return assemble_parts(classify_domain(field), source, k, [0.0, 1.0])
 
     for field, source in problems:
         whole = parts(field, source)
@@ -442,8 +441,8 @@ def test_int32_indices_match_an_int64_assembly(monkeypatch, k):
         field = interpolate_levelset(case.phi, mesh, k)
 
         def parts():
-            return assemble_parts(classify_domain(field), field, case.f, k,
-                                  [1.0], case.outer_data)
+            return assemble_parts(classify_domain(field), case.f, k, [1.0],
+                                  case.outer_data)
 
         with monkeypatch.context() as patch:
             patch.setattr(sp, "coo_matrix", recording)
@@ -471,8 +470,7 @@ def test_assembly_memory_peak():
     domain = classify_domain(field)
 
     def parts():
-        return assemble_parts(domain, field, case.f, 3, [20.0],
-                              case.outer_data)
+        return assemble_parts(domain, case.f, 3, [20.0], case.outer_data)
 
     parts()
     tracemalloc.start()
@@ -490,14 +488,9 @@ def test_assemble_validation():
     field = interpolate_levelset(case.phi, mesh, 1)
     domain = classify_domain(field)
     with pytest.raises(ValueError):
-        assemble_system(domain, field, case.f, 4, 20.0)
+        assemble_system(domain, case.f, 4, 20.0)
     with pytest.raises(ValueError):
-        assemble_system(domain, field, case.f, 1, -1.0)
-    other_mesh = build_background_mesh(case.box, (6, 6))
-    other = interpolate_levelset(case.phi, other_mesh, 1)
-    with pytest.raises(ValueError):
-        assemble_system(domain, other, case.f, 1, 20.0)
-
+        assemble_system(domain, case.f, 1, -1.0)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
@@ -521,7 +514,7 @@ def test_batched_assembly_matches_per_entity_kernels(n, k, radius, shift,
     field = interpolate_levelset(phi, mesh, k)
     domain = classify_domain(field)
     assert domain.ghost_facets.size > 0
-    system = assemble_system(domain, field, f, k, sigma)
+    system = assemble_system(domain, f, k, sigma)
 
     dofmap = system.dofmap
 
@@ -559,13 +552,12 @@ def test_batched_assembly_matches_per_entity_kernels(n, k, radius, shift,
     np.testing.assert_allclose(system.b, b, rtol=0,
                                atol=1e-12 * np.abs(b).max())
 
-    part = sigma * assemble_ghost_part(domain, field, f, k, dofmap)[0]
+    part = sigma * assemble_ghost_part(domain, f, k, dofmap)[0]
     assert (part != part.T).nnz == 0
     # duplicate entries sum in another order, so equal up to rounding
     order = np.random.default_rng(seed).permutation(domain.ghost_facets)
     permuted = sigma * assemble_ghost_part(
-        dataclasses.replace(domain, ghost_facets=order), field, f, k,
-        dofmap)[0]
+        dataclasses.replace(domain, ghost_facets=order), f, k, dofmap)[0]
     np.testing.assert_allclose(permuted.toarray(), part.toarray(), rtol=0,
                                atol=1e-12 * np.abs(ghost).max())
 

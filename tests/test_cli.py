@@ -181,9 +181,9 @@ def test_no_level_keeps_its_solutions_past_their_use(monkeypatch, case,
     seen = []           # the levels alive when each level starts
     make, build = cli.make_solution, cli.build_background_mesh
 
-    def recorded(system, field, x):
-        solution = make(system, field, x)
-        alive.append((field.mesh.n_cells[0], weakref.ref(solution)))
+    def recorded(system, x):
+        solution = make(system, x)
+        alive.append((system.dofmap.mesh.n_cells[0], weakref.ref(solution)))
         return solution
 
     def checked(box, n_cells):
@@ -405,6 +405,32 @@ def test_main_reports_empty_active_set(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2
         assert "EmptyActiveSet" in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "new.csv").exists()
+    assert old.read_bytes() == b"h,n_cells\r\n0.5,4\n"
+
+
+@pytest.mark.parametrize("command", ["run", "sigma-sweep", "conditioning"])
+def test_main_reports_a_level_too_large_to_allocate(tmp_path, capsys,
+                                                    monkeypatch, command):
+    # a mesh that cannot be allocated ends the study with one stderr line
+    # and exit 2, the configuration-problem contract: --out is written to
+    # neither way.  The mesh builder raises; nothing is allocated.
+    def too_large(box, n_cells):
+        raise MemoryError(f"Unable to allocate the {n_cells} mesh")
+
+    monkeypatch.setattr(cli, "build_background_mesh", too_large)
+    old = tmp_path / "old.csv"
+    old.write_bytes(b"h,n_cells\r\n0.5,4\n")
+    argv = [command, "--n", "100000000", "--levels", "1"]
+    if command == "sigma-sweep":
+        argv += ["--sigmas", "1,20"]
+    for out in (None, tmp_path / "new.csv", old):
+        code = cli.main(argv + ([] if out is None else ["--out", str(out)]))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ("error: out-of-memory: Unable to allocate "
+                                "the (100000000, 100000000) mesh\n")
         assert captured.out == ""
     assert not (tmp_path / "new.csv").exists()
     assert old.read_bytes() == b"h,n_cells\r\n0.5,4\n"

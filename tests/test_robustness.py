@@ -85,12 +85,12 @@ def measure(k, shift_cells, radius, sigma, errors=True, n=N):
     case = shifted_disk(np.asarray(shift_cells) / n, radius)
     field = interpolate_levelset(case.phi, mesh, k)
     domain = classify_domain(field)
-    system = assemble_system(domain, field, case.f, k, sigma)
+    system = assemble_system(domain, case.f, k, sigma)
     out = {"kappa_h2": estimate_condition_number(system).kappa * mesh.h ** 2}
     if errors:
         s = CIRCLE_RADIUS / radius
-        solution = make_solution(system, field, solve(system).x)
-        report = compute_errors([solution], case.u_exact, domain)[0]
+        solution = make_solution(system, solve(system).x)
+        report = compute_errors([solution], case.u_exact)[0]
         out.update(h1=report.rel_h1_semi / s ** k,
                    l2=report.rel_l2 / s ** (k + 1))
     return out

@@ -63,7 +63,7 @@ def _laplacian_system(n):
     """The 1D Laplacian stencil with a unit right-hand side."""
     off = np.full(n - 1, -1.0)
     a = sp.diags([off, np.full(n, 2.0), off], [-1, 0, 1], format="csr")
-    return SparseSystem(A=a, b=np.ones(n), dofmap=None)
+    return SparseSystem(A=a, b=np.ones(n), domain=None, dofmap=None)
 
 
 @pytest.mark.parametrize("module_name, attr",
