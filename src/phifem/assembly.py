@@ -16,22 +16,23 @@ with the matching right-hand side
 
     l(v) = (f, phi v)_active - sigma * h^2 * (f, lap(phi v))_cut.
 
-Each term has one public batched kernel, and assembly calls it: the
-product and Laplacian penalty matrices and the load and its correction
-over chunks of triangles (`_in_chunks`, the one chunk loop), the
-boundary and ghost facet terms over all their facets in one call each.
-A chunk holds as many triangles as fit the point budget of
+Each term has one public batched kernel, and assembly runs its code:
+the product and Laplacian penalty matrices and the load and its
+correction over chunks of triangles (`_in_chunks`, the one chunk loop),
+the boundary and ghost facet terms over all their facets in one call
+each.  A chunk holds as many triangles as fit the point budget of
 `fem_core._chunks` at the point count of the kernel's rule, and its
 output is written straight into the array that the whole pass fills.
 The volume kernels run on the dof map's own triangles, so their dof
-rows are `cell_dofs` itself.  `_sparse` sums the (dofs, local) blocks of
-a matrix into CSR; the two volume matrices write their chunks into
-their slice of its COO values, so a level's element matrices never
-exist as one array.  Each vector is one `np.bincount`.  A single
-triangle or facet is a length-1 call, so the hand-integral tests pin
-the code that assembly runs.  A kernel takes the degree k of w and
-looks up the cached rule of its term in `quadrature_degrees(k,
-field.degree)`, so no caller passes an element or a rule.
+rows are `cell_dofs` itself.  `_sparse` sums the (dofs, local) blocks
+of a matrix into CSR arrays that hold exactly its nonzeros; the two
+volume matrices write their chunks into their slice of its COO values,
+so a level's element matrices never exist as one array.  Each vector
+is one `np.bincount`.  A single triangle or facet is a length-1 call,
+so the hand-integral tests pin the code that assembly runs.  A kernel
+takes the degree k of w and looks up the cached rule of its term in
+`quadrature_degrees(k, field.degree)`, so no caller passes an element
+or a rule.
 
 The mesh has two triangle shapes, so every basis table is per shape,
 never per triangle (`fem_core.shape_maps`, `rule_tables`,
@@ -49,9 +50,14 @@ along its own outward normal.  The gradients and Laplacians of the basis
 products phi_a psi_i and the facet traces all come from
 `fem_core.product_rule`, the one place the product rule of u = phi * w
 is written.  A volume kernel builds only the basis product it reads,
-gradients or Laplacians, in one such call from the cached rule tables;
-they depend on the cell size, which every level of a study changes, so
-nothing keeps them.
+gradients or Laplacians, in one such call from the cached rule tables.
+Each chunked kernel has a pass builder (`_element_products`,
+`_ghost_laplacians`, `_loads`, `_load_corrections`) that builds its
+tables, such as the pair tensors, and returns a function of one chunk:
+the public kernel calls it once on all its triangles, and `_in_chunks`
+builds it once per pass and drops it when the pass ends.  The tables
+depend on the cell size, which every level of a study changes, so none
+outlives its pass.
 Both penalty terms and the load correction are linear in sigma, so
 their kernels and `assemble_ghost_part` return the sigma = 1 forms,
 with h read from the mesh; `assemble_parts` builds the core A0, b0 and
@@ -133,8 +139,9 @@ def _basis_products(l, k, exactness, cell_size):
     with that cell size: values, physical gradients and Laplacians of
     the degree-l level-set basis phi_a laid out (2, Q, m, 1), and of the
     degree-k basis psi_i of w laid out (2, Q, 1, n), the gradients with
-    a last axis of 2.  Built per call from the cached `rule_tables`;
-    each kernel passes `product_rule` only what it reads."""
+    a last axis of 2.  Built from the cached `rule_tables` once per
+    pass, by its pass builder, which passes `product_rule` only what it
+    reads."""
     inv = shape_maps(cell_size)[2]
     phi_tables = rule_tables(l, exactness)
     w_tables = rule_tables(k, exactness)
@@ -145,14 +152,15 @@ def _basis_products(l, k, exactness, cell_size):
             plap[..., :, None], blap[..., None, :])
 
 
-def _pair_forms(coef, shape, terms, weights):
+def _pair_forms(terms, weights):
     """Per-triangle matrices sum_r w_r (c . X_r)_i (c . X_r)_j, with
     X_r = terms[shape, r] of shape (m, n) and c the triangle's level-set
-    coefficients.
+    coefficients, as a function of (c, shape) for a chunk of triangles.
 
     The form is quadratic in c, so it is (c_a c_b)_{a<=b} @ T_shape with
     the pair tensor T[ab, ij] = sum_r w_r X_r[a, i] X_r[b, j] (plus its
-    (b, a) twin off the diagonal), built by one matmul per shape.
+    (b, a) twin off the diagonal), built here by one matmul per shape;
+    the function returned holds it for one pass.
     """
     m, n = terms.shape[-2:]
     ia, ib = np.triu_indices(m)
@@ -162,8 +170,9 @@ def _pair_forms(coef, shape, terms, weights):
         t = ((x * weights[:, None]).T @ x).reshape(m, n, m, n)
         t = t.transpose(0, 2, 1, 3)                     # (a, b, i, j)
         tables.append((t[ia, ib] + off * t[ib, ia]).reshape(-1, n * n))
-    pairs = coef[:, ia] * coef[:, ib]
-    return group_matmul(pairs, shape, np.stack(tables)).reshape(-1, n, n)
+    tables = np.stack(tables)
+    return lambda coef, shape: group_matmul(
+        coef[:, ia] * coef[:, ib], shape, tables).reshape(-1, n, n)
 
 
 def _facet_traces(field, k, facets, tris, exactness):
@@ -191,6 +200,19 @@ def _facet_traces(field, k, facets, tris, exactness):
     return lengths[group], trace, dn[..., 0]
 
 
+def _element_products(field, k):
+    """The pass of `element_product_kernel`: a function of a chunk of
+    triangles, holding the pair tensor built once for the pass."""
+    quad = _rule(k, field, "volume")
+    grad = product_rule(*_basis_products(field.degree, k, quad.degree,
+                                         field.mesh.cell_size)[:4])[1]
+    _, Q, m, n, _ = grad.shape
+    terms = grad.transpose(0, 1, 4, 2, 3).reshape(2, 2 * Q, m, n)
+    weights = np.repeat(shape_maps(field.mesh.cell_size)[1] * quad.weights, 2)
+    forms = _pair_forms(terms, weights)
+    return lambda tris: forms(field.cell_coefficients(tris), tris % 2)
+
+
 def element_product_kernel(triangles: np.ndarray, field: LevelSetField,
                            k: int) -> np.ndarray:
     """Local matrices of integral grad(phi psi_j) . grad(phi psi_i) dx,
@@ -198,14 +220,20 @@ def element_product_kernel(triangles: np.ndarray, field: LevelSetField,
 
     One (n, n) matrix per triangle id in `triangles`: shape (nT, n, n).
     """
+    return _element_products(field, k)(triangles)
+
+
+def _ghost_laplacians(field, k):
+    """The pass of `ghost_laplacian_kernel`: a function of a chunk of
+    triangles, holding the pair tensor built once for the pass."""
+    h = field.mesh.h
     quad = _rule(k, field, "volume")
-    grad = product_rule(*_basis_products(field.degree, k, quad.degree,
-                                         field.mesh.cell_size)[:4])[1]
-    _, Q, m, n, _ = grad.shape
-    terms = grad.transpose(0, 1, 4, 2, 3).reshape(2, 2 * Q, m, n)
-    weights = np.repeat(shape_maps(field.mesh.cell_size)[1] * quad.weights, 2)
-    return _pair_forms(field.cell_coefficients(triangles), triangles % 2,
-                       terms, weights)
+    lap = product_rule(*_basis_products(field.degree, k, quad.degree,
+                                        field.mesh.cell_size))[2]
+    weights = h * h * shape_maps(field.mesh.cell_size)[1] * quad.weights
+    forms = _pair_forms(lap, weights)
+    return lambda tris: _symmetrize(forms(field.cell_coefficients(tris),
+                                          tris % 2))
 
 
 def ghost_laplacian_kernel(triangles: np.ndarray, field: LevelSetField,
@@ -215,13 +243,7 @@ def ghost_laplacian_kernel(triangles: np.ndarray, field: LevelSetField,
 
     One exactly symmetric (n, n) matrix per triangle: shape (nT, n, n).
     """
-    h = field.mesh.h
-    quad = _rule(k, field, "volume")
-    lap = product_rule(*_basis_products(field.degree, k, quad.degree,
-                                        field.mesh.cell_size))[2]
-    weights = h * h * shape_maps(field.mesh.cell_size)[1] * quad.weights
-    return _symmetrize(_pair_forms(field.cell_coefficients(triangles),
-                                   triangles % 2, lap, weights))
+    return _ghost_laplacians(field, k)(triangles)
 
 
 def _source(f, mesh, triangles, quad):
@@ -231,15 +253,38 @@ def _source(f, mesh, triangles, quad):
     return fv * (shape_maps(mesh.cell_size)[1] * quad.weights)
 
 
+def _loads(f, field, k):
+    """The pass of `load_kernel`: a function of a chunk of triangles."""
+    quad = _rule(k, field, "data")
+    phi_values = rule_tables(field.degree, quad.degree)[0].T
+    w_values = rule_tables(k, quad.degree)[0]
+    return lambda tris: (_source(f, field.mesh, tris, quad) * (
+        field.cell_coefficients(tris) @ phi_values)) @ w_values
+
+
 def load_kernel(triangles: np.ndarray, f: AnalyticField,
                 field: LevelSetField, k: int) -> np.ndarray:
     """Element load vectors (f, phi psi_i), psi the degree-k basis, shape
     (nT, n)."""
+    return _loads(f, field, k)(triangles)
+
+
+def _load_corrections(f, field, k):
+    """The pass of `load_correction_kernel`: a function of a chunk of
+    triangles, holding the Laplacians of the basis products built once
+    for the pass."""
+    h = field.mesh.h
     quad = _rule(k, field, "data")
-    wf = _source(f, field.mesh, triangles, quad)
-    pv = field.cell_coefficients(triangles) @ rule_tables(
-        field.degree, quad.degree)[0].T
-    return (wf * pv) @ rule_tables(k, quad.degree)[0]
+    terms = product_rule(*_basis_products(field.degree, k, quad.degree,
+                                          field.mesh.cell_size))[2]
+    Q, m, n = terms.shape[1:]
+    terms = terms.reshape(2, Q * m, n)
+
+    def kernel(tris):
+        wf = _source(f, field.mesh, tris, quad)
+        x = wf[:, :, None] * field.cell_coefficients(tris)[:, None, :]
+        return -h * h * group_matmul(x.reshape(-1, Q * m), tris % 2, terms)
+    return kernel
 
 
 def load_correction_kernel(triangles: np.ndarray, f: AnalyticField,
@@ -247,15 +292,7 @@ def load_correction_kernel(triangles: np.ndarray, f: AnalyticField,
     """Stabilization corrections -h^2 (f, lap(phi psi_i)) at sigma = 1,
     with h = field.mesh.h and psi the degree-k basis, shape (nT, n); the
     right-hand side adds them on cut triangles only."""
-    h = field.mesh.h
-    quad = _rule(k, field, "data")
-    terms = product_rule(*_basis_products(field.degree, k, quad.degree,
-                                          field.mesh.cell_size))[2]
-    Q, m, n = terms.shape[1:]
-    wf = _source(f, field.mesh, triangles, quad)
-    x = wf[:, :, None] * field.cell_coefficients(triangles)[:, None, :]
-    return -h * h * group_matmul(x.reshape(-1, Q * m), triangles % 2,
-                                 terms.reshape(2, Q * m, n))
+    return _load_corrections(f, field, k)(triangles)
 
 
 def boundary_term_kernel(facets: np.ndarray, owners: np.ndarray,
@@ -304,17 +341,20 @@ def ghost_jump_kernel(facets: np.ndarray, field: LevelSetField, k: int
 # ---------------------------------------------------------------------------
 # global assembly
 
-def _in_chunks(out, kernel, term, triangles, *args):
-    """Write kernel(triangles[part], *args) into out[part], chunk by chunk,
-    and return out.  The kernel takes (triangles, ..., field, k) and
-    integrates with the rule of `term`, whose point count sizes the
-    chunks (`fem_core._chunks`).  Each chunk's output goes straight to
+def _in_chunks(out, kernel_pass, term, triangles, *args):
+    """Write kernel(triangles[part]) into out[part], chunk by chunk, and
+    return out.  kernel = kernel_pass(*args), with args ending in
+    (field, k), is a function of one chunk that holds the tables of the
+    pass: they are built once here and dropped when the pass ends, so
+    none outlives it.  The rule of `term` sizes the chunks by its point
+    count (`fem_core._chunks`).  Each chunk's output goes straight to
     its place in out, so the pass keeps no list of chunks and makes no
     concatenated copy."""
     field, k = args[-2:]
     points = _rule(k, field, term).weights.size
+    kernel = kernel_pass(*args)
     for part in _chunks(triangles.size, points):
-        out[part] = kernel(triangles[part], *args)
+        out[part] = kernel(triangles[part])
     return out
 
 
@@ -327,7 +367,9 @@ def _sparse(blocks, n: int) -> sp.csr_matrix:
     array of a whole level's element matrices exists.  The COO arrays
     are allocated once and filled block by block in place.  The indices
     are int32, the type scipy gives the CSR indices of any n that fits
-    it: with int64 ones it would make an int32 copy of both."""
+    it: with int64 ones it would make an int32 copy of both.  The CSR's
+    data and indices hold exactly nnz entries, since a level keeps its
+    matrices until its last solve."""
     shapes = [d.shape + d.shape[1:] for d, _ in blocks]
     size = sum(np.prod(shape) for shape in shapes)
     rows, cols = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
@@ -342,7 +384,14 @@ def _sparse(blocks, n: int) -> sp.csr_matrix:
         else:
             vals[part].reshape(shape)[...] = local
         start = part.stop
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    # scipy's sum of duplicates leaves data and indices as views of the
+    # COO-sized buffers unless they fill under half of them; then the COO
+    # arrays go first, and exact-size copies replace the views
+    if mat.data.base is not None:
+        del rows, cols, vals
+        mat.data, mat.indices = mat.data.copy(), mat.indices.copy()
+    return mat
 
 
 def assemble_ghost_part(domain: ActiveDomain, f: AnalyticField, k: int,
@@ -364,11 +413,11 @@ def assemble_ghost_part(domain: ActiveDomain, f: AnalyticField, k: int,
     cut_dofs = dofmap.cell_dofs[dofmap.rows_for(cut)]
     mat = _sparse([(jump_dofs, jumps),
                    (cut_dofs, lambda out: _in_chunks(
-                       out, ghost_laplacian_kernel, "volume", cut, field, k))],
+                       out, _ghost_laplacians, "volume", cut, field, k))],
                   dofmap.n_dofs)
     # without cut triangles bincount returns integer zeros
     g = np.bincount(cut_dofs.ravel(), weights=_in_chunks(
-        np.empty(cut_dofs.shape), load_correction_kernel, "data", cut, f,
+        np.empty(cut_dofs.shape), _load_corrections, "data", cut, f,
         field, k).ravel(), minlength=dofmap.n_dofs).astype(float, copy=False)
     mat = (mat + mat.T).tocsr()
     mat.data *= 0.5
@@ -468,13 +517,13 @@ def assemble_parts(domain: ActiveDomain, f: AnalyticField, k: int,
     dofmap = build_dof_map(field.mesh, domain.active_triangles, k)
     owner_dofs = dofmap.cell_dofs[dofmap.rows_for(domain.boundary_owners)]
     A0 = _sparse([(dofmap.cell_dofs, lambda out: _in_chunks(
-                      out, element_product_kernel, "volume", dofmap.triangles,
+                      out, _element_products, "volume", dofmap.triangles,
                       field, k)),
                   (owner_dofs, -boundary_term_kernel(
                       domain.boundary_facets, domain.boundary_owners,
                       field, k))], dofmap.n_dofs)
     b0 = np.bincount(dofmap.cell_dofs.ravel(), weights=_in_chunks(
-        np.empty(dofmap.cell_dofs.shape), load_kernel, "data",
+        np.empty(dofmap.cell_dofs.shape), _loads, "data",
         dofmap.triangles, f, field, k).ravel(), minlength=dofmap.n_dofs)
 
     G = g = None

@@ -24,8 +24,11 @@ The background mesh has two triangle shapes and one cell area: triangle
 t is the lower (t even) or upper (t odd) half of its cell.  `shape_maps`
 gives both affine maps in closed form from the cell size, and a
 triangle's map is the one of its shape, so there is one source of
-geometric truth.  The shapes have six (shape, local facet) pairs but
-only three facet kinds, and `mesh.LOCAL_FACETS` is the one source of
+geometric truth.  A triangle's Lagrange nodes have lattice codes in
+closed form from its id too (`node_codes`): `build_dof_map` numbers the
+codes in use, and the full-mesh level set indexes its values by them.
+The shapes have six (shape, local facet) pairs but only three facet
+kinds, and `mesh.LOCAL_FACETS` is the one source of
 their convention: `facet_frames` reads each pair's kind and side to give
 its length and its conormal inv @ n, n the unit normal out of the
 triangle, in closed form too, and `facet_tables` reads its ends.  Basis
@@ -66,6 +69,7 @@ __all__ = [
     "triangle_quadrature",
     "edge_quadrature",
     "quadrature_degrees",
+    "node_codes",
     "build_dof_map",
     "shape_maps",
     "facet_frames",
@@ -86,10 +90,14 @@ QUAD_DEGREE_CAP = 12
 _DEGREES = (1, 2, 3)
 
 
+@lru_cache(maxsize=None)
 def _lattice_multi_indices(p: int) -> np.ndarray:
-    """Barycentric multi-indices (a0, a1, a2), a0+a1+a2 = p, bottom row first."""
+    """Barycentric multi-indices (a0, a1, a2), a0+a1+a2 = p, bottom row
+    first; read-only, built once per p."""
     out = [(p - i - j, i, j) for j in range(p + 1) for i in range(p + 1 - j)]
-    return np.array(out, dtype=np.int64)
+    out = np.array(out, dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
 
 # reference gradients of the barycentric coordinates (1 - x - y, x, y)
@@ -265,6 +273,38 @@ class DofMap:
         return rows
 
 
+# the (i, j) offsets in its cell of each local vertex of both shapes: the
+# lower triangle (v00, v10, v11) and the upper one (v00, v11, v01)
+_SHAPE_CORNERS = np.array([[[0, 0], [1, 0], [1, 1]],
+                           [[0, 0], [1, 1], [0, 1]]])
+
+
+def node_codes(mesh: BackgroundMesh, triangles: np.ndarray, degree: int
+               ) -> np.ndarray:
+    """Lattice codes (..., n_local) of the degree-`degree` Lagrange nodes
+    of triangles given by ids of any shape.
+
+    A node's key is its position on the integer refinement lattice (grid
+    index times degree), and its code is key_x (degree ny + 1) + key_y,
+    so codes order like keys, x index first.  A key is the sum over
+    local vertices of multi-index times vertex key, so the codes of a
+    triangle are degree (i (degree ny + 1) + j) for its cell (i, j)
+    plus one offset per (shape, local node): exact integers, in closed
+    form from the triangle id.
+    """
+    nx, ny = mesh.n_cells
+    stride = degree * ny + 1
+    corners = _SHAPE_CORNERS @ np.array([stride, 1])         # (2, 3)
+    offsets = corners @ _lattice_multi_indices(degree).T     # (2, n_local)
+    triangles = np.asarray(triangles, dtype=np.int64)
+    cells = triangles >> 1
+    codes = np.take(offsets, triangles & 1, axis=0)
+    # i stride + j for the cell (i, j) = (c % nx, c // nx), by one division
+    codes += (degree * (stride * cells - (nx * stride - 1) * (cells // nx))
+              )[..., None]
+    return codes
+
+
 def build_dof_map(mesh: BackgroundMesh, triangles: np.ndarray,
                   degree: int) -> DofMap:
     """Number the degree-`degree` Lagrange nodes of the given triangles.
@@ -284,13 +324,8 @@ def build_dof_map(mesh: BackgroundMesh, triangles: np.ndarray,
     covered[tris] = True
     tris = np.flatnonzero(covered)                  # ascending, no repeats
 
-    # one int64 code per node key, ordered like the keys themselves (x
-    # index first); a node key is sum_a multi[a] * vertex key, exact
-    # integers, and the code is linear in the key
     stride = degree * mesh.n_cells[1] + 1
-    vertex_codes = mesh.vertex_lattice @ np.array([stride, 1])
-    multi = _lattice_multi_indices(degree)          # (n_local, 3)
-    codes = vertex_codes[mesh.triangles[tris]] @ multi.T    # (nT, n_local)
+    codes = node_codes(mesh, tris, degree)          # (nT, n_local)
     # ids number the codes in use in ascending order, read off a mask of
     # the whole node lattice, so no sort is needed
     in_use = np.zeros((degree * mesh.n_cells[0] + 1) * stride, dtype=bool)
@@ -361,7 +396,11 @@ def physical_points(mesh: BackgroundMesh, tris: np.ndarray,
     jac, _, _ = shape_maps(mesh.cell_size)
     offsets = bary[:, 1:] @ jac.swapaxes(1, 2)          # (2, Q, 2)
     v0 = mesh.vertices[mesh.triangles[tris, 0]]
-    return v0[:, None, :] + offsets[tris % 2]
+    # each triangle's shape offsets plus v0 in place: no (nT, Q, 2) gather
+    pts = np.take(offsets, tris % 2, axis=0)
+    pts[..., 0] += v0[..., 0, None]
+    pts[..., 1] += v0[..., 1, None]
+    return pts
 
 
 def _frozen(arrays: tuple) -> tuple:

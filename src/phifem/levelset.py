@@ -1,24 +1,30 @@
 """Level-set interpolation and sign-based domain classification.
 
 The geometry enters only through a Lagrange interpolant of the level-set
-function on the full background mesh.  A triangle is active when the
-interpolant is negative somewhere on it, judged by sampling on a fixed
-barycentric lattice; no geometric tolerance or snapping is applied, so
-classification is reproducible bit for bit.  The lattice's order is a
-multiple of the degree, so it holds every node, where a sample is the
-node's value: the nodal minimum and maximum bound the lattice's.  Only
-triangles whose nodal values share one sign and lie too close to zero
-for a bound on the samples, with a slack for their rounding, to keep
-that sign (`_sign_open`) are sampled; each sample is summed node by
-node, so it is rounded the same however many triangles are sampled.  On
-the n=160 circle that cuts the traced peak of a classification from 20.1
-to 3.6 MiB (l=1) and from 40.8 to 8.2 MiB (l=3).  `classify_domain` takes
-the interpolant alone (its mesh is the field's), the domain it returns
-keeps it, and it is the one place that reads facet adjacency: the ghost
-and boundary facets and the boundary owners all come from one lookup of
-the active mask on `mesh.facet_triangles`.  The facet sets carry ids
-and owner triangles only: a facet's length and outward normal follow
-from its owner's shape and local facet (`fem_core.facet_frames`).
+function on the full background mesh.  On the full mesh every node of
+the degree-l lattice is in use, so the interpolant keeps only its nodal
+values, indexed by lattice code (`fem_core.node_codes`), and reads a
+triangle's values at codes computed in closed form from its id: no dof
+map is built for it.  At l=2 on the n=640 rectangle that is 12.5 MB
+held, against 106 MB with a full-mesh dof map.  A triangle is active
+when the interpolant is negative somewhere on it, judged by sampling on
+a fixed barycentric lattice; no geometric tolerance or snapping is
+applied, so classification is reproducible bit for bit.  The lattice's
+order is a multiple of the degree, so it holds every node, where a
+sample is the node's value: the nodal minimum and maximum bound the
+lattice's.  Only triangles whose nodal values share one sign and lie too
+close to zero for a bound on the samples, with a slack for their
+rounding, to keep that sign (`_sign_open`) are sampled; each sample is
+summed node by node, so it is rounded the same however many triangles
+are sampled.  On the n=160 circle that cuts the traced peak of a
+classification from 20.1 to 3.6 MiB (l=1) and from 40.8 to 8.2 MiB
+(l=3).  `classify_domain` takes the interpolant alone (its mesh is the
+field's), the domain it returns keeps it, and it is the one place that
+reads facet adjacency: the ghost and boundary facets and the boundary
+owners all come from one lookup of the active mask on
+`mesh.facet_triangles`.  The facet sets carry ids and owner triangles
+only: a facet's length and outward normal follow from its owner's shape
+and local facet (`fem_core.facet_frames`).
 """
 from __future__ import annotations
 
@@ -28,8 +34,11 @@ from typing import Callable
 
 import numpy as np
 
-from .fem_core import (_DEGREES, DofMap, _lattice_multi_indices,
-                       build_dof_map)
+from .fem_core import _DEGREES, _lattice_multi_indices, node_codes
+# build_dof_map is not called here, but perfbench/spans.py wraps it
+# under this module's name, so the name stays importable from it
+# (tests/test_tooling.py checks every name the tracer binds)
+from .fem_core import build_dof_map  # noqa: F401
 from .mesh import BackgroundMesh
 
 __all__ = [
@@ -60,34 +69,46 @@ class AnalyticField:
 
 @dataclass(frozen=True)
 class LevelSetField:
-    """Lagrange interpolant of the level set on the whole background mesh."""
+    """Lagrange interpolant of the level set on the whole background mesh.
+
+    On the full mesh every node of the degree-`degree` lattice is in
+    use, so the field keeps only its nodal values, indexed by lattice
+    code (`fem_core.node_codes`): x index first, the numbering a dof map
+    over every triangle would give.  A triangle's values are read at its
+    codes, computed in closed form from its id, so no dof map is held.
+    """
 
     mesh: BackgroundMesh
     degree: int
-    dofmap: DofMap            # covers every triangle of the mesh
-    coefficients: np.ndarray  # (n_dofs,) nodal values
+    coefficients: np.ndarray  # nodal values, indexed by lattice code
 
     def cell_coefficients(self, tris: np.ndarray) -> np.ndarray:
-        """Nodal values per triangle, shape (len(tris), n_local)."""
-        return self.coefficients[self.dofmap.cell_dofs[tris]]
+        """Nodal values per triangle, shape tris.shape + (n_local,)."""
+        return self.coefficients.take(node_codes(self.mesh, tris, self.degree))
 
 
 def interpolate_levelset(phi: AnalyticField, mesh: BackgroundMesh,
                          degree: int) -> LevelSetField:
-    """Interpolate `phi` at the degree-`degree` Lagrange nodes of the mesh."""
+    """Interpolate `phi` at the degree-`degree` Lagrange nodes of the mesh,
+    in code order: node by node, x index first, at the coordinates
+    `build_dof_map` gives a node, box corner plus key times cell size
+    over degree."""
     if degree not in _DEGREES:
         raise ValueError(f"unsupported level-set degree {degree}")
-    dofmap = build_dof_map(mesh, np.arange(mesh.n_triangles), degree)
-    coeffs = np.asarray(
-        phi.value(dofmap.node_coords[:, 0], dofmap.node_coords[:, 1]),
-        dtype=float)
-    if coeffs.shape != (dofmap.n_dofs,):
+    nx, ny = mesh.n_cells
+    xmin, ymin, _, _ = mesh.box
+    dx, dy = mesh.cell_size
+    x = np.repeat(xmin + np.arange(degree * nx + 1) * (dx / degree),
+                  degree * ny + 1)
+    y = np.tile(ymin + np.arange(degree * ny + 1) * (dy / degree),
+                degree * nx + 1)
+    coeffs = np.asarray(phi.value(x, y), dtype=float)
+    if coeffs.shape != x.shape:
         raise ValueError("level-set callable must return one value per node")
     if not np.isfinite(coeffs).all():
         raise ValueError("level set evaluated to a non-finite value")
     coeffs.setflags(write=False)
-    return LevelSetField(mesh=mesh, degree=degree, dofmap=dofmap,
-                         coefficients=coeffs)
+    return LevelSetField(mesh=mesh, degree=degree, coefficients=coeffs)
 
 
 @dataclass(frozen=True)
@@ -184,8 +205,12 @@ def classify_domain(field: LevelSetField) -> ActiveDomain:
     mesh = field.mesh
     basis = _sign_lattice(field.degree)
     coeffs = field.cell_coefficients(np.arange(mesh.n_triangles))
-    mins = coeffs.min(axis=1)
-    maxs = coeffs.max(axis=1)
+    # running extremes over the columns: a reduction along rows of a few
+    # nodes is many times slower, and both are exact
+    mins, maxs = coeffs[:, 0].copy(), coeffs[:, 0].copy()
+    for node in range(1, coeffs.shape[1]):
+        np.minimum(mins, coeffs[:, node], out=mins)
+        np.maximum(maxs, coeffs[:, node], out=maxs)
     sampled = np.flatnonzero(_sign_open(basis, mins, maxs))
     # one row per lattice point, (n_lattice, n_sampled), summed node by
     # node: a sample is rounded the same whichever triangles are sampled
@@ -207,7 +232,7 @@ def classify_domain(field: LevelSetField) -> ActiveDomain:
     inside = np.append(active_mask, False)[ft]
     touches_cut = np.zeros(mesh.n_facets, dtype=bool)
     touches_cut[mesh.triangle_facets[cut].ravel()] = True
-    ghost = np.nonzero(inside.all(axis=1) & touches_cut)[0]
+    ghost = np.nonzero(inside[:, 0] & inside[:, 1] & touches_cut)[0]
     boundary = np.nonzero(inside[:, 0] != inside[:, 1])[0]
     owners = np.where(inside[boundary, 0], ft[boundary, 0], ft[boundary, 1])
 

@@ -9,7 +9,9 @@ positivity, consistency of the planted polynomial) are checked on the
 built-in cases with seeded random vectors.
 """
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -420,6 +422,53 @@ def _sparse_int64(blocks, n):
     return sp.coo_matrix((vals, (rows.astype(np.int64),
                                  cols.astype(np.int64))),
                          shape=(n, n)).tocsr()
+
+
+def test_sparse_keeps_exact_size_arrays():
+    # summing duplicates in scipy leaves the CSR arrays as views of the
+    # COO-sized buffers; _sparse's data and indices hold nnz entries each
+    dofs = np.array([[0, 1], [1, 2]])
+    mat = assembly._sparse([(dofs, np.ones((2, 2, 2)))], 3)
+    np.testing.assert_array_equal(mat.toarray(),
+                                  [[1, 1, 0], [1, 2, 1], [0, 1, 1]])
+    case = get_case("circle")
+    mesh = build_background_mesh(case.box, (10, 10))
+    domain = classify_domain(interpolate_levelset(case.phi, mesh, 2))
+    parts = assemble_parts(domain, case.f, 2, [0.0])
+    # one entry per (element, i, j) and per boundary facet block
+    coo_size = 36 * domain.active_triangles.size \
+        + 36 * domain.boundary_facets.size
+    assert coo_size > parts.A0.nnz
+    for a in (mat, parts.A0):
+        for arr in (a.data, a.indices):
+            assert arr.base is None and arr.size == a.nnz
+
+
+def test_kernel_tables_are_built_once_per_pass_and_dropped(monkeypatch):
+    # each chunked pass builds its tables once, however many chunks it
+    # runs, and lets them go when it ends
+    built = {}
+    for name in ("_element_products", "_ghost_laplacians", "_loads",
+                 "_load_corrections"):
+        def recording(*args, _build=getattr(assembly, name), _name=name):
+            kernel = _build(*args)
+            built.setdefault(_name, []).append(weakref.ref(kernel))
+            return kernel
+        monkeypatch.setattr(assembly, name, recording)
+    # k = l = 3 integrates with 49 points per triangle: chunks of 16
+    monkeypatch.setattr(fem_core, "_POINT_BUDGET", 16 * 49)
+    case = get_case("circle")
+    mesh = build_background_mesh(case.box, (20, 20))
+    domain = classify_domain(interpolate_levelset(case.phi, mesh, 3))
+    parts = assemble_parts(domain, case.f, 3, [20.0])
+    for tris in (domain.active_triangles, domain.cut_triangles):
+        assert len(list(fem_core._chunks(tris.size, 49))) > 1
+    assert {name: len(refs) for name, refs in built.items()} == {
+        "_element_products": 1, "_ghost_laplacians": 1, "_loads": 1,
+        "_load_corrections": 1}
+    gc.collect()
+    assert all(ref() is None for refs in built.values() for ref in refs)
+    assert parts.G is not None
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
