@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from phifem.fem_core import (DofMap, build_dof_map, eval_shapes,
-                             physical_tables, shape_maps, tabulate)
+from phifem.fem_core import (DofMap, _lattice_multi_indices, build_dof_map,
+                             eval_shapes, physical_tables, shape_maps,
+                             tabulate)
 from phifem.levelset import (AnalyticField, EmptyActiveSetError,
                              _sign_lattice, classify_domain,
                              interpolate_levelset)
@@ -42,7 +43,9 @@ def test_interpolation_matches_nodal_values():
 def test_cell_coefficients_match_a_full_mesh_dof_map(degree, box, cells):
     # the closed-form codes read the values a dof map over every triangle
     # gathers, for ids in any order and of any shape, and the values are
-    # phi at that map's node coordinates, to the bit
+    # phi at that map's node coordinates, to the bit; the codes are also
+    # those summed from the mesh's own vertices, node key = sum over the
+    # triangle's vertices of multi-index times vertex key
     mesh = build_background_mesh(box, cells)
     phi = AnalyticField(value=lambda x, y: np.sin(3.0 * x) * y + x * x)
     field = interpolate_levelset(phi, mesh, degree)
@@ -50,14 +53,20 @@ def test_cell_coefficients_match_a_full_mesh_dof_map(degree, box, cells):
     nodes = dofmap.node_coords
     np.testing.assert_array_equal(field.coefficients,
                                   phi.value(nodes[:, 0], nodes[:, 1]))
+    stride = degree * cells[1] + 1
+    vertex_codes = mesh.vertex_lattice @ np.array([stride, 1])
+    multi = _lattice_multi_indices(degree)
     rng = np.random.default_rng(32)
     for tris in (np.arange(mesh.n_triangles),
                  rng.permutation(mesh.n_triangles)[:9],
                  rng.integers(0, mesh.n_triangles, size=(5, 4))):
         got = field.cell_coefficients(tris)
-        assert got.shape == tris.shape + (dofmap.cell_dofs.shape[1],)
+        assert got.shape == tris.shape + (len(multi),)
         np.testing.assert_array_equal(
             got, field.coefficients[dofmap.cell_dofs[tris]])
+        np.testing.assert_array_equal(
+            got, field.coefficients[vertex_codes[mesh.triangles[tris]]
+                                    @ multi.T])
 
 
 def test_field_keeps_only_its_nodal_values():
